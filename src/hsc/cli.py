@@ -48,11 +48,20 @@ def _read_permutation(path) -> Permutation:
         if line.startswith("c ") or line in ("c", ""):
             continue
         tokens.extend(line.split())
-    try:
-        images = [int(tok) for tok in tokens]
-    except ValueError:
+    # Plain ASCII digits only: int() would also take "0_2", "+3" and
+    # non-ASCII digits.
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
         raise ValueError(f"permutation file {path} holds a non-integer token")
-    return Permutation(images)
+    return Permutation(map(int, tokens))
+
+
+class _NonNegative(argparse.Action):
+    """Store an int option, rejecting a negative value as a usage error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"must be non-negative, got {value}")
+        setattr(namespace, self.dest, value)
 
 
 def _cmd_construct(args) -> int:
@@ -249,7 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="swap",
         help="antimorphism selector: swap, search, or a permutation file path",
     )
-    p.add_argument("--budget", type=int, help="node budget for --tau search")
+    p.add_argument(
+        "--budget", type=int, action=_NonNegative, help="node budget for --tau search"
+    )
     p.add_argument("--format", choices=("text", "kv"), default="kv")
     p.set_defaults(func=_cmd_verify)
 
@@ -258,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget",
         type=int,
+        action=_NonNegative,
         help="node budget for the orbit search; also opts in to orders 9 and 10",
     )
     p.add_argument("--format", choices=("text", "kv"), default="kv")
@@ -279,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--t", type=int, default=2)
-    p.add_argument("--cap", type=int, default=DEFAULT_CANDIDATE_CAP)
+    p.add_argument(
+        "--cap", type=int, action=_NonNegative, default=DEFAULT_CANDIDATE_CAP
+    )
     p.add_argument("--emit", help="directory for surviving edge-list files")
     p.set_defaults(func=_cmd_search)
 

@@ -147,7 +147,8 @@ def build_gamma_families(n: int) -> EdgeFamilies:
     for a, b in combinations(range(m), 2):
         c = half((a + b) % m, m)
         # c == a would force a == b mod m; guards against modulus bugs.
-        assert c != a and c != b
+        if c == a or c == b:
+            raise RuntimeError(f"midpoint {c} of {a} and {b} mod {m} is an endpoint")
         midpoint.append((a, b, c + m))
 
     off_midpoint = []
@@ -169,7 +170,10 @@ def build_gamma_families(n: int) -> EdgeFamilies:
 def build_gamma(n: int) -> Hypergraph:
     """The order-n constructed hypergraph; exactly comb(n,3)/2 edges."""
     h = build_gamma_families(n).to_hypergraph()
-    assert 2 * h.edge_count == comb(n, 3)
+    if 2 * h.edge_count != comb(n, 3):
+        raise RuntimeError(
+            f"order {n} gives {h.edge_count} edges, not half of comb({n},3)"
+        )
     return h
 
 

@@ -14,9 +14,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from operator import eq
 
 from .construct import AdmissibilityError, EdgeFamilies
-from .hypercore import Hypergraph, Permutation, subset_rank, unrank_colex
+from .hypercore import (
+    Hypergraph,
+    Permutation,
+    colex_walk,
+    coverage,
+    subset_rank,
+    unrank_colex,
+)
 
 __all__ = [
     "AntimorphismCheck",
@@ -83,29 +91,29 @@ class RegularityReport:
 def t_subset_regularity(h: Hypergraph, t: int) -> RegularityReport:
     """Check whether every t-subset of vertices lies in the same number of edges.
 
-    One pass over the edges increments the coverage of each of the comb(k,t)
-    contained t-subsets; a scan over all comb(n,t) positions then either
-    certifies the common valence or produces a witness.
+    One coverage pass counts the edges through each of the comb(n,t)
+    t-subsets; a scan over those counts then either certifies the common
+    valence or produces a witness.
     """
     if not 1 <= t < h.k:
         raise ValueError(f"need 1 <= t < k={h.k}, got t={t}")
-    total = comb(h.n, t)
-    counts = [0] * total
-    for e in h.edges():
-        for sub in itertools.combinations(e, t):
-            counts[subset_rank(sub)] += 1
+    counts = coverage(h, t)
     first = counts[0]
-    for r in range(1, total):
-        if counts[r] != first:
+    for r, count in enumerate(counts):
+        if count != first:
             return RegularityReport(
                 t=t,
                 valence=None,
                 witness=unrank_colex(r, h.n, t),
-                witness_count=counts[r],
+                witness_count=count,
                 first_count=first,
             )
     # Double counting: valence * comb(n,t) == |E| * comb(k,t).
-    assert first * total == h.edge_count * comb(h.k, t)
+    if first * len(counts) != h.edge_count * comb(h.k, t):
+        raise RuntimeError(
+            f"double counting fails: valence {first} * comb({h.n},{t}) != "
+            f"{h.edge_count} edges * comb({h.k},{t})"
+        )
     return RegularityReport(t=t, valence=first)
 
 
@@ -202,13 +210,12 @@ def verify_antimorphism(h: Hypergraph, tau: Permutation) -> AntimorphismCheck:
     k-subset (lex order) violating the exchange."""
     if tau.n != h.n:
         raise ValueError(f"permutation length {tau.n} != order {h.n}")
-    bits = h._bits
-    images = tau.images
-    for e in itertools.combinations(range(h.n), h.k):
-        mapped = sorted(images[v] for v in e)
-        if bits[subset_rank(e)] == bits[subset_rank(mapped)]:
-            return AntimorphismCheck(ok=False, witness=e)
-    return AntimorphismCheck(ok=True)
+    # s is an edge of the pull-back iff tau(s) is an edge of h, so s violates
+    # the exchange exactly where the two indicators agree.
+    pulled = h.permute(tau.inverse())
+    agree = map(eq, h.indicator, pulled.indicator)
+    witness = min(itertools.compress(colex_walk(h.n, h.k), agree), default=None)
+    return AntimorphismCheck(ok=witness is None, witness=witness)
 
 
 def _require_search_order(n: int, allow_large: bool) -> None:
@@ -367,10 +374,7 @@ def euler_characteristic_triangulation(
     if skeleton not in ("complete", "covered"):
         raise ValueError(f"unknown skeleton convention {skeleton!r}")
     total_pairs = comb(h.n, 2)
-    counts = [0] * total_pairs
-    for e in h.edges():
-        for pair in itertools.combinations(e, 2):
-            counts[subset_rank(pair)] += 1
+    counts = coverage(h, 2)
     required = (2,) if skeleton == "complete" else (0, 2)
     for r, c in enumerate(counts):
         if c not in required:

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import hsc
 from hsc.cli import main
 from hsc.construct import build_gamma
 from hsc.hypercore import read_edge_list, to_edge_list_text, write_edge_list
@@ -89,6 +94,21 @@ def test_verify_with_permutation_file(capsys, tmp_path):
     assert code == 1
     assert "antimorphism_ok=false" in stdout
     assert "antimorphism_witness=0,1,2" in stdout
+
+
+@pytest.mark.parametrize(
+    "images", ["3 4 5 0_0 1 2", "3 4 5 0 +1 2", "3 4 5 0 1 \uff12"]
+)
+def test_verify_rejects_lax_permutation_tokens(capsys, tmp_path, images):
+    # Each file is the swap with one token that int() would have accepted.
+    path = tmp_path / "g6.hsc"
+    write_edge_list(build_gamma(6), path)
+    perm = tmp_path / "swap.perm"
+    perm.write_text(images + "\n", encoding="utf-8")
+    code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--tau", str(perm))
+    assert code == 2
+    assert stdout == ""
+    assert "non-integer token" in stderr
 
 
 def test_verify_with_search_tau(capsys, tmp_path):
@@ -229,6 +249,60 @@ def test_outputs_are_byte_identical_across_runs(capsys, tmp_path):
     run(capsys, "construct", "--n", "14", "--out", str(a))
     run(capsys, "construct", "--n", "14", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--n", "6", "--cap", "-1"],
+        ["verify", "--in", "g.hsc", "--tau", "search", "--budget", "-1"],
+        ["invariants", "--in", "g.hsc", "--budget", "-3"],
+    ],
+)
+def test_negative_cap_and_budget_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be non-negative" in capsys.readouterr().err
+
+
+def test_zero_cap_and_budget_are_accepted(capsys, tmp_path):
+    path = tmp_path / "g6.hsc"
+    write_edge_list(build_gamma(6), path)
+    code, _, stderr = run(capsys, "search", "--n", "6", "--cap", "0")
+    assert code == 2
+    assert "exceed the cap of 0" in stderr
+    code, stdout, _ = run(
+        capsys, "verify", "--in", str(path), "--tau", "search", "--budget", "0"
+    )
+    assert code == 1
+    assert "antimorphism_ok=inconclusive" in stdout
+
+
+def test_verify_checks_survive_python_O(capsys, tmp_path):
+    # Exchange one edge of the order-10 construction for a non-edge, then run
+    # verify under -O, which strips assert statements.
+    g = build_gamma(10)
+    ranks = list(g.edge_ranks)
+    ranks[5] = next(r for r in range(g.positions) if not g.has_rank(r))
+    path = tmp_path / "corrupted.hsc"
+    write_edge_list(hsc.Hypergraph.from_ranks(10, 3, ranks), path)
+    code, expected, _ = run(capsys, "verify", "--in", str(path))
+    assert code == 1
+    src = str(Path(hsc.__file__).resolve().parent.parent)
+    path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "hsc.cli", "verify", "--in", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == expected
+    assert "regular=false" in proc.stdout
+    assert "antimorphism_witness=" in proc.stdout
 
 
 def test_usage_error_exits_2(capsys):

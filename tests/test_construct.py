@@ -180,3 +180,25 @@ def test_side0_is_complete_but_side1_is_not():
 def test_build_is_deterministic():
     for n in (6, 10):
         assert to_edge_list_text(build_gamma(n)) == to_edge_list_text(build_gamma(n))
+
+
+def test_midpoint_check_is_explicit(monkeypatch):
+    monkeypatch.setattr("hsc.construct.half", lambda x, m: 0)
+    with pytest.raises(RuntimeError, match="is an endpoint"):
+        build_gamma_families(6)
+
+
+def test_edge_count_check_is_explicit(monkeypatch):
+    import dataclasses
+
+    import hsc.construct
+
+    real = hsc.construct.build_gamma_families
+
+    def short(n):
+        fams = real(n)
+        return dataclasses.replace(fams, side0_triples=fams.side0_triples[1:])
+
+    monkeypatch.setattr("hsc.construct.build_gamma_families", short)
+    with pytest.raises(RuntimeError, match="not half of comb"):
+        build_gamma(6)

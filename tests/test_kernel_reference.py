@@ -1,0 +1,269 @@
+"""Differential tests: the table-driven colex kernel against the slow
+reference implementations in `colex_reference`."""
+
+import random
+from itertools import combinations
+from math import comb
+
+import pytest
+
+import colex_reference as ref
+from hsc.construct import build_gamma, swap_antimorphism
+from hsc.hypercore import (
+    MAX_POSITIONS,
+    Hypergraph,
+    Permutation,
+    colex_walk,
+    coverage,
+    from_edge_list_text,
+    to_edge_list_text,
+)
+from hsc.search import enumerate_sc_hypergraphs
+from hsc.verify import (
+    euler_characteristic_triangulation,
+    t_subset_regularity,
+    verify_antimorphism,
+)
+
+ORDERS = {2: (2, 3, 5, 8, 13), 3: (3, 4, 6, 9, 12), 4: (4, 5, 7, 10)}
+
+
+def random_hypergraph(rng, n, k, density=0.5):
+    ranks = [r for r in range(comb(n, k)) if rng.random() < density]
+    return Hypergraph.from_ranks(n, k, ranks)
+
+
+def random_permutation(rng, n):
+    images = list(range(n))
+    rng.shuffle(images)
+    return Permutation(images)
+
+
+def sample_hypergraphs():
+    """Seeded random hypergraphs of several densities, plus the empty and
+    complete ones, for every k and order in ORDERS."""
+    rng = random.Random(20240531)
+    for k, orders in ORDERS.items():
+        for n in orders:
+            yield Hypergraph.empty(n, k)
+            yield Hypergraph.complete(n, k)
+            for density in (0.1, 0.5, 0.9):
+                yield random_hypergraph(rng, n, k, density)
+
+
+# (n, k, tau): every orbit of tau on the k-subsets has even length.
+EXCHANGERS = (
+    (5, 2, (1, 2, 3, 0, 4)),
+    (8, 2, (1, 2, 3, 0, 5, 6, 7, 4)),
+    (6, 3, (3, 4, 5, 0, 1, 2)),
+    (10, 3, (5, 6, 7, 8, 9, 0, 1, 2, 3, 4)),
+    (8, 4, (1, 2, 3, 4, 5, 6, 7, 0)),
+)
+
+
+def exchanged_hypergraphs():
+    """Hypergraphs with a known antimorphism, for k = 2, 3, 4: the first
+    alternating assignments along the orbits of each exchanger, relabeled by
+    a random permutation."""
+    rng = random.Random(7)
+    for n, k, images in EXCHANGERS:
+        sigma = random_permutation(rng, n)
+        tau = sigma * Permutation(images) * sigma.inverse()
+        for h in enumerate_sc_hypergraphs(n, k, tau, cap=3, truncate=True):
+            yield h, tau
+
+
+def test_colex_walk_is_colex_order():
+    for n in range(0, 9):
+        for k in range(0, 5):
+            walk = list(colex_walk(n, k))
+            expected = sorted(combinations(range(n), k), key=lambda s: s[::-1])
+            assert walk == expected
+
+
+def test_edges_match_unranking():
+    for h in sample_hypergraphs():
+        assert h.edges() == ref.edges_by_unranking(h)
+
+
+def test_constructor_ranks_match_rank_colex():
+    for h in sample_hypergraphs():
+        rebuilt = Hypergraph(h.n, h.k, ref.edges_by_unranking(h))
+        assert rebuilt.edge_ranks == h.edge_ranks
+
+
+def test_coverage_and_regularity_match_reference():
+    for h in sample_hypergraphs():
+        for t in range(1, h.k):
+            assert coverage(h, t) == ref.coverage_by_combinations(h, t)
+            assert t_subset_regularity(h, t) == ref.regularity(h, t)
+
+
+def test_regularity_witnesses_match_reference():
+    rng = random.Random(3)
+    for n in (10, 14):
+        g = build_gamma(n)
+        for _ in range(5):
+            ranks = list(g.edge_ranks)
+            del ranks[rng.randrange(len(ranks))]
+            h = Hypergraph.from_ranks(n, 3, ranks)
+            report = t_subset_regularity(h, 2)
+            assert not report.regular
+            assert report == ref.regularity(h, 2)
+
+
+def test_euler_characteristic_matches_reference():
+    rng = random.Random(11)
+    tetrahedron = list(combinations(range(4), 3))
+    cases = [build_gamma(6), Hypergraph(7, 3, tetrahedron)]
+    cases += [random_hypergraph(rng, n, 3) for n in (5, 6, 8)]
+    for h in cases:
+        for skeleton in ("complete", "covered"):
+            try:
+                expected = ref.euler_characteristic(h, skeleton)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    euler_characteristic_triangulation(h, skeleton=skeleton)
+                assert str(got.value) == str(exc)
+            else:
+                got = euler_characteristic_triangulation(h, skeleton=skeleton)
+                assert got == expected
+
+
+def test_antimorphism_passes_match_reference():
+    for h, tau in exchanged_hypergraphs():
+        assert verify_antimorphism(h, tau) == ref.antimorphism(h, tau)
+        assert verify_antimorphism(h, tau).ok
+    for n in (6, 10, 14):
+        assert verify_antimorphism(build_gamma(n), swap_antimorphism(n)).ok
+
+
+def test_antimorphism_witnesses_match_reference():
+    rng = random.Random(5)
+    for h in sample_hypergraphs():
+        tau = random_permutation(rng, h.n)
+        assert verify_antimorphism(h, tau) == ref.antimorphism(h, tau)
+    for h, tau in exchanged_hypergraphs():
+        if h.edge_count == 0:
+            continue
+        ranks = list(h.edge_ranks)
+        non_edges = [r for r in range(h.positions) if not h.has_rank(r)]
+        ranks[rng.randrange(len(ranks))] = rng.choice(non_edges)
+        corrupted = Hypergraph.from_ranks(h.n, h.k, ranks)
+        check = verify_antimorphism(corrupted, tau)
+        assert not check.ok
+        assert check == ref.antimorphism(corrupted, tau)
+
+
+def test_antimorphism_witness_is_lex_first_not_colex_first():
+    # The violating pairs are {0,3} (edge to edge {0,2}) and {1,2} (non-edge
+    # to non-edge {1,3}): {0,3} comes first in lex order, {1,2} in colex.
+    h = Hypergraph(4, 2, [(0, 2), (0, 3), (2, 3)])
+    tau = Permutation([0, 3, 1, 2])
+    check = verify_antimorphism(h, tau)
+    assert check == ref.antimorphism(h, tau)
+    assert check.witness == (0, 3)
+
+
+def text_of(n, k, edges):
+    lines = [f"p hsc {n} {k}"] + ["e " + " ".join(map(str, e)) for e in edges]
+    return "\n".join(lines) + "\n"
+
+
+def parse_both(text):
+    """Parse with the kernel and the reference; both succeed alike or raise
+    the same message."""
+    try:
+        expected = ref.parse(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            from_edge_list_text(text)
+        assert str(got.value) == str(exc)
+        return None
+    got = from_edge_list_text(text)
+    assert got == expected
+    return got
+
+
+def test_parser_accepts_what_the_reference_accepts():
+    g = build_gamma(10)
+    text = to_edge_list_text(g)
+    assert parse_both(text) == g
+    assert parse_both(to_edge_list_text(g, comments=("a", "b c"))) == g
+    assert parse_both(text.replace("e 0 1 2\n", "e 000 01 2\n")) == g
+    shuffled = list(g.edges())
+    random.Random(1).shuffle(shuffled)
+    assert parse_both(text_of(10, 3, shuffled)) == g
+    assert parse_both(text_of(10, 3, shuffled[:5]) + "c\nc trailing\n").edge_count == 5
+    assert parse_both("p hsc 5 3\n") == Hypergraph.empty(5, 3)
+    for k in (1, 2, 4):
+        h = random_hypergraph(random.Random(k), 9, k)
+        assert parse_both(to_edge_list_text(h)) == h
+
+
+# Each case edits one line of a valid document: (old line, new line).
+BAD_LINES = {
+    "double space": ("e 0 3 4", "e 0  3 4"),
+    "leading double space": ("e 0 3 4", "e  0 3 4"),
+    "trailing space": ("e 0 3 4", "e 0 3 4 "),
+    "carriage return": ("e 0 3 4", "e 0 3 4\r"),
+    "tab": ("e 0 3 4", "e 0\t3 4"),
+    "plus sign": ("e 0 3 4", "e 0 3 +4"),
+    "underscore": ("e 0 3 4", "e 0 3 0_4"),
+    "full-width digit": ("e 0 3 4", "e 0 3 ４"),
+    "arabic-indic digit": ("e 0 3 4", "e 0 3 ٤"),
+    "superscript digit": ("e 0 3 4", "e 0 3 ⁴"),
+    "vertex equal to n": ("e 0 3 4", "e 0 3 6"),
+    "vertex above n": ("e 0 3 4", "e 0 3 99"),
+    "non-increasing": ("e 0 3 4", "e 0 4 3"),
+    "repeated vertex": ("e 0 3 4", "e 0 3 3"),
+    "duplicate edge": ("e 0 3 4", "e 0 1 2"),
+    "too few vertices": ("e 0 3 4", "e 0 3"),
+    "too many vertices": ("e 0 3 4", "e 0 3 4 5"),
+    "bare e": ("e 0 3 4", "e"),
+    "empty line": ("e 0 3 4", ""),
+    "unknown tag": ("e 0 3 4", "f 0 3 4"),
+    "uppercase tag": ("e 0 3 4", "E 0 3 4"),
+    "comment without space": ("e 0 3 4", "cx"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LINES))
+def test_parser_rejects_with_the_reference_message(case):
+    old, new = BAD_LINES[case]
+    text = to_edge_list_text(build_gamma(6))
+    assert f"\n{old}\n" in text
+    assert parse_both(text.replace(f"\n{old}\n", f"\n{new}\n", 1)) is None
+
+
+def test_parser_crlf_document():
+    text = to_edge_list_text(build_gamma(6)).replace("\n", "\r\n")
+    assert parse_both(text) is None
+
+
+def test_parser_errors_beyond_the_first_block():
+    # comb(32, 3) = 4960 edge lines: more than one block on the fast route.
+    h = Hypergraph.complete(32, 3)
+    lines = to_edge_list_text(h).split("\n")
+    for lineno in (4500, len(lines) - 2):
+        for bad in ("e 0 1", lines[lineno] + " ", "e 1 0 2", "e 0 1 32"):
+            edited = lines[:lineno] + [bad] + lines[lineno + 1 :]
+            assert parse_both("\n".join(edited)) is None
+    # An error near the top still wins over a later one in another block.
+    edited = list(lines)
+    edited[3] = "e 0 2 1"
+    edited[4700] = "e 0 x 1"
+    assert parse_both("\n".join(edited)) is None
+    assert parse_both("\n".join(lines)) == h
+
+
+def test_parser_headers_outside_the_fast_route():
+    for text in (
+        "p hsc 4 0\ne\n",
+        "p hsc 3 5\ne 0 1 2 3 4\n",
+        "p hsc 3 5\n",
+        f"p hsc {MAX_POSITIONS} 2\ne 0 1\n",
+        "p hsc 0 1\n",
+    ):
+        assert parse_both(text) is None
+

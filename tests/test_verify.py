@@ -285,3 +285,11 @@ def test_euler_characteristic_rejects_non_triangulations():
         euler_characteristic_triangulation(Hypergraph.complete(5, 2))
     with pytest.raises(ValueError):
         euler_characteristic_triangulation(build_gamma(6), skeleton="odd")
+
+
+def test_regularity_double_counting_check_is_explicit(monkeypatch):
+    # Coverage counts that cannot come from the edges must fail the double
+    # counting check with an exception, not an assert that -O strips.
+    monkeypatch.setattr("hsc.verify.coverage", lambda h, t: [1] * comb(h.n, t))
+    with pytest.raises(RuntimeError, match="double counting"):
+        t_subset_regularity(Hypergraph.empty(6, 3), 2)
