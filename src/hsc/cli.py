@@ -15,7 +15,12 @@ from pathlib import Path
 from .construct import build_gamma, swap_antimorphism, vertex_label
 from .hypercore import Permutation, read_edge_list, to_edge_list_text, write_edge_list
 from .parity import PeriodicityError, admissible, residue_classes
-from .search import CandidateCapExceeded, DEFAULT_CANDIDATE_CAP, search_regular_sc
+from .search import (
+    CandidateCapExceeded,
+    DEFAULT_CANDIDATE_CAP,
+    InfeasibleAntimorphismError,
+    search_regular_sc,
+)
 from .verify import (
     SearchBudgetExceeded,
     SearchOrderError,
@@ -225,6 +230,10 @@ def _cmd_search(args) -> int:
     except CandidateCapExceeded as exc:
         print(f"error: {exc}; raise the cap with --cap", file=sys.stderr)
         return 2
+    except InfeasibleAntimorphismError as exc:
+        # An odd orbit is a mathematical result about the swap, not bad input.
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return 1
     print(result.summary_line())
     if args.emit:
         emit_dir = Path(args.emit)

@@ -6,23 +6,28 @@ characteristic of 2-valent triple systems.
 All checks are pure functions of their inputs.  The exhaustive searches
 (antimorphism and automorphism enumeration) are gated by order: orders up
 to 8 run freely, 9 and 10 need an explicit opt-in, anything larger is
-refused outright.
+refused outright; they rank each image subset through the binomial table.
+
+The K4 vertex invariant is asked one vertex at a time but computed for all
+vertices at once: one pass over the edges fills pair-link bitsets (the
+third vertices of the edges through each pair) and intersects the three
+links of every edge.  No profile is kept between calls.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import compress
 from math import comb
-from operator import eq
+from operator import eq, getitem, sub
 
 from .construct import AdmissibilityError, EdgeFamilies
 from .hypercore import (
     Hypergraph,
     Permutation,
+    _binomial_table,
     colex_walk,
     coverage,
-    subset_rank,
     unrank_colex,
 )
 
@@ -214,7 +219,7 @@ def verify_antimorphism(h: Hypergraph, tau: Permutation) -> AntimorphismCheck:
     # the exchange exactly where the two indicators agree.
     pulled = h.permute(tau.inverse())
     agree = map(eq, h.indicator, pulled.indicator)
-    witness = min(itertools.compress(colex_walk(h.n, h.k), agree), default=None)
+    witness = min(compress(colex_walk(h.n, h.k), agree), default=None)
     return AntimorphismCheck(ok=witness is None, witness=witness)
 
 
@@ -239,11 +244,18 @@ def _backtrack_images(h, *, want_equal, node_budget, first_only):
     candidate images ascending.  Prunes on every k-subset completed by the
     newest assignment."""
     n, k = h.n, h.k
-    bits = h._bits
+    bits = h.indicator
+    rows = _binomial_table(n, k)
+    shifts = range(k)
+    flip = 0 if want_equal else 1
     images = [0] * n
+    image = images.__getitem__
     used = [False] * n
-    # k-subsets of {0..v} containing v, as their first k-1 members.
-    tails = [list(itertools.combinations(range(v), k - 1)) for v in range(n)]
+    # tails[v]: the k-subsets with largest vertex v, each with the indicator
+    # byte its image must have (the walk's position is the subset's rank).
+    tails = [[] for _ in range(n)]
+    for r, e in enumerate(colex_walk(n, k)):
+        tails[e[-1]].append((e, bits[r] ^ flip))
     found = []
     nodes = 0
 
@@ -259,14 +271,11 @@ def _backtrack_images(h, *, want_equal, node_budget, first_only):
             if node_budget is not None and nodes > node_budget:
                 raise SearchBudgetExceeded(nodes)
             images[v] = cand
-            ok = True
-            for rest in tails[v]:
-                e = rest + (v,)
-                mapped = sorted(images[w] for w in e)
-                if (bits[subset_rank(e)] == bits[subset_rank(mapped)]) != want_equal:
-                    ok = False
+            for e, want in tails[v]:
+                mapped = sorted(map(image, e))
+                if bits[sum(map(getitem, rows, map(sub, mapped, shifts)))] != want:
                     break
-            if ok:
+            else:
                 used[cand] = True
                 if extend(v + 1):
                     return True
@@ -335,12 +344,43 @@ def automorphism_vertex_orbits(
 # ---------------------------------------------------------------------------
 
 
+def _k4_profile(h: Hypergraph) -> tuple[int, ...]:
+    """K4 count of every vertex, from one pass over the edges.
+
+    links[a][b] (a < b) is the bitset of the third vertices x with {a, b, x}
+    an edge.  For an edge {a, b, c}, the common bits of its three pair links
+    are the x completing it to a K4 {a, b, c, x}; each such K4 is seen from
+    its four edges, and a vertex lies in three of them, so the tallies
+    divided by 3 are the per-vertex counts.
+    """
+    n = h.n
+    bit = [1 << v for v in range(n)]
+    links = [[0] * n for _ in range(n)]
+    edges = h.edges()
+    for a, b, c in edges:
+        row = links[a]
+        row[b] |= bit[c]
+        row[c] |= bit[b]
+        links[b][c] |= bit[a]
+    totals = [0] * n
+    for a, b, c in edges:
+        row = links[a]
+        w = (row[b] & row[c] & links[b][c]).bit_count()
+        if w:
+            totals[a] += w
+            totals[b] += w
+            totals[c] += w
+    return tuple(t // 3 for t in totals)
+
+
 def vertex_invariant_k4(h: Hypergraph, v: int) -> int:
     """Number of 4-subsets through v whose four triples are all edges.
 
     A cheap vertex invariant: any automorphism preserves it, so two vertices
     with different values certify that the hypergraph is not
-    vertex-transitive.
+    vertex-transitive.  Each call computes the whole profile in one pass
+    over the edges (O(|E|) operations on n-bit ints) and keeps nothing, so
+    asking for all n vertices costs O(n |E|).
     """
     if h.k != 3:
         raise ValueError("defined for 3-uniform hypergraphs only")
@@ -348,14 +388,7 @@ def vertex_invariant_k4(h: Hypergraph, v: int) -> int:
         raise ValueError(f"need n >= 4, got {h.n}")
     if not 0 <= v < h.n:
         raise ValueError(f"vertex {v} out of range [0, {h.n})")
-    bits = h._bits
-    others = [u for u in range(h.n) if u != v]
-    count = 0
-    for trio in itertools.combinations(others, 3):
-        quad = tuple(sorted(trio + (v,)))
-        if all(bits[subset_rank(c)] for c in itertools.combinations(quad, 3)):
-            count += 1
-    return count
+    return _k4_profile(h)[v]
 
 
 def euler_characteristic_triangulation(

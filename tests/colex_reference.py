@@ -1,10 +1,11 @@
 """Slow reference implementations of the colex ranking kernel's hot paths.
 
 These are the straightforward per-subset versions that the table-driven
-kernel in `hsc.hypercore` replaced.  They rank with `subset_rank`'s comb
+kernel in `hsc.hypercore` and the one-pass K4 profile and table-ranked
+backtracking in `hsc.verify` replaced.  They rank with `subset_rank`'s comb
 sum and unrank with `unrank_colex`, so they share no code with the binomial
-table, the colex walk or the column ranking, and the differential tests
-compare the two routes on the same inputs.
+table, the colex walk, the column ranking or the pair-link bitsets, and the
+differential tests compare the two routes on the same inputs.
 """
 
 from __future__ import annotations
@@ -12,8 +13,15 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from hsc.hypercore import Hypergraph, _parse_uint, rank_colex, subset_rank, unrank_colex
-from hsc.verify import AntimorphismCheck, RegularityReport
+from hsc.hypercore import (
+    Hypergraph,
+    Permutation,
+    _parse_uint,
+    rank_colex,
+    subset_rank,
+    unrank_colex,
+)
+from hsc.verify import AntimorphismCheck, RegularityReport, SearchBudgetExceeded
 
 
 def edges_by_unranking(h: Hypergraph):
@@ -96,3 +104,67 @@ def parse(text: str) -> Hypergraph:
         edges.append(tuple(_parse_uint(p, f"line {lineno}") for p in parts[1:]))
     ranks = [rank_colex(e, n, k) for e in edges]
     return Hypergraph.from_ranks(n, k, ranks)
+
+
+def vertex_k4_by_scan(h: Hypergraph, v: int) -> int:
+    """K4 count of v: scan every trio of other vertices and rank the four
+    triples of the 4-subset it forms with v."""
+    bits = h.indicator
+    others = [u for u in range(h.n) if u != v]
+    count = 0
+    for trio in itertools.combinations(others, 3):
+        quad = tuple(sorted(trio + (v,)))
+        if all(bits[subset_rank(c)] for c in itertools.combinations(quad, 3)):
+            count += 1
+    return count
+
+
+def k4_count(h: Hypergraph) -> int:
+    """Number of 4-subsets whose four triples are all edges."""
+    bits = h.indicator
+    return sum(
+        all(bits[subset_rank(c)] for c in itertools.combinations(quad, 3))
+        for quad in itertools.combinations(range(h.n), 4)
+    )
+
+
+def backtrack_images(h: Hypergraph, *, want_equal, node_budget, first_only):
+    """The image search of `hsc.verify._backtrack_images`, ranking every
+    subset and its sorted image with `subset_rank`; returns the permutations
+    found and the number of nodes spent."""
+    n, k = h.n, h.k
+    bits = h.indicator
+    images = [0] * n
+    used = [False] * n
+    tails = [list(itertools.combinations(range(v), k - 1)) for v in range(n)]
+    found = []
+    nodes = 0
+
+    def extend(v):
+        nonlocal nodes
+        if v == n:
+            found.append(Permutation(list(images)))
+            return first_only
+        for cand in range(n):
+            if used[cand]:
+                continue
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise SearchBudgetExceeded(nodes)
+            images[v] = cand
+            ok = True
+            for rest in tails[v]:
+                e = rest + (v,)
+                mapped = sorted(images[w] for w in e)
+                if (bits[subset_rank(e)] == bits[subset_rank(mapped)]) != want_equal:
+                    ok = False
+                    break
+            if ok:
+                used[cand] = True
+                if extend(v + 1):
+                    return True
+                used[cand] = False
+        return False
+
+    extend(0)
+    return found, nodes

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from math import comb
@@ -159,6 +160,25 @@ def test_invariants_order_10_with_budget(capsys, tmp_path):
     assert "orbit_count=2" in stdout
 
 
+def test_invariants_relabeled_order_50(capsys, tmp_path):
+    # Relabeling moves each vertex's K4 count with it: C(24,3) for the images
+    # of side 0, none for the images of side 1.
+    images = list(range(50))
+    random.Random(50).shuffle(images)
+    sigma = hsc.Permutation(images)
+    path = tmp_path / "g50.hsc"
+    write_edge_list(build_gamma(50).permute(sigma), path)
+    code, stdout, _ = run(capsys, "invariants", "--in", str(path))
+    assert code == 0
+    k4 = [0] * 50
+    for v in range(25):
+        k4[sigma(v)] = comb(24, 3)
+    assert stdout == (
+        f"n=50\nk=3\nedges={comb(50, 3) // 2}\n"
+        f"k4={','.join(map(str, k4))}\nk4_distinct=2\norbit_count=inconclusive\n"
+    )
+
+
 def test_invariants_complete_hypergraph(capsys, tmp_path):
     import hsc
 
@@ -221,6 +241,26 @@ def test_search_cap_refusal(capsys):
     assert code == 2
     assert "2^60" in stderr
     assert "--cap" in stderr
+
+
+def test_search_odd_orbit_is_a_mathematical_failure(capsys, tmp_path):
+    # The side swap fixes every pair {a, a+3}, so its orbits on pairs include
+    # odd ones: no alternating assignment exists.
+    emit = tmp_path / "survivors"
+    code, stdout, stderr = run(
+        capsys, "search", "--n", "6", "--k", "2", "--emit", str(emit)
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr == (
+        "infeasible: orbit of odd length 1 starting at rank 3 "
+        "admits no alternating edge assignment\n"
+    )
+    assert not emit.exists()
+    # An odd order has no side swap at all: still a usage error.
+    code, _, stderr = run(capsys, "search", "--n", "7")
+    assert code == 2
+    assert stderr.startswith("error: ")
 
 
 def test_search_emit_files_verify(capsys, tmp_path):

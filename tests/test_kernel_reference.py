@@ -1,5 +1,6 @@
-"""Differential tests: the table-driven colex kernel against the slow
-reference implementations in `colex_reference`."""
+"""Differential tests: the table-driven colex kernel, the one-pass K4
+profile and the table-ranked image search against the slow reference
+implementations in `colex_reference`."""
 
 import random
 from itertools import combinations
@@ -20,9 +21,14 @@ from hsc.hypercore import (
 )
 from hsc.search import enumerate_sc_hypergraphs
 from hsc.verify import (
+    SearchBudgetExceeded,
+    _backtrack_images,
+    automorphism_vertex_orbits,
     euler_characteristic_triangulation,
+    find_antimorphism,
     t_subset_regularity,
     verify_antimorphism,
+    vertex_invariant_k4,
 )
 
 ORDERS = {2: (2, 3, 5, 8, 13), 3: (3, 4, 6, 9, 12), 4: (4, 5, 7, 10)}
@@ -267,3 +273,99 @@ def test_parser_headers_outside_the_fast_route():
     ):
         assert parse_both(text) is None
 
+
+def k4_samples():
+    """Seeded random 3-uniform hypergraphs at n = 4..14, sparse to dense,
+    and relabeled constructions at n = 10 and 14."""
+    rng = random.Random(44)
+    for n in range(4, 15):
+        for density in (0.2, 0.5, 0.85):
+            yield random_hypergraph(rng, n, 3, density)
+    for n in (10, 14):
+        yield build_gamma(n).permute(random_permutation(rng, n))
+
+
+def k4_profile(h):
+    return [vertex_invariant_k4(h, v) for v in range(h.n)]
+
+
+def test_k4_profile_matches_scan():
+    nonzero = 0
+    for h in k4_samples():
+        expected = [ref.vertex_k4_by_scan(h, v) for v in range(h.n)]
+        assert k4_profile(h) == expected
+        nonzero += any(expected)
+    assert nonzero >= 20
+
+
+def test_k4_interleaved_queries_answer_each_hypergraph():
+    # Per-vertex queries may alternate between hypergraphs of one order and
+    # end on an equal copy; none may be answered from another's profile.
+    rng = random.Random(9)
+    first = random_hypergraph(rng, 9, 3, 0.7)
+    second = random_hypergraph(rng, 9, 3, 0.7)
+    expected = {
+        id(h): [ref.vertex_k4_by_scan(h, v) for v in range(9)] for h in (first, second)
+    }
+    assert expected[id(first)] != expected[id(second)]
+    for v in range(9):
+        for h in (first, second):
+            assert vertex_invariant_k4(h, v) == expected[id(h)][v]
+    copy = Hypergraph.from_ranks(9, 3, first.edge_ranks)
+    assert copy == first and copy is not first
+    assert k4_profile(copy) == expected[id(first)]
+    assert k4_profile(second) == expected[id(second)]
+
+
+def assert_search_matches(h, *, want_equal, first_only):
+    """The kernel search finds what the reference finds, in the same order,
+    and spends exactly the same number of nodes doing so."""
+    found, nodes = ref.backtrack_images(
+        h, want_equal=want_equal, node_budget=None, first_only=first_only
+    )
+    got = _backtrack_images(
+        h, want_equal=want_equal, node_budget=nodes, first_only=first_only
+    )
+    assert got == found
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        _backtrack_images(
+            h, want_equal=want_equal, node_budget=nodes - 1, first_only=first_only
+        )
+    assert exc.value.nodes == nodes
+    return found, nodes
+
+
+def test_automorphism_search_matches_reference():
+    rng = random.Random(13)
+    for n in (6, 10):
+        sigma = random_permutation(rng, n)
+        h = build_gamma(n).permute(sigma)
+        autos, nodes = assert_search_matches(h, want_equal=True, first_only=False)
+        assert all(p.is_identity() is (i == 0) for i, p in enumerate(autos))
+        orbits = automorphism_vertex_orbits(h, allow_large=True, node_budget=nodes)
+        sides = [range(n)] if n == 6 else [range(n // 2), range(n // 2, n)]
+        assert orbits == tuple(sorted(tuple(sorted(map(sigma, s))) for s in sides))
+
+
+def test_antimorphism_search_matches_reference():
+    rng = random.Random(17)
+    for n in (6, 10):
+        h = build_gamma(n).permute(random_permutation(rng, n))
+        (tau,), nodes = assert_search_matches(h, want_equal=False, first_only=True)
+        assert find_antimorphism(h, nodes, allow_large=True) == tau
+        assert verify_antimorphism(h, tau).ok
+    for h, _ in exchanged_hypergraphs():
+        if h.n <= 8:
+            assert_search_matches(h, want_equal=False, first_only=True)
+
+
+def test_search_budget_nodes_match_reference():
+    h = build_gamma(10).permute(random_permutation(random.Random(19), 10))
+    for budget in (0, 1, 7, 40):
+        for want_equal in (True, False):
+            kwargs = dict(want_equal=want_equal, node_budget=budget, first_only=False)
+            with pytest.raises(SearchBudgetExceeded) as expected:
+                ref.backtrack_images(h, **kwargs)
+            with pytest.raises(SearchBudgetExceeded) as got:
+                _backtrack_images(h, **kwargs)
+            assert got.value.nodes == expected.value.nodes

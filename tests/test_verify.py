@@ -8,6 +8,7 @@ from hsc.hypercore import Hypergraph, Permutation
 from hsc.verify import (
     SearchBudgetExceeded,
     SearchOrderError,
+    _k4_profile,
     automorphism_vertex_orbits,
     euler_characteristic_triangulation,
     expected_valence,
@@ -249,6 +250,15 @@ def test_k4_invariant_separates_sides_order_10():
     assert all(v >= comb(4, 3) for v in values[:5])
 
 
+def test_k4_invariant_closed_form_order_102():
+    # Every K4 lies inside side 0, whose m = 51 vertices span the complete
+    # family, so side 0 reads C(50,3) and side 1 reads 0.
+    g = build_gamma(102)
+    assert _k4_profile(g) == (comb(50, 3),) * 51 + (0,) * 51
+    for v in (0, 50, 51, 101):
+        assert vertex_invariant_k4(g, v) == (comb(50, 3) if v < 51 else 0)
+
+
 def test_k4_invariant_constant_order_6():
     g = build_gamma(6)
     assert len({vertex_invariant_k4(g, v) for v in range(6)}) == 1
@@ -261,6 +271,13 @@ def test_k4_invariant_input_errors():
         vertex_invariant_k4(Hypergraph.complete(3, 3), 0)
     with pytest.raises(ValueError):
         vertex_invariant_k4(Hypergraph.complete(6, 3), 6)
+    # The checks run in this order: uniformity, order, then the vertex.
+    with pytest.raises(ValueError, match="3-uniform"):
+        vertex_invariant_k4(Hypergraph.complete(3, 2), 9)
+    with pytest.raises(ValueError, match="need n >= 4"):
+        vertex_invariant_k4(Hypergraph.complete(3, 3), 9)
+    with pytest.raises(ValueError, match="out of range"):
+        vertex_invariant_k4(Hypergraph.complete(6, 3), -1)
 
 
 def test_euler_characteristic_projective_plane():
