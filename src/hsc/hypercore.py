@@ -7,25 +7,41 @@ giving O(1) membership and a canonical iteration order.  Hypergraphs are
 immutable: every operation returns a new instance, so shared read-only use
 is safe.
 
-Ranking uses the combinatorial number system (Knuth, TAOCP 4A 7.2.1.3):
-the colex rank of s is the sum of comb(s[i], i + 1).  The hot paths
-(building a hypergraph, parsing, relabeling, coverage counts) look those
-binomials up in a table built lazily and cached per (n, k), holding only
-the k * (n - k + 1) values a valid subset can reach.  Nothing is ever
-unranked on the way out: `edges()` walks every k-subset in colex order and
-keeps those whose indicator byte is set, and the parser ranks each edge
-line straight from its tokens.  `rank_colex`, `subset_rank` and
-`unrank_colex` remain the table-free per-subset entry points.
+Ranks come from the combinatorial number system in `hsc.colex`, whose
+per-subset entry points this module re-exports.  The hot paths (building
+a hypergraph, parsing, relabeling, coverage counts, serializing) work on
+vertex columns (column i holds the i-th vertex of every edge): they check,
+rank, relabel or print one column at a time through the vertex-indexed
+binomial table, in C-level `map`/`zip`/`bytes` passes with no Python code
+run per edge.  Nothing is ever unranked on the way out: a hypergraph's
+columns are the colex columns of all k-subsets compressed against its
+indicator bytes; the parser looks each vertex token up among cached
+decimal labels and ranks each edge line straight from its tokens; the
+serializer joins the same labels.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, combinations, compress, islice, repeat
+from itertools import combinations, compress, repeat
 from math import comb
-from operator import add, getitem, itemgetter, lt, sub
+from operator import itemgetter, lt
 from pathlib import Path
+
+from .colex import (
+    _PARSE_BLOCK,
+    _binomial_table,
+    _colex_columns,
+    _column_ranks,
+    _image_ranks,
+    _valid_columns,
+    colex_walk,
+    rank_colex,
+    subset_rank,
+    unrank_colex,
+    validate_ksubset,
+)
 
 __all__ = [
     "MAX_POSITIONS",
@@ -47,90 +63,22 @@ __all__ = [
 # error beats an accidental multi-gigabyte bytearray.
 MAX_POSITIONS = 1 << 24
 
-
-def subset_rank(s) -> int:
-    """Colex rank of a strictly increasing vertex tuple (no validation)."""
-    return sum(comb(v, i + 1) for i, v in enumerate(s))
+# Byte table swapping indicator values 0 and 1, for complements.
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def validate_ksubset(s, n: int, k: int) -> None:
-    """Raise ValueError unless s is a strictly increasing k-tuple inside [0, n)."""
-    if len(s) != k:
-        raise ValueError(f"subset {tuple(s)} has {len(s)} vertices, expected {k}")
-    prev = -1
-    for v in s:
-        if v <= prev:
-            raise ValueError(f"subset {tuple(s)} is not strictly increasing")
-        prev = v
-    if k and (s[0] < 0 or s[-1] >= n):
-        raise ValueError(f"subset {tuple(s)} leaves the vertex range [0, {n})")
+@lru_cache(maxsize=8)
+def _vertex_labels(n: int) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The decimal labels of the vertices of [0, n), and the map back.
 
-
-def rank_colex(s, n: int, k: int) -> int:
-    """Colex rank of the k-subset s among all k-subsets of [0, n)."""
-    s = tuple(s)
-    validate_ksubset(s, n, k)
-    return subset_rank(s)
-
-
-def unrank_colex(r: int, n: int, k: int) -> tuple[int, ...]:
-    """The k-subset of [0, n) with colex rank r; inverse of rank_colex."""
-    total = comb(n, k)
-    if not 0 <= r < total:
-        raise ValueError(f"rank {r} out of range [0, {total}) for n={n}, k={k}")
-    out = [0] * k
-    c = n - 1
-    for size in range(k, 0, -1):
-        # Largest c with comb(c, size) <= r picks the biggest remaining vertex.
-        while comb(c, size) > r:
-            c -= 1
-        out[size - 1] = c
-        r -= comb(c, size)
-        c -= 1
-    return tuple(out)
-
-
-@lru_cache(maxsize=64)
-def _binomial_table(n: int, k: int) -> tuple:
-    """rows[i][v - i] == comb(v, i + 1) for 0 <= i < k and i <= v <= n - k + i.
-
-    Position i of a strictly increasing k-subset of [0, n) holds a vertex in
-    [i, n - k + i], so each row is indexed by the vertex minus its position
-    and holds n - k + 1 values; the whole table stays O(n + comb(n, k)).
+    These are exactly the vertex tokens the edge-list format allows, so the
+    serializer prints them and the parser's fast route looks tokens up in
+    the map: leading zeros, signs, non-ASCII digits and n itself all miss.
+    Callers use the pair only when a document has at least n vertex tokens,
+    so the cached strings never outweigh the text they serve.
     """
-    span = range(n - k + 1)
-    return tuple(
-        span if i == 0 else tuple(comb(u + i, i + 1) for u in span)
-        for i in range(k)
-    )
-
-
-def _column_ranks(rows, columns):
-    """Colex ranks, lazily, of the subsets whose i-th vertices run down
-    columns[i]; rows is the binomial table for their n and k (no validation)."""
-    ranks = columns[0]
-    for i in range(1, len(columns)):
-        shifted = map(sub, columns[i], repeat(i))
-        ranks = map(add, ranks, map(rows[i].__getitem__, shifted))
-    return ranks
-
-
-def colex_walk(n: int, k: int):
-    """Every k-subset of [0, n) in colex order, as a lazy iterator.
-
-    The subsets whose largest vertex is `top` come right after all subsets
-    of [0, top), in the colex order of their first k - 1 vertices; those
-    are the first comb(top, k - 1) (k-1)-subsets of [0, n - 1).  One list of
-    those, extended by each top in turn, yields the whole walk while
-    holding only comb(n - 1, k - 1) tuples.
-    """
-    if k == 0:
-        return iter(((),))
-    heads = list(colex_walk(n - 1, k - 1))
-    return chain.from_iterable(
-        map(tuple.__add__, islice(heads, comb(top, k - 1)), repeat((top,)))
-        for top in range(k - 1, n)
-    )
+    labels = tuple(map(str, range(n)))
+    return labels, dict(zip(labels, range(n)))
 
 
 def _positions(n: int, k: int) -> int:
@@ -208,16 +156,20 @@ class Hypergraph:
 
     Edges are k-subsets kept as an indicator over colex ranks plus the
     sorted rank tuple, so membership is O(1) and iteration order is
-    canonical.  Two hypergraphs are equal iff they have the same n, k, and
-    edge set.
+    canonical.  The edges' vertex columns, and the edge tuples, are derived
+    from the indicator on first use.  Two hypergraphs are equal iff they
+    have the same n, k, and edge set.
     """
 
-    __slots__ = ("n", "k", "positions", "_bits", "_ranks", "_edge_memo")
+    __slots__ = ("n", "k", "positions", "_bits", "_ranks", "_column_memo", "_edge_memo")
 
     def __init__(self, n: int, k: int, edges=()):
-        subsets = [tuple(e) for e in edges]
-        for s in subsets:
-            validate_ksubset(s, n, k)
+        subsets = list(map(tuple, edges))
+        if not _valid_columns(subsets, n, k):
+            # Rerun the per-subset checks only to report the first bad
+            # subset with its message.
+            for s in subsets:
+                validate_ksubset(s, n, k)
         positions = _positions(n, k)
         columns = [map(itemgetter(i), subsets) for i in range(k)]
         ranks = list(_column_ranks(_binomial_table(n, k), columns))
@@ -239,18 +191,28 @@ class Hypergraph:
         return cls.from_ranks(n, k, range(comb(n, k)))
 
     def _setup(self, n, k, positions, ranks):
+        """Fill the instance from a list of edge ranks that it may reorder."""
         bits = bytearray(positions)
-        for r in ranks:
-            if not 0 <= r < positions:
-                raise ValueError(f"edge rank {r} out of range [0, {positions})")
-            if bits[r]:
-                raise ValueError(f"duplicate edge at rank {r}")
-            bits[r] = 1
+        if ranks and 0 <= min(ranks) and max(ranks) < positions:
+            # bytearray.__setitem__ returns None, so any() runs it on every
+            # rank; fewer set bytes than ranks means a duplicate.
+            any(map(bits.__setitem__, ranks, repeat(1)))
+        if bits.count(1) != len(ranks):
+            # Find the first bad rank, in input order, for its message.
+            bits = bytearray(positions)
+            for r in ranks:
+                if not 0 <= r < positions:
+                    raise ValueError(f"edge rank {r} out of range [0, {positions})")
+                if bits[r]:
+                    raise ValueError(f"duplicate edge at rank {r}")
+                bits[r] = 1
         self.n = n
         self.k = k
         self.positions = positions
         self._bits = bits
-        self._ranks = tuple(sorted(ranks))
+        ranks.sort()
+        self._ranks = tuple(ranks)
+        self._column_memo = None
         self._edge_memo = None
 
     @property
@@ -278,33 +240,34 @@ class Hypergraph:
     def edges(self) -> tuple[tuple[int, ...], ...]:
         """Edge subsets in colex-rank order (memoized)."""
         if self._edge_memo is None:
-            self._edge_memo = tuple(
-                compress(colex_walk(self.n, self.k), self._bits)
-            )
+            self._edge_memo = tuple(zip(*self._columns()))
         return self._edge_memo
+
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """The vertex columns of the edges in colex-rank order (memoized):
+        column i holds the i-th vertex of every edge."""
+        if self._column_memo is None:
+            self._column_memo = tuple(
+                tuple(compress(column, self._bits))
+                for column in _colex_columns(self.n, self.k)
+            )
+        return self._column_memo
 
     def complement(self) -> "Hypergraph":
         """Same vertices, edge set flipped to the unused k-subsets."""
-        bits = self._bits
+        flipped = self._bits.translate(_FLIP)
         return Hypergraph.from_ranks(
-            self.n, self.k, [r for r in range(self.positions) if not bits[r]]
+            self.n, self.k, compress(range(self.positions), flipped)
         )
 
     def permute(self, sigma: Permutation) -> "Hypergraph":
-        """Relabel vertices through sigma; edges are re-sorted images."""
+        """Relabel vertices through sigma; edges are re-sorted images, ranked
+        column-wise one block of edges at a time."""
         if sigma.n != self.n:
             raise ValueError(f"permutation length {sigma.n} != order {self.n}")
-        image = sigma.images.__getitem__
         rows = _binomial_table(self.n, self.k)
-        shifts = range(self.k)
-        return Hypergraph.from_ranks(
-            self.n,
-            self.k,
-            [
-                sum(map(getitem, rows, map(sub, sorted(map(image, e)), shifts)))
-                for e in self.edges()
-            ],
-        )
+        ranks = _image_ranks(self._columns(), sigma.images, rows)
+        return Hypergraph.from_ranks(self.n, self.k, ranks)
 
     def is_complete_on(self, vertices) -> bool:
         """True iff every k-subset of the given vertex set is an edge."""
@@ -341,11 +304,10 @@ def coverage(h: Hypergraph, t: int) -> list[int]:
     if not 1 <= t <= h.k:
         raise ValueError(f"need 1 <= t <= k={h.k}, got t={t}")
     rows = _binomial_table(h.n, t)
-    edges = h.edges()
+    columns = h._columns()
     tally = Counter()
     for places in combinations(range(h.k), t):
-        columns = [map(itemgetter(j), edges) for j in places]
-        tally.update(_column_ranks(rows, columns))
+        tally.update(_column_ranks(rows, [columns[j] for j in places]))
     return list(map(tally.get, range(comb(h.n, t)), repeat(0)))
 
 
@@ -367,8 +329,17 @@ def to_edge_list_text(h: Hypergraph, comments=()) -> str:
         if "\n" in c:
             raise ValueError("comments must be single lines")
         lines.append(f"c {c}")
-    for e in h.edges():
-        lines.append("e " + " ".join(map(str, e)))
+    columns = h._columns()
+    # Cached labels pay off once there are at least n vertex tokens to print.
+    label = str
+    if h.n <= h.k * h.edge_count:
+        label = _vertex_labels(h.n)[0].__getitem__
+    # One string per block of edge lines, so that the line strings of only
+    # one block exist at a time next to the growing text.
+    for start in range(0, h.edge_count, _PARSE_BLOCK):
+        stop = start + _PARSE_BLOCK
+        labels = [map(label, column[start:stop]) for column in columns]
+        lines.append("\n".join(map(" ".join, zip(repeat("e"), *labels))))
     return "\n".join(lines) + "\n"
 
 
@@ -378,44 +349,38 @@ def _parse_uint(token: str, context: str) -> int:
     return int(token)
 
 
-# Edge lines per block on the fast parse route: enough to amortise the
-# per-block calls, few enough that a block's token strings (about 0.2 MB
-# at k = 3) stay small next to the hypergraph being parsed.
-_PARSE_BLOCK = 1024
-
-
 def _fast_edge_ranks(lines, n: int, k: int) -> list[int] | None:
     """Colex ranks of edge lines that are all on the fast route, else None.
 
     The fast route takes exactly the lines the strict loop accepts without
-    complaint: "e" and k ASCII-digit tokens joined by single spaces, with
-    values strictly increasing and below n.  Each block of lines is checked
-    and ranked column by column; any other line makes the whole document
-    fall back to the strict loop, which reports it.
+    complaint: "e" and k vertex labels joined by single spaces, strictly
+    increasing.  Each block of lines is split into fields, each vertex field
+    is looked up among the labels of [0, n), and the block is checked and
+    ranked column by column; any other line makes the whole document fall
+    back to the strict loop, which reports it.
     """
     rows = _binomial_table(n, k)
+    vertex = _vertex_labels(n)[1].__getitem__
     width = k + 1
     ranks = []
     for start in range(0, len(lines), _PARSE_BLOCK):
         block = lines[start : start + _PARSE_BLOCK]
-        text = " ".join(block)
-        fields = text.split(" ")
-        # Every line opens with an "e" field and every other field must be
-        # digits, so width * len(block) fields put each line at width fields.
+        fields = " ".join(block).split(" ")
+        # Every line opens with an "e" field, which is no vertex label, so
+        # with width * len(block) fields any line not at exactly width
+        # fields leaves some line's "e" among the vertex fields.
         if not (
-            text.isascii()
-            and len(fields) == width * len(block)
+            len(fields) == width * len(block)
             and all(map(str.startswith, block, repeat("e ")))
         ):
             return None
         del fields[::width]
-        if not all(map(str.isdigit, fields)):
+        try:
+            values = list(map(vertex, fields))
+        except KeyError:
             return None
-        values = list(map(int, fields))
         columns = [values[i::k] for i in range(k)]
-        if max(columns[-1]) >= n or not all(
-            all(map(lt, low, high)) for low, high in zip(columns, columns[1:])
-        ):
+        if not all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:])):
             return None
         ranks.extend(_column_ranks(rows, columns))
     return ranks
@@ -433,10 +398,17 @@ def from_edge_list_text(text: str) -> Hypergraph:
         raise ValueError(f"bad header line: {lines[0]!r}")
     n = _parse_uint(head[2], "header order")
     k = _parse_uint(head[3], "header uniformity")
-    if 1 <= k <= n and comb(n, k) <= MAX_POSITIONS:
-        edge_lines = [
-            line for line in lines[1:] if not (line.startswith("c ") or line == "c")
-        ]
+    edge_lines = lines[1:]
+    # The label map costs O(n): take the fast route only when the document
+    # has at least n / k lines below the header, so the map is never larger
+    # than the text it serves.
+    if 1 <= k <= n <= k * len(edge_lines) and comb(n, k) <= MAX_POSITIONS:
+        if any(map(str.startswith, edge_lines, repeat("c"))):
+            edge_lines = [
+                line
+                for line in edge_lines
+                if not (line.startswith("c ") or line == "c")
+            ]
         ranks = _fast_edge_ranks(edge_lines, n, k)
         if ranks is not None:
             return Hypergraph.from_ranks(n, k, ranks)

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .hypercore import Hypergraph, Permutation, subset_rank, unrank_colex
+from .colex import _binomial_table, _colex_columns, _image_ranks
+from .hypercore import Hypergraph, Permutation
 from .verify import t_subset_regularity
 
 __all__ = [
@@ -63,10 +64,21 @@ class OrbitDecomposition:
 
 
 def tau_orbits_on_ksubsets(n: int, k: int, tau: Permutation) -> OrbitDecomposition:
-    """Decompose the action of tau on all comb(n,k) subset ranks into cycles."""
+    """Decompose the action of tau on all comb(n,k) subset ranks into cycles.
+
+    The vertex columns of all k-subsets in colex order (a subset's position
+    is its rank) are relabeled and ranked column-wise through the binomial
+    table in one pass, and the cycles are read off that map of ranks.
+    """
     if tau.n != n:
         raise ValueError(f"permutation length {tau.n} != order {n}")
     total = comb(n, k)
+    # The empty set, the only 0-subset, is its own image; with k > n there
+    # are no subsets to map.
+    image = [0]
+    if 0 < k <= n:
+        columns = [tuple(column) for column in _colex_columns(n, k)]
+        image = _image_ranks(columns, tau.images, _binomial_table(n, k))
     seen = bytearray(total)
     orbits = []
     for start in range(total):
@@ -74,11 +86,11 @@ def tau_orbits_on_ksubsets(n: int, k: int, tau: Permutation) -> OrbitDecompositi
             continue
         cycle = [start]
         seen[start] = 1
-        r = subset_rank(tau.apply_to_subset(unrank_colex(start, n, k)))
+        r = image[start]
         while r != start:
             cycle.append(r)
             seen[r] = 1
-            r = subset_rank(tau.apply_to_subset(unrank_colex(r, n, k)))
+            r = image[r]
         orbits.append(tuple(cycle))
     return OrbitDecomposition(n=n, k=k, orbits=tuple(orbits))
 

@@ -1,11 +1,13 @@
 """Slow reference implementations of the colex ranking kernel's hot paths.
 
 These are the straightforward per-subset versions that the table-driven
-kernel in `hsc.hypercore` and the one-pass K4 profile and table-ranked
-backtracking in `hsc.verify` replaced.  They rank with `subset_rank`'s comb
-sum and unrank with `unrank_colex`, so they share no code with the binomial
-table, the colex walk, the column ranking or the pair-link bitsets, and the
-differential tests compare the two routes on the same inputs.
+kernel in `hsc.hypercore`, its column passes (build, permute, complement,
+serialize) and the one-pass K4 profile, table-ranked backtracking and
+orbit map in `hsc.verify` and `hsc.search` replaced.  They rank with
+`subset_rank`'s comb sum and unrank with `unrank_colex`, so they share no
+code with the binomial table, the colex walk, the column ranking or the
+pair-link bitsets, and the differential tests compare the two routes on
+the same inputs.
 """
 
 from __future__ import annotations
@@ -17,16 +19,83 @@ from hsc.hypercore import (
     Hypergraph,
     Permutation,
     _parse_uint,
-    rank_colex,
     subset_rank,
     unrank_colex,
+    validate_ksubset,
 )
+from hsc.search import OrbitDecomposition
 from hsc.verify import AntimorphismCheck, RegularityReport, SearchBudgetExceeded
 
 
 def edges_by_unranking(h: Hypergraph):
     """Edge subsets in colex order, unranking every edge rank."""
     return tuple(unrank_colex(r, h.n, h.k) for r in h.edge_ranks)
+
+
+def setup_ranks(positions: int, ranks) -> tuple[int, ...]:
+    """The sorted rank tuple of a hypergraph with these edge ranks, checking
+    each rank in input order for range and duplicates."""
+    bits = bytearray(positions)
+    for r in ranks:
+        if not 0 <= r < positions:
+            raise ValueError(f"edge rank {r} out of range [0, {positions})")
+        if bits[r]:
+            raise ValueError(f"duplicate edge at rank {r}")
+        bits[r] = 1
+    return tuple(sorted(ranks))
+
+
+def build_ranks(n: int, k: int, edges) -> tuple[int, ...]:
+    """The edge ranks `Hypergraph(n, k, edges)` must hold: every subset
+    validated in input order, then the shape, then each rank."""
+    subsets = [tuple(e) for e in edges]
+    for s in subsets:
+        validate_ksubset(s, n, k)
+    positions = Hypergraph.empty(n, k).positions
+    return setup_ranks(positions, [subset_rank(s) for s in subsets])
+
+
+def permute(h: Hypergraph, sigma: Permutation) -> tuple[int, ...]:
+    """Edge ranks of h relabeled through sigma, one sorted image per edge."""
+    images = [sigma.apply_to_subset(e) for e in edges_by_unranking(h)]
+    return setup_ranks(h.positions, [subset_rank(s) for s in images])
+
+
+def complement(h: Hypergraph) -> tuple[int, ...]:
+    """Edge ranks of the complement: every position whose byte is clear."""
+    bits = h.indicator
+    return tuple(r for r in range(h.positions) if not bits[r])
+
+
+def serialize(h: Hypergraph, comments=()) -> str:
+    """The edge-list text, one formatted line per unranked edge."""
+    lines = [f"p hsc {h.n} {h.k}"]
+    for c in comments:
+        if "\n" in c:
+            raise ValueError("comments must be single lines")
+        lines.append(f"c {c}")
+    for e in edges_by_unranking(h):
+        lines.append("e " + " ".join(map(str, e)))
+    return "\n".join(lines) + "\n"
+
+
+def tau_orbits(n: int, k: int, tau: Permutation) -> OrbitDecomposition:
+    """Cycles of tau on the k-subset ranks, unranking every subset."""
+    total = comb(n, k)
+    seen = bytearray(total)
+    orbits = []
+    for start in range(total):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = 1
+        r = subset_rank(tau.apply_to_subset(unrank_colex(start, n, k)))
+        while r != start:
+            cycle.append(r)
+            seen[r] = 1
+            r = subset_rank(tau.apply_to_subset(unrank_colex(r, n, k)))
+        orbits.append(tuple(cycle))
+    return OrbitDecomposition(n=n, k=k, orbits=tuple(orbits))
 
 
 def coverage_by_combinations(h: Hypergraph, t: int) -> list[int]:
@@ -81,7 +150,7 @@ def antimorphism(h: Hypergraph, tau) -> AntimorphismCheck:
 
 
 def parse(text: str) -> Hypergraph:
-    """The strict line-by-line edge-list parser, ranking with `rank_colex`."""
+    """The strict line-by-line edge-list parser, ranking with `subset_rank`."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -102,8 +171,7 @@ def parse(text: str) -> Hypergraph:
         if len(parts) != k + 1:
             raise ValueError(f"line {lineno}: edge needs exactly {k} vertices")
         edges.append(tuple(_parse_uint(p, f"line {lineno}") for p in parts[1:]))
-    ranks = [rank_colex(e, n, k) for e in edges]
-    return Hypergraph.from_ranks(n, k, ranks)
+    return Hypergraph.from_ranks(n, k, build_ranks(n, k, edges))
 
 
 def vertex_k4_by_scan(h: Hypergraph, v: int) -> int:

@@ -1,9 +1,10 @@
-"""Differential tests: the table-driven colex kernel, the one-pass K4
-profile and the table-ranked image search against the slow reference
+"""Differential tests: the table-driven colex kernel and its column passes
+(build, permute, complement, serialize, parse), the one-pass K4 profile,
+the table-ranked image search and the orbit map against the slow reference
 implementations in `colex_reference`."""
 
 import random
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import pytest
@@ -19,7 +20,7 @@ from hsc.hypercore import (
     from_edge_list_text,
     to_edge_list_text,
 )
-from hsc.search import enumerate_sc_hypergraphs
+from hsc.search import enumerate_sc_hypergraphs, tau_orbits_on_ksubsets
 from hsc.verify import (
     SearchBudgetExceeded,
     _backtrack_images,
@@ -31,7 +32,7 @@ from hsc.verify import (
     vertex_invariant_k4,
 )
 
-ORDERS = {2: (2, 3, 5, 8, 13), 3: (3, 4, 6, 9, 12), 4: (4, 5, 7, 10)}
+ORDERS = {1: (1, 2, 7), 2: (2, 3, 5, 8, 13), 3: (3, 4, 6, 9, 12), 4: (4, 5, 7, 10)}
 
 
 def random_hypergraph(rng, n, k, density=0.5):
@@ -77,6 +78,22 @@ def exchanged_hypergraphs():
         tau = sigma * Permutation(images) * sigma.inverse()
         for h in enumerate_sc_hypergraphs(n, k, tau, cap=3, truncate=True):
             yield h, tau
+
+
+# Edge counts on both sides of the column passes' block boundaries.
+BLOCK_EDGE_COUNTS = (1, 1023, 1024, 1025, 2048, 2049)
+
+
+def boundary_hypergraphs():
+    """Seeded random hypergraphs with BLOCK_EDGE_COUNTS edges, k = 2, 3, 4."""
+    rng = random.Random(1025)
+    for n, k in ((80, 2), (30, 3), (18, 4)):
+        for count in BLOCK_EDGE_COUNTS:
+            yield Hypergraph.from_ranks(n, k, rng.sample(range(comb(n, k)), count))
+
+
+def block_and_sample_hypergraphs():
+    return chain(sample_hypergraphs(), boundary_hypergraphs())
 
 
 def test_colex_walk_is_colex_order():
@@ -369,3 +386,137 @@ def test_search_budget_nodes_match_reference():
             with pytest.raises(SearchBudgetExceeded) as got:
                 _backtrack_images(h, **kwargs)
             assert got.value.nodes == expected.value.nodes
+
+
+def test_permute_matches_per_edge_reference():
+    rng = random.Random(23)
+    for h in block_and_sample_hypergraphs():
+        sigma = random_permutation(rng, h.n)
+        assert h.permute(sigma).edge_ranks == ref.permute(h, sigma)
+
+
+@pytest.fixture(scope="module")
+def gamma102():
+    return build_gamma(102)
+
+
+def test_order_102_relabelings_match_reference(gamma102):
+    g = gamma102
+    swap = swap_antimorphism(102)
+    sigma = random_permutation(random.Random(102), 102)
+    assert g.permute(Permutation.identity(102)).edge_ranks == g.edge_ranks
+    assert g.permute(swap).edge_ranks == ref.permute(g, swap) == ref.complement(g)
+    relabeled = g.permute(sigma)
+    assert relabeled.edge_ranks == ref.permute(g, sigma)
+    assert to_edge_list_text(g) == ref.serialize(g)
+    assert to_edge_list_text(relabeled) == ref.serialize(relabeled)
+
+
+def test_serializer_matches_reference():
+    for h in block_and_sample_hypergraphs():
+        assert to_edge_list_text(h) == ref.serialize(h)
+    # Fewer vertex tokens than vertices: labels are formatted, not cached.
+    sparse = Hypergraph(50, 1, [(3,), (17,), (49,)])
+    comments = ("a", "", "b c")
+    assert to_edge_list_text(sparse, comments) == ref.serialize(sparse, comments)
+    with pytest.raises(ValueError, match="single lines"):
+        to_edge_list_text(sparse, ("a\nb",))
+
+
+def test_parser_matches_reference_at_block_boundaries():
+    for h in boundary_hypergraphs():
+        text = to_edge_list_text(h)
+        assert parse_both(text) == h
+        lines = text.split("\n")
+        # Break the last line of the first block, then the first line of
+        # the second block (line 1 is the header).
+        for lineno in (1024, 1025):
+            if lineno < len(lines) - 1:
+                edited = lines[:lineno] + ["e " + lines[lineno][2:] + " 0"]
+                assert parse_both("\n".join(edited + lines[lineno + 1 :])) is None
+    sparse = Hypergraph(50, 1, [(3,), (17,), (49,)])
+    assert parse_both(to_edge_list_text(sparse)) == sparse
+    # Leading zeros miss the label map; the strict loop still takes them.
+    assert parse_both("p hsc 50 1\ne 03\ne 17\n") == Hypergraph(50, 1, [(3,), (17,)])
+
+
+def build_both(n, k, edges):
+    """Build with the constructor and the reference; equal rank tuples, or
+    the same ValueError message."""
+    try:
+        expected = ref.build_ranks(n, k, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            Hypergraph(n, k, edges)
+        assert str(got.value) == str(exc)
+        return None
+    h = Hypergraph(n, k, edges)
+    assert h.edge_ranks == expected
+    return h
+
+
+# Edge lists for n = 6, k = 3 that the constructor must reject.
+BAD_SUBSETS = {
+    "too few vertices": [(0, 1, 2), (0, 1)],
+    "too many vertices": [(0, 1, 2), (0, 1, 2, 3)],
+    "non-increasing": [(0, 1, 2), (0, 2, 1)],
+    "repeated vertex": [(1, 1, 2)],
+    "negative vertex": [(0, 1, 2), (-1, 0, 2)],
+    "vertex equal to n": [(0, 1, 6)],
+    "vertex above n": [(3, 4, 5), (0, 1, 60)],
+    "duplicate edge": [(0, 1, 2), (3, 4, 5), (0, 1, 2)],
+    "first bad subset wins": [(0, 1, 2), (0, 3, 1), (0, 1), (-1, 2, 3)],
+    "range before length": [(0, 1, 9), (0, 1)],
+    "lists and tuples": [[0, 1, 2], (0, 1, 2)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SUBSETS))
+def test_constructor_rejects_with_the_reference_message(case):
+    assert build_both(6, 3, BAD_SUBSETS[case]) is None
+
+
+def test_constructor_matches_reference():
+    rng = random.Random(31)
+    for h in block_and_sample_hypergraphs():
+        edges = list(h.edges())
+        rng.shuffle(edges)
+        assert build_both(h.n, h.k, list(map(list, edges))) == h
+    assert build_both(6, 3, [[0, 1, 5], (2, 3, 4)]).edge_count == 2
+    for n, k, edges in (
+        (4, 0, []),
+        (4, 0, [()]),
+        (4, 0, [(1,)]),
+        (0, 1, []),
+        (3, 4, [(0, 1, 2, 3)]),
+        (4, 2, [(0, 1, 2)]),
+    ):
+        assert build_both(n, k, edges) is None
+
+
+def test_from_ranks_reports_the_first_bad_rank():
+    # comb(6, 3) = 20 positions.
+    for ranks in ([5, 3, 5, -1], [5, -1, 5], [3, -2], [0, 20], [19, 19], [3, 1, 2, 3]):
+        with pytest.raises(ValueError) as expected:
+            ref.setup_ranks(20, ranks)
+        with pytest.raises(ValueError) as got:
+            Hypergraph.from_ranks(6, 3, ranks)
+        assert str(got.value) == str(expected.value)
+    assert Hypergraph.from_ranks(6, 3, [19, 0, 7]).edge_ranks == (0, 7, 19)
+
+
+def test_complement_matches_reference():
+    for h in block_and_sample_hypergraphs():
+        c = h.complement()
+        assert c.edge_ranks == ref.complement(h)
+        assert c.complement() == h
+
+
+def test_tau_orbits_match_reference():
+    rng = random.Random(37)
+    for n in (6, 10):
+        swap, identity = swap_antimorphism(n), Permutation.identity(n)
+        taus = (swap, random_permutation(rng, n), identity)
+        for k in (0, 1, 2, 3, 4, n + 1):
+            for tau in taus:
+                assert tau_orbits_on_ksubsets(n, k, tau) == ref.tau_orbits(n, k, tau)

@@ -1,5 +1,6 @@
-"""Property tests of the K4 vertex profile over small random 3-uniform
-hypergraphs."""
+"""Property tests over small random hypergraphs: the K4 vertex profile, the
+rank/unrank bijection, the permute/complement algebra, the edge-list round
+trip and a parser fuzz against the strict reference loop."""
 
 from math import comb
 
@@ -9,7 +10,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import colex_reference as ref
-from hsc.hypercore import Hypergraph, Permutation
+from hsc.hypercore import (
+    Hypergraph,
+    Permutation,
+    from_edge_list_text,
+    rank_colex,
+    to_edge_list_text,
+    unrank_colex,
+)
 from hsc.verify import vertex_invariant_k4
 
 
@@ -52,3 +60,112 @@ def test_k4_of_complete_hypergraph(n):
 @given(hypergraphs())
 def test_k4_profile_counts_each_k4_four_times(h):
     assert sum(profile(h)) == 4 * ref.k4_count(h)
+
+
+@st.composite
+def uniform_hypergraphs(draw, max_n=9):
+    """A k-uniform hypergraph, k = 1..4, on k..max_n vertices, one coin per
+    k-subset."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, max_n))
+    positions = comb(n, k)
+    coins = draw(st.lists(st.booleans(), min_size=positions, max_size=positions))
+    return Hypergraph.from_ranks(n, k, [r for r, c in enumerate(coins) if c])
+
+
+@st.composite
+def ranked_positions(draw):
+    n = draw(st.integers(0, 40))
+    k = draw(st.integers(0, min(n, 6)))
+    return n, k, draw(st.integers(0, comb(n, k) - 1))
+
+
+@settings(deadline=None)
+@given(ranked_positions())
+def test_rank_and_unrank_are_inverse(case):
+    n, k, r = case
+    s = unrank_colex(r, n, k)
+    assert list(s) == sorted(set(s)) and all(0 <= v < n for v in s)
+    assert rank_colex(s, n, k) == r
+
+
+@st.composite
+def vertex_subsets(draw):
+    n = draw(st.integers(1, 40))
+    return n, tuple(sorted(draw(st.sets(st.integers(0, n - 1), max_size=6))))
+
+
+@settings(deadline=None)
+@given(vertex_subsets())
+def test_unrank_inverts_rank(case):
+    n, s = case
+    assert unrank_colex(rank_colex(s, n, len(s)), n, len(s)) == s
+
+
+@st.composite
+def hypergraphs_with_two_permutations(draw):
+    h = draw(uniform_hypergraphs())
+    sigma = Permutation(draw(st.permutations(range(h.n))))
+    pi = Permutation(draw(st.permutations(range(h.n))))
+    return h, sigma, pi
+
+
+@settings(deadline=None)
+@given(hypergraphs_with_two_permutations())
+def test_permute_and_complement_algebra(case):
+    h, sigma, pi = case
+    assert h.permute(sigma).permute(pi) == h.permute(pi * sigma)
+    assert h.permute(sigma).permute(sigma.inverse()) == h
+    assert h.complement().permute(sigma) == h.permute(sigma).complement()
+    assert h.complement().complement() == h
+    assert h.permute(sigma).edge_count == h.edge_count
+
+
+@settings(deadline=None)
+@given(uniform_hypergraphs(), st.lists(st.text("ab c", max_size=4), max_size=3))
+def test_edge_list_round_trip(h, comments):
+    text = to_edge_list_text(h, comments)
+    assert text == ref.serialize(h, comments)
+    assert from_edge_list_text(text) == h
+
+
+FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+# Edits that take a token or a separator off the documented format, or
+# (leading zero, vertex n) keep its shape but change what the strict loop
+# says about it.
+TOKEN_EDITS = (
+    lambda tok, n: "0" + tok,
+    lambda tok, n: "+" + tok,
+    lambda tok, n: tok.translate(FULL_WIDTH),
+    lambda tok, n: str(n),
+    lambda tok, n: tok + "\t",
+    lambda tok, n: tok + " ",
+    lambda tok, n: " " + tok,
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    h = draw(uniform_hypergraphs())
+    lines = to_edge_list_text(h).split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[row].split(" ")
+        col = draw(st.integers(0, len(tokens) - 1))
+        edit = draw(st.sampled_from(TOKEN_EDITS))
+        tokens[col] = edit(tokens[col], h.n)
+        lines[row] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+@settings(deadline=None)
+@given(mutated_documents())
+def test_parser_fuzz_matches_strict_loop(text):
+    try:
+        expected = ref.parse(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            from_edge_list_text(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert from_edge_list_text(text) == expected
