@@ -33,6 +33,10 @@ __all__ = [
 # next to the hypergraph.
 _PARSE_BLOCK = 1024
 
+# Byte table swapping indicator values 0 and 1: an indicator over the colex
+# ranks translated through it is the indicator of the complement.
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
 
 def subset_rank(s) -> int:
     """Colex rank of a strictly increasing vertex tuple (no validation)."""

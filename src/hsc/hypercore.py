@@ -15,21 +15,21 @@ rank, relabel or print one column at a time through the vertex-indexed
 binomial table, in C-level `map`/`zip`/`bytes` passes with no Python code
 run per edge.  Nothing is ever unranked on the way out: a hypergraph's
 columns are the colex columns of all k-subsets compressed against its
-indicator bytes; the parser looks each vertex token up among cached
-decimal labels and ranks each edge line straight from its tokens; the
+indicator bytes; the parser looks each vertex token up among the decimal
+labels of [0, n) and ranks each edge line straight from its tokens; the
 serializer joins the same labels.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import combinations, compress, repeat
 from math import comb
 from operator import itemgetter, lt
 from pathlib import Path
 
 from .colex import (
+    _FLIP,
     _PARSE_BLOCK,
     _binomial_table,
     _colex_columns,
@@ -62,24 +62,6 @@ __all__ = [
 # Refuse indicator allocations past this many subset positions; a clear
 # error beats an accidental multi-gigabyte bytearray.
 MAX_POSITIONS = 1 << 24
-
-# Byte table swapping indicator values 0 and 1, for complements.
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-
-
-@lru_cache(maxsize=8)
-def _vertex_labels(n: int) -> tuple[tuple[str, ...], dict[str, int]]:
-    """The decimal labels of the vertices of [0, n), and the map back.
-
-    These are exactly the vertex tokens the edge-list format allows, so the
-    serializer prints them and the parser's fast route looks tokens up in
-    the map: leading zeros, signs, non-ASCII digits and n itself all miss.
-    Callers use the pair only when a document has at least n vertex tokens,
-    so the cached strings never outweigh the text they serve.
-    """
-    labels = tuple(map(str, range(n)))
-    return labels, dict(zip(labels, range(n)))
-
 
 def _positions(n: int, k: int) -> int:
     """comb(n, k), after checking that a hypergraph of that shape is supported."""
@@ -240,12 +222,13 @@ class Hypergraph:
     def edges(self) -> tuple[tuple[int, ...], ...]:
         """Edge subsets in colex-rank order (memoized)."""
         if self._edge_memo is None:
-            self._edge_memo = tuple(zip(*self._columns()))
+            self._edge_memo = tuple(zip(*self.columns()))
         return self._edge_memo
 
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
+    def columns(self) -> tuple[tuple[int, ...], ...]:
         """The vertex columns of the edges in colex-rank order (memoized):
-        column i holds the i-th vertex of every edge."""
+        column i holds the i-th vertex of every edge, so edges() is their
+        zip.  Column passes read these instead of the edge tuples."""
         if self._column_memo is None:
             self._column_memo = tuple(
                 tuple(compress(column, self._bits))
@@ -266,7 +249,7 @@ class Hypergraph:
         if sigma.n != self.n:
             raise ValueError(f"permutation length {sigma.n} != order {self.n}")
         rows = _binomial_table(self.n, self.k)
-        ranks = _image_ranks(self._columns(), sigma.images, rows)
+        ranks = _image_ranks(self.columns(), sigma.images, rows)
         return Hypergraph.from_ranks(self.n, self.k, ranks)
 
     def is_complete_on(self, vertices) -> bool:
@@ -304,7 +287,7 @@ def coverage(h: Hypergraph, t: int) -> list[int]:
     if not 1 <= t <= h.k:
         raise ValueError(f"need 1 <= t <= k={h.k}, got t={t}")
     rows = _binomial_table(h.n, t)
-    columns = h._columns()
+    columns = h.columns()
     tally = Counter()
     for places in combinations(range(h.k), t):
         tally.update(_column_ranks(rows, [columns[j] for j in places]))
@@ -329,11 +312,13 @@ def to_edge_list_text(h: Hypergraph, comments=()) -> str:
         if "\n" in c:
             raise ValueError("comments must be single lines")
         lines.append(f"c {c}")
-    columns = h._columns()
-    # Cached labels pay off once there are at least n vertex tokens to print.
-    label = str
-    if h.n <= h.k * h.edge_count:
-        label = _vertex_labels(h.n)[0].__getitem__
+    columns = h.columns()
+    # Indexing a tuple of the decimal labels beats str() per vertex token:
+    # at k = 3 each label is printed about n * n / 4 times.  Building them
+    # is O(n), no more than the colex replay behind the columns: at k = 1
+    # and n = 4e6, where each label is printed at most once, one edge takes
+    # 1.7 s against 1.1 s with str().
+    label = tuple(map(str, range(h.n))).__getitem__
     # One string per block of edge lines, so that the line strings of only
     # one block exist at a time next to the growing text.
     for start in range(0, h.edge_count, _PARSE_BLOCK):
@@ -360,7 +345,9 @@ def _fast_edge_ranks(lines, n: int, k: int) -> list[int] | None:
     back to the strict loop, which reports it.
     """
     rows = _binomial_table(n, k)
-    vertex = _vertex_labels(n)[1].__getitem__
+    # The vertex tokens the format allows are exactly the decimal labels of
+    # [0, n): leading zeros, signs, non-ASCII digits and n itself all miss.
+    vertex = {str(v): v for v in range(n)}.__getitem__
     width = k + 1
     ranks = []
     for start in range(0, len(lines), _PARSE_BLOCK):
@@ -399,9 +386,13 @@ def from_edge_list_text(text: str) -> Hypergraph:
     n = _parse_uint(head[2], "header order")
     k = _parse_uint(head[3], "header uniformity")
     edge_lines = lines[1:]
-    # The label map costs O(n): take the fast route only when the document
-    # has at least n / k lines below the header, so the map is never larger
-    # than the text it serves.
+    # The fast route's label map costs O(n) whatever the document's length,
+    # about 120 bytes and 0.16-0.75 us per vertex, and pays back per vertex
+    # token; only k = 1 reaches orders where that matters.  At k = 1 the
+    # label route beat the strict loop from between n / 4 and n / 2 lines
+    # on at n = 4e5, and from between n / 2 and n lines on at n = 4e6, and
+    # the strict loop always peaked lower in memory, so documents with
+    # fewer vertex tokens than vertices take the strict loop.
     if 1 <= k <= n <= k * len(edge_lines) and comb(n, k) <= MAX_POSITIONS:
         if any(map(str.startswith, edge_lines, repeat("c"))):
             edge_lines = [

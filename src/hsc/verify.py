@@ -24,9 +24,9 @@ from itertools import compress
 from math import comb
 from operator import eq, getitem
 
-from .colex import _binomial_table, colex_walk, unrank_colex
+from .colex import _FLIP, _binomial_table, colex_walk, unrank_colex
 from .construct import AdmissibilityError, EdgeFamilies
-from .hypercore import _FLIP, Hypergraph, Permutation, coverage
+from .hypercore import Hypergraph, Permutation, coverage
 
 __all__ = [
     "AntimorphismCheck",
@@ -358,7 +358,7 @@ def _k4_profile(h: Hypergraph) -> tuple[int, ...]:
     n = h.n
     bit = [1 << v for v in range(n)]
     links = [[0] * n for _ in range(n)]
-    columns = h._columns()
+    columns = h.columns()
     for a, b, c in zip(*columns):
         row = links[a]
         row[b] |= bit[c]

@@ -107,6 +107,10 @@ def test_colex_walk_is_colex_order():
 def test_edges_match_unranking():
     for h in sample_hypergraphs():
         assert h.edges() == ref.edges_by_unranking(h)
+        columns = h.columns()
+        assert len(columns) == h.k
+        assert all(len(column) == h.edge_count for column in columns)
+        assert tuple(zip(*columns)) == h.edges()
 
 
 def test_constructor_ranks_match_rank_colex():
@@ -415,7 +419,7 @@ def test_order_102_relabelings_match_reference(gamma102):
 def test_serializer_matches_reference():
     for h in block_and_sample_hypergraphs():
         assert to_edge_list_text(h) == ref.serialize(h)
-    # Fewer vertex tokens than vertices: labels are formatted, not cached.
+    # Fewer vertex tokens than vertices still prints every label in use.
     sparse = Hypergraph(50, 1, [(3,), (17,), (49,)])
     comments = ("a", "", "b c")
     assert to_edge_list_text(sparse, comments) == ref.serialize(sparse, comments)
@@ -436,6 +440,10 @@ def test_parser_matches_reference_at_block_boundaries():
                 assert parse_both("\n".join(edited + lines[lineno + 1 :])) is None
     sparse = Hypergraph(50, 1, [(3,), (17,), (49,)])
     assert parse_both(to_edge_list_text(sparse)) == sparse
+    # Just below and at n vertex tokens, where the fast route starts.
+    for n, k, lines in ((6, 2, 2), (6, 2, 3), (7, 1, 6), (7, 1, 7)):
+        h = Hypergraph.from_ranks(n, k, range(lines))
+        assert parse_both(to_edge_list_text(h)) == h
     # Leading zeros miss the label map; the strict loop still takes them.
     assert parse_both("p hsc 50 1\ne 03\ne 17\n") == Hypergraph(50, 1, [(3,), (17,)])
 
