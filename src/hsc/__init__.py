@@ -1,114 +1,26 @@
 """Toolkit for constructing and mechanically verifying subset-regular
 hypergraphs that are carried onto their complements by a vertex
-permutation."""
+permutation.
 
-from .construct import (
-    AdmissibilityError,
-    ConstructionParams,
-    EdgeFamilies,
-    build_gamma,
-    build_gamma_families,
-    edge_counts,
-    half,
-    inverse_of_two,
-    swap_antimorphism,
-    vertex_index,
-    vertex_label,
-)
-from .hypercore import (
-    MAX_POSITIONS,
-    Hypergraph,
-    Permutation,
-    from_edge_list_text,
-    rank_colex,
-    read_edge_list,
-    subset_rank,
-    to_edge_list_text,
-    unrank_colex,
-    validate_ksubset,
-    write_edge_list,
-)
-from .parity import (
-    AdmissibilityReport,
-    PeriodicityError,
-    admissible,
-    binom_parity,
-    residue_classes,
-)
-from .search import (
-    DEFAULT_CANDIDATE_CAP,
-    CandidateCapExceeded,
-    InfeasibleAntimorphismError,
-    OrbitDecomposition,
-    SearchSummary,
-    enumerate_sc_hypergraphs,
-    search_regular_sc,
-    tau_orbits_on_ksubsets,
-)
-from .verify import (
-    AntimorphismCheck,
-    PairCaseBreakdown,
-    RegularityReport,
-    SearchBudgetExceeded,
-    SearchOrderError,
-    automorphism_vertex_orbits,
-    euler_characteristic_triangulation,
-    expected_valence,
-    find_antimorphism,
-    pair_case_breakdown,
-    t_subset_regularity,
-    verify_antimorphism,
-    vertex_invariant_k4,
-)
+The package namespace holds the data model, the edge-list I/O and the
+construct-and-check entry points; everything else is imported from its
+own module (`hsc.construct`, `hsc.hypercore`, `hsc.parity`, `hsc.search`,
+`hsc.verify`)."""
+
+from .construct import build_gamma, swap_antimorphism
+from .hypercore import Hypergraph, Permutation, read_edge_list, write_edge_list
+from .verify import t_subset_regularity, verify_antimorphism, vertex_invariant_k4
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityError",
-    "AdmissibilityReport",
-    "AntimorphismCheck",
-    "CandidateCapExceeded",
-    "ConstructionParams",
-    "DEFAULT_CANDIDATE_CAP",
-    "EdgeFamilies",
     "Hypergraph",
-    "InfeasibleAntimorphismError",
-    "MAX_POSITIONS",
-    "OrbitDecomposition",
-    "PairCaseBreakdown",
-    "PeriodicityError",
     "Permutation",
-    "RegularityReport",
-    "SearchBudgetExceeded",
-    "SearchOrderError",
-    "SearchSummary",
-    "admissible",
-    "automorphism_vertex_orbits",
-    "binom_parity",
     "build_gamma",
-    "build_gamma_families",
-    "edge_counts",
-    "enumerate_sc_hypergraphs",
-    "euler_characteristic_triangulation",
-    "expected_valence",
-    "find_antimorphism",
-    "from_edge_list_text",
-    "half",
-    "inverse_of_two",
-    "pair_case_breakdown",
-    "rank_colex",
     "read_edge_list",
-    "residue_classes",
-    "search_regular_sc",
-    "subset_rank",
     "swap_antimorphism",
     "t_subset_regularity",
-    "tau_orbits_on_ksubsets",
-    "to_edge_list_text",
-    "unrank_colex",
-    "validate_ksubset",
     "verify_antimorphism",
-    "vertex_index",
-    "vertex_label",
+    "vertex_invariant_k4",
     "write_edge_list",
 ]

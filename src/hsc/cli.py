@@ -8,6 +8,7 @@ Exit codes: 0 all requested checks passed, 1 a mathematical check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from math import comb
 from pathlib import Path
@@ -35,8 +36,17 @@ from .verify import (
 __all__ = ["build_parser", "main"]
 
 
-def _bool_word(flag: bool) -> str:
-    return "true" if flag else "false"
+def _word(value) -> str:
+    """Render one report value: booleans as true/false, tuples comma-joined."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+def _kv(fields) -> str:
+    return "\n".join(f"{key}={_word(value)}" for key, value in fields)
 
 
 def _subset_words(s, n: int) -> str:
@@ -99,112 +109,102 @@ def _resolve_tau(h, args):
 
 def _cmd_verify(args) -> int:
     h = read_edge_list(args.in_path)
-    t = args.t
-    balance_ok = 2 * h.edge_count == comb(h.n, h.k)
-    reg = t_subset_regularity(h, t)
+    reg = t_subset_regularity(h, args.t)
     tau, tau_label, inconclusive = _resolve_tau(h, args)
     anti = verify_antimorphism(h, tau) if tau is not None else None
+    balance_ok = 2 * h.edge_count == comb(h.n, h.k)
 
-    all_ok = balance_ok and reg.regular and anti is not None and anti.ok
-    if args.format == "kv":
-        lines = [
-            f"n={h.n}",
-            f"k={h.k}",
-            f"t={t}",
-            f"edges={h.edge_count}",
-            f"balance={_bool_word(balance_ok)}",
-            f"regular={_bool_word(reg.regular)}",
-        ]
-        if reg.regular:
-            lines.append(f"valence={reg.valence}")
-        else:
-            lines.append(f"witness={','.join(map(str, reg.witness))}")
-            lines.append(f"witness_count={reg.witness_count}")
-            lines.append(f"first_count={reg.first_count}")
-        lines.append(f"antimorphism={tau_label}")
-        if inconclusive:
-            lines.append("antimorphism_ok=inconclusive")
-        elif tau is None:
-            lines.append("antimorphism_ok=none")
-        else:
-            lines.append(f"antimorphism_ok={_bool_word(anti.ok)}")
-            if not anti.ok:
-                lines.append(
-                    f"antimorphism_witness={','.join(map(str, anti.witness))}"
-                )
-        lines.append(f"result={'pass' if all_ok else 'fail'}")
+    fields = [
+        ("n", h.n),
+        ("k", h.k),
+        ("t", args.t),
+        ("edges", h.edge_count),
+        ("balance", balance_ok),
+        ("regular", reg.regular),
+    ]
+    if reg.regular:
+        fields.append(("valence", reg.valence))
     else:
-        lines = [f"hypergraph n={h.n} k={h.k} with {h.edge_count} edges"]
-        lines.append(
-            f"edge balance: {h.edge_count} of {comb(h.n, h.k)} subsets are edges; "
-            + ("balanced" if balance_ok else "NOT balanced")
-        )
-        if reg.regular:
-            lines.append(
-                f"{t}-subset coverage: regular, every {t}-subset lies in "
-                f"{reg.valence} edges"
-            )
-        else:
-            lines.append(
-                f"{t}-subset coverage: NOT regular; {{{_subset_words(reg.witness, h.n)}}} "
-                f"lies in {reg.witness_count} edges while the colex-first subset "
-                f"lies in {reg.first_count}"
-            )
-        if inconclusive:
-            lines.append(f"antimorphism ({tau_label}): inconclusive, budget exhausted")
-        elif tau is None:
-            lines.append(f"antimorphism ({tau_label}): none found")
-        elif anti.ok:
-            lines.append(f"antimorphism ({tau_label}): verified")
-        else:
-            lines.append(
-                f"antimorphism ({tau_label}): FAILS at "
-                f"{{{_subset_words(anti.witness, h.n)}}}"
-            )
-        lines.append(f"verdict: {'pass' if all_ok else 'fail'}")
-    print("\n".join(lines))
+        fields += [
+            ("witness", reg.witness),
+            ("witness_count", reg.witness_count),
+            ("first_count", reg.first_count),
+        ]
+    # One of true, false, none (no antimorphism exists) or inconclusive.
+    anti_state = (
+        "inconclusive" if inconclusive else "none" if anti is None else _word(anti.ok)
+    )
+    fields += [("antimorphism", tau_label), ("antimorphism_ok", anti_state)]
+    if anti_state == "false":
+        fields.append(("antimorphism_witness", anti.witness))
+    all_ok = balance_ok and reg.regular and anti_state == "true"
+    fields.append(("result", "pass" if all_ok else "fail"))
+    print(_kv(fields) if args.format == "kv" else _verify_text(dict(fields)))
     return 0 if all_ok else 1
+
+
+def _verify_text(f) -> str:
+    """The verify report as sentences, from the same fields as its kv form."""
+    n, k, t, edges = f["n"], f["k"], f["t"], f["edges"]
+    if f["regular"]:
+        coverage = f"regular, every {t}-subset lies in {f['valence']} edges"
+    else:
+        coverage = (
+            f"NOT regular; {{{_subset_words(f['witness'], n)}}} lies in "
+            f"{f['witness_count']} edges while the colex-first subset lies in "
+            f"{f['first_count']}"
+        )
+    state = f["antimorphism_ok"]
+    verdict = {
+        "true": "verified",
+        "none": "none found",
+        "inconclusive": "inconclusive, budget exhausted",
+    }.get(state) or f"FAILS at {{{_subset_words(f['antimorphism_witness'], n)}}}"
+    return "\n".join(
+        [
+            f"hypergraph n={n} k={k} with {edges} edges",
+            f"edge balance: {edges} of {comb(n, k)} subsets are edges; "
+            + ("balanced" if f["balance"] else "NOT balanced"),
+            f"{t}-subset coverage: {coverage}",
+            f"antimorphism ({f['antimorphism']}): {verdict}",
+            f"verdict: {f['result']}",
+        ]
+    )
 
 
 def _cmd_invariants(args) -> int:
     h = read_edge_list(args.in_path)
-    lines = [f"n={h.n}", f"k={h.k}", f"edges={h.edge_count}"]
-
-    k4 = None
+    fields = [("n", h.n), ("k", h.k), ("edges", h.edge_count)]
     if h.k == 3 and h.n >= 4:
-        k4 = [vertex_invariant_k4(h, v) for v in range(h.n)]
-        lines.append("k4=" + ",".join(map(str, k4)))
-        lines.append(f"k4_distinct={len(set(k4))}")
-
+        k4 = tuple(vertex_invariant_k4(h, v) for v in range(h.n))
+        fields += [("k4", k4), ("k4_distinct", len(set(k4)))]
     try:
         orbits = automorphism_vertex_orbits(
             h, allow_large=args.budget is not None, node_budget=args.budget
         )
     except (SearchOrderError, SearchBudgetExceeded):
-        lines.append("orbit_count=inconclusive")
+        fields.append(("orbit_count", "inconclusive"))
     else:
-        for orbit in orbits:
-            lines.append("orbit=" + ",".join(map(str, orbit)))
-        lines.append(f"orbit_count={len(orbits)}")
-
+        fields += [("orbit", orbit) for orbit in orbits]
+        fields.append(("orbit_count", len(orbits)))
     if h.k == 3:
         reg = t_subset_regularity(h, 2)
         if reg.regular and reg.valence == 2:
-            lines.append(
-                f"euler_characteristic={euler_characteristic_triangulation(h)}"
+            fields.append(
+                ("euler_characteristic", euler_characteristic_triangulation(h))
             )
 
-    if args.format == "text":
-        out = []
-        for line in lines:
-            key, _, value = line.partition("=")
-            if key == "orbit" and h.n % 2 == 0:
-                value = _subset_words([int(v) for v in value.split(",")], h.n)
-            out.append(f"{key}: {value}")
-        print("\n".join(out))
-    else:
-        print("\n".join(lines))
+    print(_kv(fields) if args.format == "kv" else _invariants_text(fields, h.n))
     return 0
+
+
+def _invariants_text(fields, n: int) -> str:
+    """`key: value` lines; orbits carry residue_side labels at even n only."""
+    return "\n".join(
+        f"{key}: "
+        + (_subset_words(value, n) if key == "orbit" and n % 2 == 0 else _word(value))
+        for key, value in fields
+    )
 
 
 def _cmd_parity(args) -> int:
@@ -309,9 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main parses with one parser per process: building it costs about as much
+# as a small command.  build_parser() itself returns a fresh parser.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

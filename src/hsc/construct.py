@@ -23,19 +23,17 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .hypercore import Hypergraph, Permutation
+from .hypercore import Hypergraph, Permutation, _positions
 
 __all__ = [
     "AdmissibilityError",
-    "ConstructionParams",
     "EdgeFamilies",
     "build_gamma",
     "build_gamma_families",
     "edge_counts",
     "half",
-    "inverse_of_two",
+    "side_modulus",
     "swap_antimorphism",
-    "vertex_index",
     "vertex_label",
 ]
 
@@ -44,59 +42,24 @@ class AdmissibilityError(ValueError):
     """A parameter fails a congruence or divisibility requirement."""
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
-    """Derived quantities of an admissible order: n = 4*kparam + 2, m = n/2.
-
-    The construction parameter kparam is always derived from n; m = 2*kparam + 1
-    is the odd residue modulus shared by both vertex sides.
-    """
-
-    kparam: int
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.kparam < 1:
-            raise AdmissibilityError(f"construction parameter {self.kparam} must be >= 1")
-        if self.m != 2 * self.kparam + 1 or self.n != 4 * self.kparam + 2:
-            raise AdmissibilityError(
-                f"inconsistent parameters kparam={self.kparam}, m={self.m}, n={self.n}"
-            )
-
-    @classmethod
-    def from_order(cls, n: int) -> "ConstructionParams":
-        if n < 6 or n % 4 != 2:
-            raise AdmissibilityError(
-                f"inadmissible order n={n}: need n >= 6 and n % 4 == 2"
-            )
-        kparam = (n - 2) // 4
-        return cls(kparam=kparam, m=2 * kparam + 1, n=n)
-
-
-def inverse_of_two(m: int) -> int:
-    """Multiplicative inverse of 2 mod odd m; equals (m+1)/2."""
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"modulus must be odd and >= 3, got {m}")
-    return (m + 1) // 2
+def side_modulus(n: int) -> int:
+    """The odd residue modulus m = n/2 shared by both vertex sides of an
+    admissible order n; raises AdmissibilityError for any other order."""
+    if n < 6 or n % 4 != 2:
+        raise AdmissibilityError(
+            f"inadmissible order n={n}: need n >= 6 and n % 4 == 2"
+        )
+    return n // 2
 
 
 def half(x: int, m: int) -> int:
-    """The unique residue y with 2*y == x (mod m), for odd m."""
+    """The unique residue y with 2*y == x (mod m), for odd m; the inverse of
+    2 mod m is (m+1)/2."""
     if m < 3 or m % 2 == 0:
         raise ValueError(f"modulus must be odd and >= 3, got {m}")
     if not 0 <= x < m:
         raise ValueError(f"residue {x} out of range [0, {m})")
-    return x * inverse_of_two(m) % m
-
-
-def vertex_index(residue: int, side: int, m: int) -> int:
-    """Linear index of vertex (residue, side) under the a + side*m layout."""
-    if side not in (0, 1):
-        raise ValueError(f"side must be 0 or 1, got {side}")
-    if not 0 <= residue < m:
-        raise ValueError(f"residue {residue} out of range [0, {m})")
-    return residue + side * m
+    return x * ((m + 1) // 2) % m
 
 
 def vertex_label(v: int, m: int) -> str:
@@ -137,9 +100,14 @@ class EdgeFamilies:
 
 
 def build_gamma_families(n: int) -> EdgeFamilies:
-    """Build the edge families of the order-n construction, kept separate."""
-    params = ConstructionParams.from_order(n)
-    m = params.m
+    """Build the edge families of the order-n construction, kept separate.
+
+    The subset-position bound is checked before any family is built: past
+    it the families alone would take seconds and gigabytes to build, only
+    for the Hypergraph constructor to refuse them.
+    """
+    m = side_modulus(n)
+    _positions(n, 3)
 
     side0 = tuple(combinations(range(m), 3))
 
@@ -187,6 +155,5 @@ def swap_antimorphism(n: int) -> Permutation:
 
 def edge_counts(n: int) -> tuple[int, int, int]:
     """Closed-form family sizes (side0, midpoint, off-midpoint); sum comb(n,3)/2."""
-    params = ConstructionParams.from_order(n)
-    m = params.m
+    m = side_modulus(n)
     return (comb(m, 3), comb(m, 2), comb(m, 2) * (m - 1))

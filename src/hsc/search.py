@@ -95,21 +95,29 @@ def tau_orbits_on_ksubsets(n: int, k: int, tau: Permutation) -> OrbitDecompositi
     return OrbitDecomposition(n=n, k=k, orbits=tuple(orbits))
 
 
-def _check_feasible(dec: OrbitDecomposition) -> None:
+def _feasible_orbits(n: int, k: int, tau: Permutation, cap: int) -> OrbitDecomposition:
+    """Decompose tau's action on the k-subsets and refuse an odd orbit or a
+    candidate space larger than `cap`."""
+    dec = tau_orbits_on_ksubsets(n, k, tau)
     for o in dec.orbits:
         if len(o) % 2:
             raise InfeasibleAntimorphismError(
                 f"orbit of odd length {len(o)} starting at rank {o[0]} "
                 f"admits no alternating edge assignment"
             )
+    if 1 << dec.orbit_count > cap:
+        raise CandidateCapExceeded(
+            f"2^{dec.orbit_count} candidates exceed the cap of {cap}"
+        )
+    return dec
 
 
-def _candidates(dec: OrbitDecomposition, emit: int):
-    """Yield the first `emit` alternating assignments in lexicographic bit
-    order (bit of the first orbit most significant; bit 1 puts the orbit's
-    least rank in the edge set)."""
+def _candidates(dec: OrbitDecomposition):
+    """Yield every alternating assignment in lexicographic bit order (bit of
+    the first orbit most significant; bit 1 puts the orbit's least rank in
+    the edge set)."""
     o = dec.orbit_count
-    for c in range(emit):
+    for c in range(1 << o):
         ranks = []
         for j, orbit in enumerate(dec.orbits):
             bit = (c >> (o - 1 - j)) & 1
@@ -120,28 +128,15 @@ def _candidates(dec: OrbitDecomposition, emit: int):
 
 
 def enumerate_sc_hypergraphs(
-    n: int,
-    k: int,
-    tau: Permutation,
-    *,
-    cap: int = DEFAULT_CANDIDATE_CAP,
-    truncate: bool = False,
+    n: int, k: int, tau: Permutation, *, cap: int = DEFAULT_CANDIDATE_CAP
 ):
     """All hypergraphs for which tau exchanges edges and non-edges.
 
-    Returns a generator over the 2**orbit_count alternating assignments.
-    When the assignment space exceeds `cap`, raises CandidateCapExceeded
-    unless truncate=True, in which case only the first `cap` candidates are
-    produced.
+    Returns a lazy generator over the 2**orbit_count alternating
+    assignments; raises CandidateCapExceeded up front when there are more
+    than `cap` of them.  Take a prefix with `itertools.islice`.
     """
-    dec = tau_orbits_on_ksubsets(n, k, tau)
-    _check_feasible(dec)
-    total = 1 << dec.orbit_count
-    if total > cap and not truncate:
-        raise CandidateCapExceeded(
-            f"2^{dec.orbit_count} candidates exceed the cap of {cap}"
-        )
-    return _candidates(dec, min(total, cap))
+    return _candidates(_feasible_orbits(n, k, tau, cap))
 
 
 @dataclass(frozen=True)
@@ -151,7 +146,6 @@ class SearchSummary:
     orbit_count: int
     candidate_total: int
     examined: int
-    truncated: bool
     regular: tuple[Hypergraph, ...]
 
     def summary_line(self) -> str:
@@ -168,28 +162,15 @@ def search_regular_sc(
     tau: Permutation,
     *,
     cap: int = DEFAULT_CANDIDATE_CAP,
-    truncate: bool = False,
 ) -> SearchSummary:
     """Enumerate the alternating assignments for tau and keep the t-subset
     regular ones, in enumeration order."""
-    dec = tau_orbits_on_ksubsets(n, k, tau)
-    _check_feasible(dec)
+    dec = _feasible_orbits(n, k, tau, cap)
+    survivors = tuple(h for h in _candidates(dec) if t_subset_regularity(h, t))
     total = 1 << dec.orbit_count
-    if total > cap and not truncate:
-        raise CandidateCapExceeded(
-            f"2^{dec.orbit_count} candidates exceed the cap of {cap}"
-        )
-    emit = min(total, cap)
-    survivors = []
-    examined = 0
-    for h in _candidates(dec, emit):
-        examined += 1
-        if t_subset_regularity(h, t):
-            survivors.append(h)
     return SearchSummary(
         orbit_count=dec.orbit_count,
         candidate_total=total,
-        examined=examined,
-        truncated=emit < total,
-        regular=tuple(survivors),
+        examined=total,
+        regular=survivors,
     )

@@ -307,20 +307,14 @@ def find_antimorphism(
     return found[0] if found else None
 
 
-def _enumerate_automorphisms(h, *, allow_large=False, node_budget=None):
-    _require_search_order(h.n, allow_large)
-    return _backtrack_images(
-        h, want_equal=True, node_budget=node_budget, first_only=False
-    )
-
-
 def automorphism_vertex_orbits(
     h: Hypergraph, *, allow_large: bool = False, node_budget: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of the vertices under the full automorphism group,
     found by exhaustive backtracking; a single orbit means vertex-transitive."""
-    autos = _enumerate_automorphisms(
-        h, allow_large=allow_large, node_budget=node_budget
+    _require_search_order(h.n, allow_large)
+    autos = _backtrack_images(
+        h, want_equal=True, node_budget=node_budget, first_only=False
     )
     parent = list(range(h.n))
 
@@ -393,31 +387,17 @@ def vertex_invariant_k4(h: Hypergraph, v: int) -> int:
     return _k4_profile(h)[v]
 
 
-def euler_characteristic_triangulation(
-    h: Hypergraph, *, skeleton: str = "complete"
-) -> int:
-    """V - E + F for the triangle complex of a 3-uniform hypergraph whose
-    pairs each lie in exactly two triangles.
-
-    With skeleton="complete" every one of the comb(n,2) vertex pairs counts
-    as a 1-cell and must lie in exactly 2 triangles.  With
-    skeleton="covered" only pairs lying in some triangle count, and only
-    those must have coverage exactly 2.
-    """
+def euler_characteristic_triangulation(h: Hypergraph) -> int:
+    """V - E + F for the triangle complex of a 3-uniform hypergraph in which
+    every one of the comb(n,2) vertex pairs is a 1-cell lying in exactly two
+    triangles."""
     if h.k != 3:
         raise ValueError("defined for 3-uniform hypergraphs only")
-    if skeleton not in ("complete", "covered"):
-        raise ValueError(f"unknown skeleton convention {skeleton!r}")
-    total_pairs = comb(h.n, 2)
     counts = coverage(h, 2)
-    required = (2,) if skeleton == "complete" else (0, 2)
     for r, c in enumerate(counts):
-        if c not in required:
+        if c != 2:
             raise ValueError(
                 f"not a triangulation candidate: pair {unrank_colex(r, h.n, 2)}"
                 f" lies in {c} edges, need exactly 2"
             )
-    skeleton_edges = (
-        total_pairs if skeleton == "complete" else sum(1 for c in counts if c)
-    )
-    return h.n - skeleton_edges + h.edge_count
+    return h.n - len(counts) + h.edge_count

@@ -123,21 +123,16 @@ def regularity(h: Hypergraph, t: int) -> RegularityReport:
     return RegularityReport(t=t, valence=first)
 
 
-def euler_characteristic(h: Hypergraph, skeleton: str = "complete") -> int:
+def euler_characteristic(h: Hypergraph) -> int:
     """V - E + F, raising the same ValueError as the kernel on a non-candidate."""
     counts = coverage_by_combinations(h, 2)
-    required = (2,) if skeleton == "complete" else (0, 2)
     for r, c in enumerate(counts):
-        if c not in required:
+        if c != 2:
             raise ValueError(
                 f"not a triangulation candidate: pair {unrank_colex(r, h.n, 2)}"
                 f" lies in {c} edges, need exactly 2"
             )
-    if skeleton == "complete":
-        skeleton_edges = len(counts)
-    else:
-        skeleton_edges = sum(1 for c in counts if c)
-    return h.n - skeleton_edges + h.edge_count
+    return h.n - len(counts) + h.edge_count
 
 
 def antimorphism(h: Hypergraph, tau) -> AntimorphismCheck:

@@ -349,3 +349,148 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["construct"])  # missing required --n
     assert exc.value.code == 2
+
+
+# Exact stdout and exit code of every verify and invariants report branch.
+# The inputs are the order-6 construction, that construction without its
+# colex-first edge (unbalanced, not regular, no antimorphism) and the complete
+# 3-uniform hypergraph on 5 vertices; `id.perm` holds the identity of order 6.
+GOLDEN_VERIFY = {
+    ("g6.hsc", "swap"): (
+        0,
+        "n=6\nk=3\nt=2\nedges=10\nbalance=true\nregular=true\nvalence=2\n"
+        "antimorphism=swap\nantimorphism_ok=true\nresult=pass\n",
+        "hypergraph n=6 k=3 with 10 edges\n"
+        "edge balance: 10 of 20 subsets are edges; balanced\n"
+        "2-subset coverage: regular, every 2-subset lies in 2 edges\n"
+        "antimorphism (swap): verified\n"
+        "verdict: pass\n",
+    ),
+    ("broken.hsc", "swap"): (
+        1,
+        "n=6\nk=3\nt=2\nedges=9\nbalance=false\nregular=false\nwitness=0,3\n"
+        "witness_count=2\nfirst_count=1\nantimorphism=swap\n"
+        "antimorphism_ok=false\nantimorphism_witness=0,1,2\nresult=fail\n",
+        "hypergraph n=6 k=3 with 9 edges\n"
+        "edge balance: 9 of 20 subsets are edges; NOT balanced\n"
+        "2-subset coverage: NOT regular; {0 (0_0), 3 (0_1)} lies in 2 edges "
+        "while the colex-first subset lies in 1\n"
+        "antimorphism (swap): FAILS at {0 (0_0), 1 (1_0), 2 (2_0)}\n"
+        "verdict: fail\n",
+    ),
+    ("g6.hsc", "id.perm"): (
+        1,
+        "n=6\nk=3\nt=2\nedges=10\nbalance=true\nregular=true\nvalence=2\n"
+        "antimorphism=file:id.perm\nantimorphism_ok=false\n"
+        "antimorphism_witness=0,1,2\nresult=fail\n",
+        "hypergraph n=6 k=3 with 10 edges\n"
+        "edge balance: 10 of 20 subsets are edges; balanced\n"
+        "2-subset coverage: regular, every 2-subset lies in 2 edges\n"
+        "antimorphism (file:id.perm): FAILS at {0 (0_0), 1 (1_0), 2 (2_0)}\n"
+        "verdict: fail\n",
+    ),
+    ("broken.hsc", "search"): (
+        1,
+        "n=6\nk=3\nt=2\nedges=9\nbalance=false\nregular=false\nwitness=0,3\n"
+        "witness_count=2\nfirst_count=1\nantimorphism=search\n"
+        "antimorphism_ok=none\nresult=fail\n",
+        "hypergraph n=6 k=3 with 9 edges\n"
+        "edge balance: 9 of 20 subsets are edges; NOT balanced\n"
+        "2-subset coverage: NOT regular; {0 (0_0), 3 (0_1)} lies in 2 edges "
+        "while the colex-first subset lies in 1\n"
+        "antimorphism (search): none found\n"
+        "verdict: fail\n",
+    ),
+    ("g6.hsc", "search", "--budget", "0"): (
+        1,
+        "n=6\nk=3\nt=2\nedges=10\nbalance=true\nregular=true\nvalence=2\n"
+        "antimorphism=search\nantimorphism_ok=inconclusive\nresult=fail\n",
+        "hypergraph n=6 k=3 with 10 edges\n"
+        "edge balance: 10 of 20 subsets are edges; balanced\n"
+        "2-subset coverage: regular, every 2-subset lies in 2 edges\n"
+        "antimorphism (search): inconclusive, budget exhausted\n"
+        "verdict: fail\n",
+    ),
+}
+
+GOLDEN_INVARIANTS = {
+    "g6.hsc": (
+        "n=6\nk=3\nedges=10\nk4=0,0,0,0,0,0\nk4_distinct=1\norbit=0,1,2,3,4,5\n"
+        "orbit_count=1\neuler_characteristic=1\n",
+        "n: 6\nk: 3\nedges: 10\nk4: 0,0,0,0,0,0\nk4_distinct: 1\n"
+        "orbit: 0 (0_0), 1 (1_0), 2 (2_0), 3 (0_1), 4 (1_1), 5 (2_1)\n"
+        "orbit_count: 1\neuler_characteristic: 1\n",
+    ),
+    "g10.hsc": (
+        "n=10\nk=3\nedges=60\nk4=4,4,4,4,4,0,0,0,0,0\nk4_distinct=2\n"
+        "orbit_count=inconclusive\n",
+        "n: 10\nk: 3\nedges: 60\nk4: 4,4,4,4,4,0,0,0,0,0\nk4_distinct: 2\n"
+        "orbit_count: inconclusive\n",
+    ),
+    "k5.hsc": (
+        "n=5\nk=3\nedges=10\nk4=4,4,4,4,4\nk4_distinct=1\norbit=0,1,2,3,4\n"
+        "orbit_count=1\n",
+        "n: 5\nk: 3\nedges: 10\nk4: 4,4,4,4,4\nk4_distinct: 1\n"
+        "orbit: 0,1,2,3,4\norbit_count: 1\n",
+    ),
+}
+
+
+@pytest.fixture
+def golden_dir(tmp_path, monkeypatch):
+    # Relative paths keep the `file:` label of a permutation file stable.
+    monkeypatch.chdir(tmp_path)
+    write_edge_list(build_gamma(6), "g6.hsc")
+    write_edge_list(hsc.Hypergraph(6, 3, build_gamma(6).edges()[1:]), "broken.hsc")
+    write_edge_list(build_gamma(10), "g10.hsc")
+    write_edge_list(hsc.Hypergraph.complete(5, 3), "k5.hsc")
+    Path("id.perm").write_text("0 1 2 3 4 5\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_VERIFY))
+def test_verify_golden_output(capsys, golden_dir, case):
+    path, tau, *extra = case
+    code, kv_out, text_out = GOLDEN_VERIFY[case]
+    argv = ["verify", "--in", path, "--tau", tau, *extra]
+    assert run(capsys, *argv, "--format", "kv") == (code, kv_out, "")
+    assert run(capsys, *argv, "--format", "text") == (code, text_out, "")
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_INVARIANTS))
+def test_invariants_golden_output(capsys, golden_dir, path):
+    kv_out, text_out = GOLDEN_INVARIANTS[path]
+    argv = ["invariants", "--in", path]
+    assert run(capsys, *argv, "--format", "kv") == (0, kv_out, "")
+    assert run(capsys, *argv, "--format", "text") == (0, text_out, "")
+
+
+def test_parser_is_built_once_and_survives_usage_errors(capsys, tmp_path):
+    from hsc import cli
+
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    path = tmp_path / "g6.hsc"
+    write_edge_list(build_gamma(6), path)
+    argv = ["verify", "--in", str(path), "--tau", "search", "--format", "text"]
+    alone = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--in", str(path), "--budget", "-1", "--format", "xml"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *argv) == alone
+    assert run(capsys, "verify", "--in", str(path)) == (
+        0,
+        GOLDEN_VERIFY[("g6.hsc", "swap")][1],
+        "",
+    )
+
+
+def test_construct_refuses_past_the_position_bound(capsys):
+    # Refused before the families are built, with the Hypergraph message.
+    code, stdout, stderr = run(capsys, "construct", "--n", "470")
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        f"error: comb(470,3)={comb(470, 3)} subset positions exceed the "
+        f"supported bound of {hsc.hypercore.MAX_POSITIONS}\n"
+    )

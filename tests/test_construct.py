@@ -4,17 +4,15 @@ import pytest
 
 from hsc.construct import (
     AdmissibilityError,
-    ConstructionParams,
     build_gamma,
     build_gamma_families,
     edge_counts,
     half,
-    inverse_of_two,
+    side_modulus,
     swap_antimorphism,
-    vertex_index,
     vertex_label,
 )
-from hsc.hypercore import to_edge_list_text
+from hsc.hypercore import MAX_POSITIONS, to_edge_list_text
 
 ADMISSIBLE_ORDERS = [6, 10, 14, 18]
 
@@ -35,23 +33,24 @@ GAMMA6_EDGES = {
 
 
 def test_inverse_of_two_small():
-    assert inverse_of_two(3) == 2
-    assert inverse_of_two(5) == 3
+    # The inverse of 2 mod odd m is half(1, m).
+    assert half(1, 3) == 2
+    assert half(1, 5) == 3
 
 
 def test_inverse_of_two_closed_form():
     for kp in range(1, 21):
         m = 2 * kp + 1
-        inv = inverse_of_two(m)
+        inv = half(1, m)
         assert inv == kp + 1
         assert 2 * inv % m == 1
 
 
 def test_inverse_of_two_rejects_even():
     with pytest.raises(ValueError):
-        inverse_of_two(4)
+        half(0, 4)
     with pytest.raises(ValueError):
-        inverse_of_two(1)
+        half(0, 1)
 
 
 def test_half_known_values():
@@ -75,24 +74,28 @@ def test_half_rejects_bad_inputs():
 
 
 def test_construction_params():
-    p = ConstructionParams.from_order(10)
-    assert (p.kparam, p.m, p.n) == (2, 5, 10)
-    with pytest.raises(AdmissibilityError):
-        ConstructionParams.from_order(8)
-    with pytest.raises(AdmissibilityError):
-        ConstructionParams.from_order(2)
-    with pytest.raises(AdmissibilityError):
-        ConstructionParams(kparam=2, m=5, n=11)
+    assert side_modulus(10) == 5
+    for n in (8, 2):
+        with pytest.raises(AdmissibilityError) as exc:
+            side_modulus(n)
+        assert str(exc.value) == (
+            f"inadmissible order n={n}: need n >= 6 and n % 4 == 2"
+        )
 
 
 def test_vertex_indexing_helpers():
-    assert vertex_index(2, 0, 3) == 2
-    assert vertex_index(2, 1, 3) == 5
+    assert vertex_label(2, 3) == "2_0"
     assert vertex_label(5, 3) == "2_1"
     with pytest.raises(ValueError):
-        vertex_index(3, 0, 3)
-    with pytest.raises(ValueError):
-        vertex_index(0, 2, 3)
+        vertex_label(6, 3)
+
+
+def test_families_refused_past_the_position_bound():
+    # 470 is the least admissible order with comb(n, 3) > MAX_POSITIONS; the
+    # refusal must come before any family is built.
+    assert comb(466, 3) <= MAX_POSITIONS < comb(470, 3)
+    with pytest.raises(ValueError, match="exceed the supported bound"):
+        build_gamma_families(470)
 
 
 def test_gamma6_exact_edge_set():

@@ -1,3 +1,4 @@
+from itertools import islice
 from math import comb
 
 import pytest
@@ -89,22 +90,23 @@ def test_cap_refusal_names_candidate_count():
 
 
 def test_truncated_enumeration():
+    # The enumeration is lazy: a prefix under a large enough cap costs only
+    # the candidates it takes.
     phi = swap_antimorphism(6)
-    got = list(enumerate_sc_hypergraphs(6, 3, phi, cap=8, truncate=True))
+    got = list(islice(enumerate_sc_hypergraphs(6, 3, phi), 8))
     assert len(got) == 8
     full = list(enumerate_sc_hypergraphs(6, 3, phi))
+    assert len(full) == 1024
     assert got == full[:8]
-    summary = search_regular_sc(6, 3, 2, phi, cap=8, truncate=True)
-    assert summary.truncated and summary.examined == 8
-    assert summary.candidate_total == 1024
+    with pytest.raises(CandidateCapExceeded):
+        enumerate_sc_hypergraphs(6, 3, phi, cap=8)
 
 
 def test_search_survivors_order_6():
     phi = swap_antimorphism(6)
     res = search_regular_sc(6, 3, 2, phi)
     assert res.orbit_count == 10
-    assert res.candidate_total == 1024
-    assert not res.truncated
+    assert res.candidate_total == res.examined == 1024
     assert len(res.regular) == SURVIVOR_COUNT_ORDER_6
     assert res.summary_line() == "orbits=10 candidates=1024 regular=8"
     assert all(t_subset_regularity(h, 2).valence == 2 for h in res.regular)

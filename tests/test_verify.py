@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from hsc.construct import AdmissibilityError, build_gamma, build_gamma_families, swap_antimorphism
-from hsc.hypercore import Hypergraph, Permutation
+from hsc.hypercore import Hypergraph, Permutation, coverage
 from hsc.verify import (
     SearchBudgetExceeded,
     SearchOrderError,
@@ -289,10 +289,17 @@ def test_euler_characteristic_tetrahedron():
 
 
 def test_euler_characteristic_octahedron_covered_skeleton():
+    # The octahedron's non-antipodal pairs lie in two faces each, but its
+    # antipodal pairs lie in none, and every pair counts as a 1-cell.
     octa = octahedron()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lies in 0 edges"):
         euler_characteristic_triangulation(octa)
-    assert euler_characteristic_triangulation(octa, skeleton="covered") == 2
+    # Only the covered pairs form the sphere's 1-skeleton: V - E + F = 2.
+    counts = coverage(octa, 2)
+    assert sorted(set(counts)) == [0, 2]
+    covered = sum(1 for c in counts if c)
+    assert (octa.n, covered, octa.edge_count) == (6, 12, 8)
+    assert octa.n - covered + octa.edge_count == 2
 
 
 def test_euler_characteristic_rejects_non_triangulations():
@@ -300,8 +307,6 @@ def test_euler_characteristic_rejects_non_triangulations():
         euler_characteristic_triangulation(build_gamma(10))
     with pytest.raises(ValueError):
         euler_characteristic_triangulation(Hypergraph.complete(5, 2))
-    with pytest.raises(ValueError):
-        euler_characteristic_triangulation(build_gamma(6), skeleton="odd")
 
 
 def test_regularity_double_counting_check_is_explicit(monkeypatch):
