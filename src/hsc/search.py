@@ -13,6 +13,7 @@ orbit's bit most significant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
 from math import comb
 
 from .colex import _binomial_table, _colex_columns, _image_ranks
@@ -116,15 +117,9 @@ def _candidates(dec: OrbitDecomposition):
     """Yield every alternating assignment in lexicographic bit order (bit of
     the first orbit most significant; bit 1 puts the orbit's least rank in
     the edge set)."""
-    o = dec.orbit_count
-    for c in range(1 << o):
-        ranks = []
-        for j, orbit in enumerate(dec.orbits):
-            bit = (c >> (o - 1 - j)) & 1
-            for pos, r in enumerate(orbit):
-                if (pos % 2 == 0) == bool(bit):
-                    ranks.append(r)
-        yield Hypergraph.from_ranks(dec.n, dec.k, ranks)
+    choices = [(orbit[1::2], orbit[::2]) for orbit in dec.orbits]
+    for picks in product(*choices):
+        yield Hypergraph.from_ranks(dec.n, dec.k, chain.from_iterable(picks))
 
 
 def enumerate_sc_hypergraphs(
@@ -144,9 +139,16 @@ class SearchSummary:
     """Result of an enumeration filtered by subset-regularity."""
 
     orbit_count: int
-    candidate_total: int
-    examined: int
     regular: tuple[Hypergraph, ...]
+
+    @property
+    def candidate_total(self) -> int:
+        return 1 << self.orbit_count
+
+    @property
+    def examined(self) -> int:
+        """Candidates tested for regularity: all of them."""
+        return self.candidate_total
 
     def summary_line(self) -> str:
         return (
@@ -167,10 +169,4 @@ def search_regular_sc(
     regular ones, in enumeration order."""
     dec = _feasible_orbits(n, k, tau, cap)
     survivors = tuple(h for h in _candidates(dec) if t_subset_regularity(h, t))
-    total = 1 << dec.orbit_count
-    return SearchSummary(
-        orbit_count=dec.orbit_count,
-        candidate_total=total,
-        examined=total,
-        regular=survivors,
-    )
+    return SearchSummary(orbit_count=dec.orbit_count, regular=survivors)

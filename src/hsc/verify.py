@@ -5,8 +5,8 @@ characteristic of 2-valent triple systems.
 
 All checks are pure functions of their inputs.  The antimorphism check
 relabels the edges once, column-wise, and passes when the relabeled
-indicator is the original with every byte flipped; only a failing check
-walks the k-subsets for the lex-first witness.  The exhaustive searches
+hypergraph is the original's complement; only a failing check walks the
+k-subsets for the lex-first witness.  The exhaustive searches
 (antimorphism and automorphism enumeration) are gated by order: orders up
 to 8 run freely, 9 and 10 need an explicit opt-in, anything larger is
 refused outright; they rank each image subset through the binomial table.
@@ -24,7 +24,7 @@ from itertools import compress
 from math import comb
 from operator import eq, getitem
 
-from .colex import _FLIP, _binomial_table, colex_walk, unrank_colex
+from .colex import _binomial_table, colex_walk, unrank_colex
 from .construct import AdmissibilityError, EdgeFamilies
 from .hypercore import Hypergraph, Permutation, coverage
 
@@ -212,14 +212,14 @@ def verify_antimorphism(h: Hypergraph, tau: Permutation) -> AntimorphismCheck:
     k-subset (lex order) violating the exchange.
 
     s is an edge of the pull-back under tau iff tau(s) is an edge of h, so
-    tau passes exactly when the pull-back's indicator is h's with every byte
-    flipped: one bytes comparison.  Only on failure does a colex walk look
-    for the violations, where the two indicators agree.
+    tau passes exactly when the pull-back is h's complement: one comparison
+    of indicator bytes.  Only on failure does a colex walk look for the
+    violations, where the two indicators agree.
     """
     if tau.n != h.n:
         raise ValueError(f"permutation length {tau.n} != order {h.n}")
     pulled = h.permute(tau.inverse())
-    if pulled.indicator == h.indicator.tobytes().translate(_FLIP):
+    if pulled == h.complement():
         return AntimorphismCheck(ok=True)
     agree = map(eq, h.indicator, pulled.indicator)
     witness = min(compress(colex_walk(h.n, h.k), agree))

@@ -2,8 +2,8 @@
 
 These are the straightforward per-subset versions that the table-driven
 kernel in `hsc.hypercore`, its column passes (build, permute, complement,
-serialize) and the one-pass K4 profile, table-ranked backtracking and
-orbit map in `hsc.verify` and `hsc.search` replaced.  They rank with
+serialize) and the one-pass K4 profile, table-ranked backtracking, orbit
+map and candidate enumeration in `hsc.verify` and `hsc.search` replaced.  They rank with
 `subset_rank`'s comb sum and unrank with `unrank_colex`, so they share no
 code with the binomial table, the colex walk, the column ranking or the
 pair-link bitsets, and the differential tests compare the two routes on
@@ -96,6 +96,22 @@ def tau_orbits(n: int, k: int, tau: Permutation) -> OrbitDecomposition:
             r = subset_rank(tau.apply_to_subset(unrank_colex(r, n, k)))
         orbits.append(tuple(cycle))
     return OrbitDecomposition(n=n, k=k, orbits=tuple(orbits))
+
+
+def candidates_by_bits(dec: OrbitDecomposition):
+    """The sorted edge ranks of every alternating assignment, in the order
+    of `hsc.search`'s enumeration: candidate c is read off the bits of c,
+    the first orbit's most significant, and bit 1 puts the orbit's even
+    positions (its least rank first) in the edge set, bit 0 its odd ones."""
+    o = dec.orbit_count
+    for c in range(1 << o):
+        ranks = []
+        for j, orbit in enumerate(dec.orbits):
+            bit = (c >> (o - 1 - j)) & 1
+            for pos, r in enumerate(orbit):
+                if (pos % 2 == 0) == bool(bit):
+                    ranks.append(r)
+        yield tuple(sorted(ranks))
 
 
 def coverage_by_combinations(h: Hypergraph, t: int) -> list[int]:

@@ -97,6 +97,32 @@ def test_hypergraph_membership_and_counts():
     assert list(h.edges()) == [(0, 1, 2), (1, 2, 3)]
 
 
+def test_every_route_builds_the_same_hypergraph():
+    edges = [(2, 3, 5), (0, 1, 2), (1, 3, 4), (0, 4, 5), (0, 2, 4)]
+    ordered = sorted(edges, key=lambda s: tuple(reversed(s)))
+    ranks = [subset_rank(e) for e in ordered]
+    shuffled = ranks[::-1]
+    text = "p hsc 6 3\n" + "".join(f"e {a} {b} {c}\n" for a, b, c in edges)
+    h = Hypergraph(6, 3, edges)
+    routes = [
+        h,
+        Hypergraph.from_ranks(6, 3, shuffled),
+        h.complement().complement(),
+        h.permute(Permutation.identity(6)),
+        from_edge_list_text(text),
+    ]
+    for g in routes:
+        assert g.edge_count == 5
+        assert g.edge_ranks == tuple(ranks)
+        assert g.edges() == tuple(ordered)
+        assert g.columns() == tuple(zip(*ordered))
+        assert g.indicator.tobytes() == bytes(r in ranks for r in range(comb(6, 3)))
+        assert g == h and hash(g) == hash(h)
+    assert h != Hypergraph(6, 3, edges[1:])
+    # Equal indicator bytes (four ones) with a different k.
+    assert Hypergraph.complete(4, 1) != Hypergraph.complete(4, 3)
+
+
 def test_hypergraph_rejects_bad_edges():
     with pytest.raises(ValueError):
         Hypergraph(4, 3, [(0, 1, 2), (0, 1, 2)])

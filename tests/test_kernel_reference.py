@@ -1,7 +1,7 @@
 """Differential tests: the table-driven colex kernel and its column passes
 (build, permute, complement, serialize, parse), the one-pass K4 profile,
-the table-ranked image search and the orbit map against the slow reference
-implementations in `colex_reference`."""
+the table-ranked image search, the orbit map and the candidate order
+against the slow reference implementations in `colex_reference`."""
 
 import random
 from itertools import chain, combinations, islice
@@ -529,3 +529,19 @@ def test_tau_orbits_match_reference():
         for k in (0, 1, 2, 3, 4, n + 1):
             for tau in taus:
                 assert tau_orbits_on_ksubsets(n, k, tau) == ref.tau_orbits(n, k, tau)
+
+
+def test_candidate_order_matches_reference():
+    # The swap pairs the triples of order 6 (1024 candidates); the 4-cycle
+    # (0 1 2 3) and the 6-cycle move pairs and triples in longer orbits.
+    cases = (
+        (6, 3, swap_antimorphism(6), [2] * 10),
+        (4, 2, Permutation([1, 2, 3, 0]), [2, 4]),
+        (6, 3, Permutation([1, 2, 3, 4, 5, 0]), [2, 6, 6, 6]),
+    )
+    for n, k, tau, lengths in cases:
+        dec = tau_orbits_on_ksubsets(n, k, tau)
+        assert sorted(map(len, dec.orbits)) == lengths
+        got = [h.edge_ranks for h in enumerate_sc_hypergraphs(n, k, tau)]
+        assert len(got) == 1 << dec.orbit_count
+        assert got == list(ref.candidates_by_bits(dec))
