@@ -81,13 +81,12 @@ class _NonNegative(argparse.Action):
 
 def _cmd_construct(args) -> int:
     h = build_gamma(args.n)
-    text = to_edge_list_text(h)
     summary = f"edges={h.edge_count} valence={(args.n - 2) // 2}"
     if args.out:
-        Path(args.out).write_bytes(text.encode("ascii"))
+        write_edge_list(h, args.out)
         print(summary)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(to_edge_list_text(h))
         print(summary, file=sys.stderr)
     return 0
 

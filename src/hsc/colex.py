@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, islice, repeat
 from math import comb
-from operator import add, itemgetter, lt
+from operator import add, lt
 
 __all__ = [
     "colex_walk",
@@ -108,10 +108,10 @@ def _column_ranks(rows, columns):
     return ranks
 
 
-def _image_ranks(columns, images, rows) -> list[int]:
-    """Colex ranks of the images, each re-sorted, of the k-subsets whose
-    vertex columns are given, under the vertex map `images`; rows is the
-    binomial table for n and k.
+def _image_ranks(columns, images, rows):
+    """Colex ranks, lazily, of the images, each re-sorted, of the k-subsets
+    whose vertex columns are given, under the vertex map `images`; rows is
+    the binomial table for n and k.
 
     Works through _PARSE_BLOCK subsets at a time: it maps each column slice
     of a block through `images`, zips the image columns into subsets, sorts
@@ -119,12 +119,13 @@ def _image_ranks(columns, images, rows) -> list[int]:
     one block of image subsets exists at once.
     """
     image = images.__getitem__
-    ranks = []
-    for start in range(0, len(columns[0]), _PARSE_BLOCK):
+
+    def block(start):
         stop = start + _PARSE_BLOCK
         mapped = zip(*[map(image, column[start:stop]) for column in columns])
-        ranks.extend(_column_ranks(rows, list(zip(*map(sorted, mapped)))))
-    return ranks
+        return _column_ranks(rows, list(zip(*map(sorted, mapped))))
+
+    return chain.from_iterable(map(block, range(0, len(columns[0]), _PARSE_BLOCK)))
 
 
 def _colex_columns(n: int, k: int) -> list:
@@ -156,22 +157,14 @@ def colex_walk(n: int, k: int):
     return zip(*_colex_columns(n, k))
 
 
-def _valid_columns(subsets, n: int, k: int) -> bool:
-    """True iff validate_ksubset(s, n, k) passes for every s in subsets.
-
-    Checks the whole list column by column instead: every length is k, the
-    first column is at least 0, the last is below n and each column lies
-    strictly below the next.
-    """
-    if not all(map(k.__eq__, map(len, subsets))):
-        return False
-    if not (k and subsets):
+def _valid_columns(columns, n: int) -> bool:
+    """True iff the subsets whose i-th vertices run down columns[i] are
+    strictly increasing tuples inside [0, n): the first column is at least
+    0, the last is below n and each column lies strictly below the next."""
+    if not (columns and columns[0]):
         return True
     return (
-        min(map(itemgetter(0), subsets)) >= 0
-        and max(map(itemgetter(k - 1), subsets)) < n
-        and all(
-            all(map(lt, map(itemgetter(i), subsets), map(itemgetter(i + 1), subsets)))
-            for i in range(k - 1)
-        )
+        min(columns[0]) >= 0
+        and max(columns[-1]) < n
+        and all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:]))
     )

@@ -20,10 +20,12 @@ every 2-subset of vertices lies in exactly (n-2)/2 edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, repeat
 from math import comb
+from operator import add
 
-from .hypercore import Hypergraph, Permutation, _positions
+from .colex import _binomial_table, _colex_columns, _column_ranks, _valid_columns
+from .hypercore import Hypergraph, Permutation, _positions, _set_ranks
 
 __all__ = [
     "AdmissibilityError",
@@ -69,6 +71,26 @@ def vertex_label(v: int, m: int) -> str:
     return f"{v % m}_{v // m}"
 
 
+class Triples:
+    """Vertex triples held as three columns (column i holds the i-th vertex
+    of every triple).  len, iteration (as tuples) and slicing work as on a
+    tuple of triples."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns):
+        self.columns = tuple(columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return zip(*self.columns)
+
+    def __getitem__(self, index: slice) -> "Triples":
+        return Triples(column[index] for column in self.columns)
+
+
 @dataclass(frozen=True)
 class EdgeFamilies:
     """The three disjoint edge families of a constructed hypergraph.
@@ -79,60 +101,73 @@ class EdgeFamilies:
 
     n: int
     m: int
-    side0_triples: tuple[tuple[int, int, int], ...]
-    midpoint_triples: tuple[tuple[int, int, int], ...]
-    off_midpoint_triples: tuple[tuple[int, int, int], ...]
+    side0_triples: Triples
+    midpoint_triples: Triples
+    off_midpoint_triples: Triples
+
+    def _families(self) -> tuple[Triples, Triples, Triples]:
+        return (self.side0_triples, self.midpoint_triples, self.off_midpoint_triples)
 
     def sizes(self) -> tuple[int, int, int]:
-        return (
-            len(self.side0_triples),
-            len(self.midpoint_triples),
-            len(self.off_midpoint_triples),
-        )
+        return tuple(map(len, self._families()))
 
     def all_edges(self) -> tuple[tuple[int, int, int], ...]:
-        return self.side0_triples + self.midpoint_triples + self.off_midpoint_triples
+        return tuple(chain.from_iterable(self._families()))
 
     def to_hypergraph(self) -> Hypergraph:
-        # The Hypergraph constructor rejects duplicate edges, so this also
-        # enforces pairwise disjointness of the families.
-        return Hypergraph(self.n, 3, self.all_edges())
+        """Rank each family column-wise into one indicator; a triple that
+        is invalid or repeated (fewer set bytes than triples) sends all the
+        edges through the Hypergraph constructor, which reports it."""
+        n, families = self.n, self._families()
+        bits = bytearray(_positions(n, 3))
+        edges = sum(map(len, families))
+        if all(_valid_columns(f.columns, n) for f in families):
+            rows = _binomial_table(n, 3)
+            for f in families:
+                _set_ranks(bits, _column_ranks(rows, f.columns))
+            if bits.count(1) == edges:
+                return Hypergraph._from_indicator(n, 3, bits, edges)
+        return Hypergraph(n, 3, self.all_edges())
 
 
 def build_gamma_families(n: int) -> EdgeFamilies:
     """Build the edge families of the order-n construction, kept separate.
 
-    The subset-position bound is checked before any family is built: past
-    it the families alone would take seconds and gigabytes to build, only
-    for the Hypergraph constructor to refuse them.
+    Each family is built as three vertex columns from the colex columns of
+    the residue pairs and triples, with no tuple per edge: a residue pair
+    (a, b) is the side-0 pair of one midpoint triple and, shifted by m, the
+    side-1 pair of m - 1 off-midpoint triples.  The subset-position bound is
+    checked first: past it the families alone would take seconds and
+    gigabytes to build, only for the hypergraph to be refused.
     """
     m = side_modulus(n)
     _positions(n, 3)
 
-    side0 = tuple(combinations(range(m), 3))
+    side0 = Triples(list(column) for column in _colex_columns(m, 3))
 
-    midpoint = []
-    for a, b in combinations(range(m), 2):
-        c = half((a + b) % m, m)
-        # c == a would force a == b mod m; guards against modulus bugs.
-        if c == a or c == b:
-            raise RuntimeError(f"midpoint {c} of {a} and {b} mod {m} is an endpoint")
-        midpoint.append((a, b, c + m))
+    a, b = (list(column) for column in _colex_columns(m, 2))
+    # halves[a + b] is the midpoint residue (a + b) / 2 mod m.
+    halves = [half(x % m, m) for x in range(2 * m - 1)]
+    mid = list(map(halves.__getitem__, map(add, a, b)))
+    for x, y, c in zip(a, b, mid):
+        # c == x would force x == y mod m; guards against modulus bugs.
+        if c == x or c == y:
+            raise RuntimeError(f"midpoint {c} of {x} and {y} mod {m} is an endpoint")
+    midpoint = Triples((a, b, list(map(m.__add__, mid))))
 
-    off_midpoint = []
-    for b, c in combinations(range(m), 2):
-        banned = half((b + c) % m, m)
-        for a in range(m):
-            if a != banned:
-                off_midpoint.append((a, b + m, c + m))
+    # others[c]: every residue but c, the first vertices of the off-midpoint
+    # triples through the side-1 pair with midpoint c.
+    others = [tuple(range(c)) + tuple(range(c + 1, m)) for c in range(m)]
 
-    return EdgeFamilies(
-        n=n,
-        m=m,
-        side0_triples=side0,
-        midpoint_triples=tuple(midpoint),
-        off_midpoint_triples=tuple(off_midpoint),
-    )
+    def spread(column):
+        """Each side-1 vertex of the column, repeated for its m - 1 triples."""
+        side1 = map(m.__add__, column)
+        return list(chain.from_iterable(map(repeat, side1, repeat(m - 1))))
+
+    first = list(chain.from_iterable(map(others.__getitem__, mid)))
+    off_midpoint = Triples((first, spread(a), spread(b)))
+
+    return EdgeFamilies(n, m, side0, midpoint, off_midpoint)
 
 
 def build_gamma(n: int) -> Hypergraph:

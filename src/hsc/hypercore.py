@@ -17,15 +17,18 @@ run per edge.  Nothing is ever unranked on the way out: a hypergraph's
 columns are the colex columns of all k-subsets compressed against its
 indicator bytes; the parser looks each vertex token up among the decimal
 labels of [0, n) and ranks each edge line straight from its tokens; the
-serializer joins the same labels.
+serializer joins the same labels.  The parse and the relabeling set each
+block's ranks straight into a fresh indicator, and `write_edge_list` writes
+each block of text as it is made: no list of ranks, lines or edge tuples is
+built, so the indicator and the memoized columns are all that is per edge.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, compress, repeat
+from itertools import chain, combinations, compress, repeat
 from math import comb
-from operator import itemgetter, lt
+from operator import itemgetter
 from pathlib import Path
 
 from .colex import (
@@ -59,10 +62,18 @@ __all__ = [
     "write_edge_list",
 ]
 
+# Characters per chunk of the parse's fast route.  A chunk's strings take
+# about 30 bytes per character: 64 KB chunks peaked above the whole-document
+# parse at n = 50 (1.72 against 1.44 MB), 16 KB ones at 0.49 MB, and parse
+# times were flat from 8 to 64 KB at n = 102 and 302.
+_PARSE_CHUNK = 1 << 14
+
 # Refuse more subset positions than this.  On the construction, one fresh
-# process per command (2 vCPUs, Python 3.11, peak = VmHWM), `construct` and
-# `verify` take 3.5-4.1 s at 342 MB and 7.1-7.6 s at 327 MB at n = 302, and
-# 15.3 s at 1.41 GB and 30.0 s at 1.16 GB at n = 466, the largest order under it.
+# process per command (2 vCPUs, Python 3.11, peak = VmHWM), `construct --out`
+# and `verify` take 2.0-2.4 s at 92 MB and 6.1-6.6 s at 83 MB at n = 302, and
+# 8.4-8.9 s at 259 MB and 22.6-24.8 s at 258 MB at n = 466, the largest
+# order under it.  There the 16.8 MB indicator, the 201 MB of memoized vertex
+# columns and, in `verify`, the 111 MB document are what peak.
 MAX_POSITIONS = 1 << 24
 
 def _positions(n: int, k: int) -> int:
@@ -149,13 +160,14 @@ class Hypergraph:
 
     def __init__(self, n: int, k: int, edges=()):
         subsets = list(map(tuple, edges))
-        if not _valid_columns(subsets, n, k):
+        shaped = all(map(k.__eq__, map(len, subsets)))
+        columns = [list(map(itemgetter(i), subsets)) for i in range(k)] if shaped else []
+        if not (shaped and _valid_columns(columns, n)):
             # Rerun the per-subset checks only to report the first bad
             # subset with its message.
             for s in subsets:
                 validate_ksubset(s, n, k)
         positions = _positions(n, k)
-        columns = [map(itemgetter(i), subsets) for i in range(k)]
         ranks = list(_column_ranks(_binomial_table(n, k), columns))
         self._setup(n, k, positions, ranks)
 
@@ -164,6 +176,13 @@ class Hypergraph:
         """Build from colex ranks directly (validated for range and duplicates)."""
         obj = cls.__new__(cls)
         obj._setup(n, k, _positions(n, k), list(ranks))
+        return obj
+
+    @classmethod
+    def _from_indicator(cls, n, k, bits, edge_count) -> "Hypergraph":
+        """Wrap indicator bytes that have edge_count bytes set (unchecked)."""
+        obj = cls.__new__(cls)
+        obj._fill(n, k, bits, edge_count)
         return obj
 
     @classmethod
@@ -178,9 +197,8 @@ class Hypergraph:
         """Fill the instance from a list of edge ranks in any order."""
         bits = bytearray(positions)
         if ranks and 0 <= min(ranks) and max(ranks) < positions:
-            # bytearray.__setitem__ returns None, so any() runs it on every
-            # rank; fewer set bytes than ranks means a duplicate.
-            any(map(bits.__setitem__, ranks, repeat(1)))
+            _set_ranks(bits, ranks)
+        # Fewer set bytes than ranks means a duplicate.
         if bits.count(1) != len(ranks):
             # Find the first bad rank, in input order, for its message.
             bits = bytearray(positions)
@@ -236,19 +254,27 @@ class Hypergraph:
 
     def complement(self) -> "Hypergraph":
         """Same vertices, edge set flipped to the unused k-subsets."""
-        obj = Hypergraph.__new__(Hypergraph)
         flipped = self._bits.translate(_FLIP)
-        obj._fill(self.n, self.k, flipped, self.positions - self.edge_count)
-        return obj
+        return Hypergraph._from_indicator(
+            self.n, self.k, flipped, self.positions - self.edge_count
+        )
 
     def permute(self, sigma: Permutation) -> "Hypergraph":
         """Relabel vertices through sigma; edges are re-sorted images, ranked
-        column-wise one block of edges at a time."""
+        column-wise one block of edges at a time and set straight into the
+        new indicator."""
         if sigma.n != self.n:
             raise ValueError(f"permutation length {sigma.n} != order {self.n}")
         rows = _binomial_table(self.n, self.k)
-        ranks = _image_ranks(self.columns(), sigma.images, rows)
-        return Hypergraph.from_ranks(self.n, self.k, ranks)
+        bits = bytearray(self.positions)
+        _set_ranks(bits, _image_ranks(self.columns(), sigma.images, rows))
+        # A bijection maps distinct edges to distinct images.
+        count = bits.count(1)
+        if count != self.edge_count:
+            raise RuntimeError(
+                f"relabeling gives {count} distinct edges, not {self.edge_count}"
+            )
+        return Hypergraph._from_indicator(self.n, self.k, bits, count)
 
     def is_complete_on(self, vertices) -> bool:
         """True iff every k-subset of the given vertex set is an edge."""
@@ -273,6 +299,12 @@ class Hypergraph:
 
     def __repr__(self):
         return f"Hypergraph(n={self.n}, k={self.k}, edges={self.edge_count})"
+
+
+def _set_ranks(bits: bytearray, ranks) -> None:
+    """Set byte r of an indicator to 1 for every rank r (no range check)."""
+    # bytearray.__setitem__ returns None, so any() runs it on every rank.
+    any(map(bits.__setitem__, ranks, repeat(1)))
 
 
 def coverage(h: Hypergraph, t: int) -> list[int]:
@@ -303,8 +335,10 @@ def coverage(h: Hypergraph, t: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def to_edge_list_text(h: Hypergraph, comments=()) -> str:
-    """Serialize a hypergraph to the edge-list text format (bit-exact)."""
+def _edge_list_blocks(h: Hypergraph, comments=()):
+    """The edge-list text in pieces: the header and comment lines (checked
+    on the call), then one string per block of edge lines, each ending in a
+    newline, so that the line strings of only one block exist at a time."""
     lines = [f"p hsc {h.n} {h.k}"]
     for c in comments:
         if "\n" in c:
@@ -317,13 +351,19 @@ def to_edge_list_text(h: Hypergraph, comments=()) -> str:
     # and n = 4e6, where each label is printed at most once, one edge takes
     # 1.7 s against 1.1 s with str().
     label = tuple(map(str, range(h.n))).__getitem__
-    # One string per block of edge lines, so that the line strings of only
-    # one block exist at a time next to the growing text.
-    for start in range(0, h.edge_count, _PARSE_BLOCK):
+
+    def block(start):
         stop = start + _PARSE_BLOCK
         labels = [map(label, column[start:stop]) for column in columns]
-        lines.append("\n".join(map(" ".join, zip(repeat("e"), *labels))))
-    return "\n".join(lines) + "\n"
+        return "\n".join(map(" ".join, zip(repeat("e"), *labels))) + "\n"
+
+    head = "\n".join(lines) + "\n"
+    return chain((head,), map(block, range(0, h.edge_count, _PARSE_BLOCK)))
+
+
+def to_edge_list_text(h: Hypergraph, comments=()) -> str:
+    """Serialize a hypergraph to the edge-list text format (bit-exact)."""
+    return "".join(_edge_list_blocks(h, comments))
 
 
 def _parse_uint(token: str, context: str) -> int:
@@ -332,24 +372,35 @@ def _parse_uint(token: str, context: str) -> int:
     return int(token)
 
 
-def _fast_edge_ranks(lines, n: int, k: int) -> list[int] | None:
-    """Colex ranks of edge lines that are all on the fast route, else None.
+def _fast_parse(text: str, start: int, end: int, n: int, k: int):
+    """The hypergraph of the edge lines in text[start:end] (at least one),
+    if all are on the fast route and no edge repeats, else None.
 
     The fast route takes exactly the lines the strict loop accepts without
     complaint: "e" and k vertex labels joined by single spaces, strictly
-    increasing.  Each block of lines is split into fields, each vertex field
-    is looked up among the labels of [0, n), and the block is checked and
-    ranked column by column; any other line makes the whole document fall
-    back to the strict loop, which reports it.
+    increasing.  The lines are cut into chunks of about _PARSE_CHUNK
+    characters at newlines; each chunk is split into fields, each vertex
+    field is looked up among the labels of [0, n), and the chunk is checked
+    and ranked column by column into the indicator.  A repeated edge shows
+    as fewer set bytes than edge lines.
     """
     rows = _binomial_table(n, k)
     # The vertex tokens the format allows are exactly the decimal labels of
     # [0, n): leading zeros, signs, non-ASCII digits and n itself all miss.
     vertex = {str(v): v for v in range(n)}.__getitem__
     width = k + 1
-    ranks = []
-    for start in range(0, len(lines), _PARSE_BLOCK):
-        block = lines[start : start + _PARSE_BLOCK]
+    bits = bytearray(comb(n, k))
+    edges = 0
+    while start <= end:
+        stop = text.find("\n", start + _PARSE_CHUNK, end)
+        if stop < 0:
+            stop = end
+        block = text[start:stop].split("\n")
+        start = stop + 1
+        if any(map(str.startswith, block, repeat("c"))):
+            block = [line for line in block if not (line.startswith("c ") or line == "c")]
+            if not block:
+                continue
         fields = " ".join(block).split(" ")
         # Every line opens with an "e" field, which is no vertex label, so
         # with width * len(block) fields any line not at exactly width
@@ -365,25 +416,30 @@ def _fast_edge_ranks(lines, n: int, k: int) -> list[int] | None:
         except KeyError:
             return None
         columns = [values[i::k] for i in range(k)]
-        if not all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:])):
+        if not _valid_columns(columns, n):
             return None
-        ranks.extend(_column_ranks(rows, columns))
-    return ranks
+        _set_ranks(bits, _column_ranks(rows, columns))
+        edges += len(block)
+    if bits.count(1) != edges:
+        return None
+    return Hypergraph._from_indicator(n, k, bits, edges)
 
 
 def from_edge_list_text(text: str) -> Hypergraph:
     """Parse the edge-list text format; strict about shape and duplicates."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    if not text:
         raise ValueError("empty edge-list document")
-    head = lines[0].split(" ")
+    # The document's lines end at `end`, before one final newline if any.
+    end = len(text) - text.endswith("\n")
+    header_end = text.find("\n", 0, end)
+    if header_end < 0:
+        header_end = end
+    head = text[:header_end].split(" ")
     if len(head) != 4 or head[0] != "p" or head[1] != "hsc":
-        raise ValueError(f"bad header line: {lines[0]!r}")
+        raise ValueError(f"bad header line: {text[:header_end]!r}")
     n = _parse_uint(head[2], "header order")
     k = _parse_uint(head[3], "header uniformity")
-    edge_lines = lines[1:]
+    edge_lines = text.count("\n", header_end, end)
     # The fast route's label map costs O(n) whatever the document's length,
     # about 120 bytes and 0.16-0.75 us per vertex, and pays back per vertex
     # token; only k = 1 reaches orders where that matters.  At k = 1 the
@@ -391,16 +447,15 @@ def from_edge_list_text(text: str) -> Hypergraph:
     # on at n = 4e5, and from between n / 2 and n lines on at n = 4e6, and
     # the strict loop always peaked lower in memory, so documents with
     # fewer vertex tokens than vertices take the strict loop.
-    if 1 <= k <= n <= k * len(edge_lines) and comb(n, k) <= MAX_POSITIONS:
-        if any(map(str.startswith, edge_lines, repeat("c"))):
-            edge_lines = [
-                line
-                for line in edge_lines
-                if not (line.startswith("c ") or line == "c")
-            ]
-        ranks = _fast_edge_ranks(edge_lines, n, k)
-        if ranks is not None:
-            return Hypergraph.from_ranks(n, k, ranks)
+    if 1 <= k <= n <= k * edge_lines and comb(n, k) <= MAX_POSITIONS:
+        h = _fast_parse(text, header_end + 1, end, n, k)
+        if h is not None:
+            return h
+    # Any other document takes the strict loop, which reports the first bad
+    # line or the first repeated edge.
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     edges = []
     for lineno, line in enumerate(lines[1:], start=2):
         if line.startswith("c ") or line == "c":
@@ -415,7 +470,12 @@ def from_edge_list_text(text: str) -> Hypergraph:
 
 
 def write_edge_list(h: Hypergraph, path, comments=()) -> None:
-    Path(path).write_bytes(to_edge_list_text(h, comments).encode("ascii"))
+    """Write the edge-list text to path one block at a time, as made."""
+    blocks = _edge_list_blocks(h, comments)
+    head = next(blocks).encode("ascii")
+    with open(path, "wb") as f:
+        f.write(head)
+        f.writelines(map(str.encode, blocks))
 
 
 def read_edge_list(path) -> Hypergraph:

@@ -17,7 +17,7 @@ from itertools import chain, product
 from math import comb
 
 from .colex import _binomial_table, _colex_columns, _image_ranks
-from .hypercore import Hypergraph, Permutation
+from .hypercore import Hypergraph, Permutation, _positions
 from .verify import t_subset_regularity
 
 __all__ = [
@@ -79,7 +79,7 @@ def tau_orbits_on_ksubsets(n: int, k: int, tau: Permutation) -> OrbitDecompositi
     image = [0]
     if 0 < k <= n:
         columns = [tuple(column) for column in _colex_columns(n, k)]
-        image = _image_ranks(columns, tau.images, _binomial_table(n, k))
+        image = list(_image_ranks(columns, tau.images, _binomial_table(n, k)))
     seen = bytearray(total)
     orbits = []
     for start in range(total):
@@ -98,7 +98,9 @@ def tau_orbits_on_ksubsets(n: int, k: int, tau: Permutation) -> OrbitDecompositi
 
 def _feasible_orbits(n: int, k: int, tau: Permutation, cap: int) -> OrbitDecomposition:
     """Decompose tau's action on the k-subsets and refuse an odd orbit or a
-    candidate space larger than `cap`."""
+    candidate space larger than `cap`; a uniformity outside [1, n] or past
+    the position bound is refused before the decomposition."""
+    _positions(n, k)
     dec = tau_orbits_on_ksubsets(n, k, tau)
     for o in dec.orbits:
         if len(o) % 2:

@@ -8,14 +8,24 @@ map and candidate enumeration in `hsc.verify` and `hsc.search` replaced.  They r
 code with the binomial table, the colex walk, the column ranking or the
 pair-link bitsets, and the differential tests compare the two routes on
 the same inputs.
+
+The last three are the whole-edge-set versions that the streamed paths
+replaced: the construction's families as tuples, the parse's fast route
+over the whole document at once, and a relabeling through the full list of
+image ranks.
 """
 
 from __future__ import annotations
 
 import itertools
+from itertools import repeat
 from math import comb
+from operator import lt
 
+from hsc.colex import _binomial_table, _column_ranks, _image_ranks
+from hsc.construct import half, side_modulus
 from hsc.hypercore import (
+    MAX_POSITIONS,
     Hypergraph,
     Permutation,
     _parse_uint,
@@ -247,3 +257,82 @@ def backtrack_images(h: Hypergraph, *, want_equal, node_budget, first_only):
 
     extend(0)
     return found, nodes
+
+
+def gamma_families(n: int):
+    """The construction's (side0, midpoint, off-midpoint) families as tuples
+    of sorted triples, one Python loop step per edge."""
+    m = side_modulus(n)
+    side0 = tuple(itertools.combinations(range(m), 3))
+    midpoint = []
+    for a, b in itertools.combinations(range(m), 2):
+        c = half((a + b) % m, m)
+        if c == a or c == b:
+            raise RuntimeError(f"midpoint {c} of {a} and {b} mod {m} is an endpoint")
+        midpoint.append((a, b, c + m))
+    off_midpoint = []
+    for b, c in itertools.combinations(range(m), 2):
+        banned = half((b + c) % m, m)
+        for a in range(m):
+            if a != banned:
+                off_midpoint.append((a, b + m, c + m))
+    return side0, tuple(midpoint), tuple(off_midpoint)
+
+
+def permute_by_rank_list(h: Hypergraph, sigma: Permutation) -> Hypergraph:
+    """h relabeled through sigma via the full list of image ranks."""
+    rows = _binomial_table(h.n, h.k)
+    ranks = list(_image_ranks(h.columns(), sigma.images, rows))
+    return Hypergraph.from_ranks(h.n, h.k, ranks)
+
+
+def _whole_document_ranks(lines, n: int, k: int):
+    """Colex ranks of edge lines that are all on the fast route, else None;
+    every line of the document is held at once."""
+    rows = _binomial_table(n, k)
+    vertex = {str(v): v for v in range(n)}.__getitem__
+    width = k + 1
+    ranks = []
+    for start in range(0, len(lines), 1024):
+        block = lines[start : start + 1024]
+        fields = " ".join(block).split(" ")
+        if not (
+            len(fields) == width * len(block)
+            and all(map(str.startswith, block, repeat("e ")))
+        ):
+            return None
+        del fields[::width]
+        try:
+            values = list(map(vertex, fields))
+        except KeyError:
+            return None
+        columns = [values[i::k] for i in range(k)]
+        if not all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:])):
+            return None
+        ranks.extend(_column_ranks(rows, columns))
+    return ranks
+
+
+def parse_whole_document(text: str) -> Hypergraph:
+    """The parser with its fast route over the whole document's line list,
+    falling back to the strict `parse` for any other document."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if lines:
+        head = lines[0].split(" ")
+        if len(head) == 4 and head[:2] == ["p", "hsc"] and all(
+            t.isascii() and t.isdigit() for t in head[2:]
+        ):
+            n, k = int(head[2]), int(head[3])
+            edge_lines = lines[1:]
+            if 1 <= k <= n <= k * len(edge_lines) and comb(n, k) <= MAX_POSITIONS:
+                edge_lines = [
+                    line
+                    for line in edge_lines
+                    if not (line.startswith("c ") or line == "c")
+                ]
+                ranks = _whole_document_ranks(edge_lines, n, k)
+                if ranks is not None:
+                    return Hypergraph.from_ranks(n, k, ranks)
+    return parse(text)

@@ -263,6 +263,19 @@ def test_search_odd_orbit_is_a_mathematical_failure(capsys, tmp_path):
     assert stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "option, stderr",
+    [
+        (["--k", "0"], "error: uniformity k=0 must satisfy 1 <= k <= n=6\n"),
+        (["--k", "7"], "error: uniformity k=7 must satisfy 1 <= k <= n=6\n"),
+        (["--t", "0"], "error: need 1 <= t < k=3, got t=0\n"),
+        (["--t", "3"], "error: need 1 <= t < k=3, got t=3\n"),
+    ],
+)
+def test_search_parameter_errors_are_usage_errors(capsys, option, stderr):
+    assert run(capsys, "search", "--n", "6", *option) == (2, "", stderr)
+
+
 def test_search_emit_files_verify(capsys, tmp_path):
     emit = tmp_path / "survivors"
     code, stdout, _ = run(capsys, "search", "--n", "6", "--emit", str(emit))

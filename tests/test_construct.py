@@ -191,6 +191,14 @@ def test_midpoint_check_is_explicit(monkeypatch):
         build_gamma_families(6)
 
 
+def test_midpoint_check_covers_the_larger_endpoint(monkeypatch):
+    # A midpoint of m - 1 lands on the larger residue of every pair (a, m - 1)
+    # and on the smaller one of none.
+    monkeypatch.setattr("hsc.construct.half", lambda x, m: m - 1)
+    with pytest.raises(RuntimeError, match="midpoint 4 of 0 and 4 mod 5 is an endpoint"):
+        build_gamma_families(10)
+
+
 def test_edge_count_check_is_explicit(monkeypatch):
     import dataclasses
 

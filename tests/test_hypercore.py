@@ -1,8 +1,11 @@
 import itertools
+import random
+import tracemalloc
 from math import comb
 
 import pytest
 
+from hsc.construct import build_gamma, swap_antimorphism
 from hsc.hypercore import (
     Hypergraph,
     Permutation,
@@ -228,3 +231,52 @@ def test_edge_list_parser_accepts_comments_and_rejects_junk():
         from_edge_list_text("p hsc 4 3\ne 0 1 2\ne 0 1 2\n")
     with pytest.raises(ValueError):
         from_edge_list_text("p hsc 4 3\ne 0  1 2\n")
+
+
+def test_write_edge_list_streams_the_same_bytes(tmp_path):
+    h = build_gamma(14)
+    path = tmp_path / "g14.hsc"
+    write_edge_list(h, path, comments=("a", "b c"))
+    assert path.read_bytes() == to_edge_list_text(h, ("a", "b c")).encode("ascii")
+    # A bad comment is refused before the file is opened.
+    for comments in (("a\nb",), ("caf\u00e9",)):
+        with pytest.raises(ValueError):
+            write_edge_list(h, tmp_path / "bad.hsc", comments)
+        assert not (tmp_path / "bad.hsc").exists()
+
+
+def test_permute_count_check_is_explicit(monkeypatch):
+    g = build_gamma(6)
+    # Every image ranked 0: one set byte for ten edges.
+    monkeypatch.setattr(
+        "hsc.hypercore._image_ranks", lambda columns, images, rows: [0] * 10
+    )
+    with pytest.raises(RuntimeError, match="gives 1 distinct edges, not 10"):
+        g.permute(Permutation.identity(6))
+
+
+def test_streamed_paths_peak_small_at_order_102(tmp_path):
+    # At n = 102 the indicator takes 0.17 MB and the memoized vertex columns
+    # 2.1 MB.  The whole-edge-set paths these replaced peaked at 11.2 MB
+    # (construct and write), 11.7 MB (read) and 6.2 MB (a first relabeling).
+    path = tmp_path / "g102.hsc"
+    sigma = list(range(102))
+    random.Random(102).shuffle(sigma)
+    peaks = {}
+
+    def measure(name, step):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = step()
+        peaks[name] = tracemalloc.get_traced_memory()[1] - base
+        return result
+
+    tracemalloc.start()
+    try:
+        measure("construct and write", lambda: write_edge_list(build_gamma(102), path))
+        g = measure("read", lambda: read_edge_list(path))
+        measure("first relabeling", lambda: g.permute(Permutation(sigma)))
+        measure("swap", lambda: g.permute(swap_antimorphism(102)))
+    finally:
+        tracemalloc.stop()
+    assert max(peaks.values()) < 4e6, peaks

@@ -3,6 +3,7 @@
 the table-ranked image search, the orbit map and the candidate order
 against the slow reference implementations in `colex_reference`."""
 
+import dataclasses
 import random
 from itertools import chain, combinations, islice
 from math import comb
@@ -10,7 +11,8 @@ from math import comb
 import pytest
 
 import colex_reference as ref
-from hsc.construct import build_gamma, swap_antimorphism
+from hsc import hypercore
+from hsc.construct import Triples, build_gamma, build_gamma_families, swap_antimorphism
 from hsc.hypercore import (
     MAX_POSITIONS,
     Hypergraph,
@@ -209,7 +211,7 @@ def parse_both(text):
         assert str(got.value) == str(exc)
         return None
     got = from_edge_list_text(text)
-    assert got == expected
+    assert got == expected == ref.parse_whole_document(text)
     return got
 
 
@@ -545,3 +547,162 @@ def test_candidate_order_matches_reference():
         got = [h.edge_ranks for h in enumerate_sc_hypergraphs(n, k, tau)]
         assert len(got) == 1 << dec.orbit_count
         assert got == list(ref.candidates_by_bits(dec))
+
+
+# Chunk sizes for the parse's fast route: from one line per chunk to the
+# whole document in one.
+CHUNKS = (1, 2, 5, 11, 16, 40, 1 << 16)
+
+
+@pytest.fixture
+def fast_route(monkeypatch):
+    """The outcome of every chunked fast-route parse: True when it built the
+    hypergraph, False when it handed the document to the strict loop."""
+    seen = []
+    real = hypercore._fast_parse
+
+    def spy(*args):
+        h = real(*args)
+        seen.append(h is not None)
+        return h
+
+    monkeypatch.setattr(hypercore, "_fast_parse", spy)
+    return seen
+
+
+def parse_in_chunks(monkeypatch, fast_route, text):
+    """parse_both at every chunk size in CHUNKS; returns the parsed
+    hypergraph (None on an error) and whether the fast route took it."""
+    results = []
+    for size in CHUNKS:
+        monkeypatch.setattr(hypercore, "_PARSE_CHUNK", size)
+        fast_route.clear()
+        results.append((parse_both(text), fast_route == [True]))
+    assert len(set(results)) == 1
+    return results[0]
+
+
+def test_parser_comments_at_chunk_edges(monkeypatch, fast_route):
+    g = build_gamma(10)
+    lines = to_edge_list_text(g).split("\n")
+    for every in (1, 2, 3, 7):
+        edited = list(lines[:1])
+        for i, line in enumerate(lines[1:-1]):
+            edited.append(line)
+            if i % every == 0:
+                edited.append(("c", "c x", "c a longer comment line")[i % 3])
+        text = "\n".join(edited + [""])
+        assert parse_in_chunks(monkeypatch, fast_route, text) == (g, True)
+    # A document of comments and a single edge line.
+    text = "p hsc 3 3\n" + "c\n" * 30 + "e 0 1 2\n" + "c z\n" * 30
+    assert parse_in_chunks(monkeypatch, fast_route, text) == (
+        Hypergraph.complete(3, 3),
+        True,
+    )
+
+
+def test_parser_bad_line_in_the_last_chunk(monkeypatch, fast_route):
+    lines = to_edge_list_text(build_gamma(10)).split("\n")
+    for bad in ("e 0 1", "e 0 1 2 ", "e 2 1 0", "e 0 1 10", "", "cx"):
+        text = "\n".join(lines[:-2] + [bad, ""])
+        assert parse_in_chunks(monkeypatch, fast_route, text) == (None, False)
+    # An empty last line before the final newline is a line too.
+    text = "\n".join(lines) + "\n"
+    assert parse_in_chunks(monkeypatch, fast_route, text) == (None, False)
+    assert parse_in_chunks(monkeypatch, fast_route, "p hsc 3 3\n\n") == (None, False)
+
+
+def test_parser_duplicate_split_across_chunks(monkeypatch, fast_route):
+    lines = to_edge_list_text(build_gamma(10)).split("\n")
+    for first in (1, 2, 30):
+        text = "\n".join(lines[:-1] + [lines[first], ""])
+        assert parse_in_chunks(monkeypatch, fast_route, text) == (None, False)
+        with pytest.raises(ValueError, match="duplicate edge at rank"):
+            from_edge_list_text(text)
+
+
+def test_parser_line_endings_and_short_documents(monkeypatch, fast_route):
+    g = build_gamma(10)
+    text = to_edge_list_text(g)
+    # No final newline: the same hypergraph, still on the fast route.
+    assert parse_in_chunks(monkeypatch, fast_route, text[:-1]) == (g, True)
+    head, body = text.split("\n", 1)
+    for crlf in (
+        text.replace("\n", "\r\n"),
+        head + "\n" + body.replace("\n", "\r\n"),
+        text[:-1] + "\r\n",
+    ):
+        assert parse_in_chunks(monkeypatch, fast_route, crlf) == (None, False)
+    for short in ("p hsc 10 3\n", "p hsc 10 3", "", "\n", "p hsc 10 3\nc\n"):
+        result, fast = parse_in_chunks(monkeypatch, fast_route, short)
+        assert not fast
+        assert result in (None, Hypergraph.empty(10, 3))
+
+
+def test_parser_chunk_edges_at_the_default_chunk_size(fast_route):
+    # At n = 50 the edge lines take several chunks of the default size.
+    g = build_gamma(50)
+    text = to_edge_list_text(g)
+    cut = text.index("\n") + 1 + hypercore._PARSE_CHUNK
+    edge = text.index("\n", cut)
+    assert edge < len(text) - 1
+    fast_route.clear()
+    assert parse_both(text) == g and fast_route == [True]
+    # A comment line across the cut, which the first chunk ends with, and
+    # one that opens the second chunk.
+    comment = "c " + "x" * 20 + "\n"
+    for at in (text.rindex("\n", 0, cut) + 1, edge + 1):
+        fast_route.clear()
+        assert parse_both(text[:at] + comment + text[at:]) == g
+        assert fast_route == [True]
+    lines = text.split("\n")
+    # A duplicate of an edge from the first chunk, in the second.
+    assert parse_both("\n".join(lines[:-1] + [lines[5], ""])) is None
+    # A bad line in the last chunk.
+    assert parse_both("\n".join(lines[:-2] + ["e 0 1 50", ""])) is None
+
+
+def test_families_match_tuple_reference():
+    for n in range(6, 103, 4):
+        fams = build_gamma_families(n)
+        expected = ref.gamma_families(n)
+        got = (fams.side0_triples, fams.midpoint_triples, fams.off_midpoint_triples)
+        for family, reference in zip(got, expected):
+            assert len(family) == len(reference)
+            assert set(family) == set(reference)
+        if n <= 30:
+            assert fams.to_hypergraph() == Hypergraph(n, 3, chain(*expected))
+
+
+def triples(rows):
+    return Triples(map(list, zip(*rows)))
+
+
+def test_to_hypergraph_reports_bad_families_like_the_constructor():
+    fams = build_gamma_families(10)
+    side0 = list(fams.side0_triples)
+    cases = {
+        "repeat in a family": dict(side0_triples=triples(side0 + side0[-1:])),
+        "repeat across families": dict(midpoint_triples=triples(side0[:1])),
+        "non-increasing": dict(midpoint_triples=triples([(2, 1, 9)])),
+        "vertex equal to n": dict(midpoint_triples=triples([(0, 1, 10)])),
+        "negative vertex": dict(midpoint_triples=triples([(-1, 1, 9)])),
+    }
+    for change in cases.values():
+        bad = dataclasses.replace(fams, **change)
+        with pytest.raises(ValueError) as expected:
+            Hypergraph(10, 3, bad.all_edges())
+        with pytest.raises(ValueError) as got:
+            bad.to_hypergraph()
+        assert str(got.value) == str(expected.value)
+
+
+def test_order_102_permute_matches_rank_list_reference(gamma102):
+    g = gamma102
+    sigma = random_permutation(random.Random(1020), 102)
+    for tau in (Permutation.identity(102), swap_antimorphism(102), sigma):
+        assert g.permute(tau) == ref.permute_by_rank_list(g, tau)
+    rng = random.Random(24)
+    for h in block_and_sample_hypergraphs():
+        sigma = random_permutation(rng, h.n)
+        assert h.permute(sigma) == ref.permute_by_rank_list(h, sigma)

@@ -138,3 +138,25 @@ def test_feasible_swap_with_even_uniformity_is_rejected():
     # with k=2 the side swap fixes every pair {a, a+m}, an odd orbit
     with pytest.raises(InfeasibleAntimorphismError):
         enumerate_sc_hypergraphs(6, 2, swap_antimorphism(6))
+
+
+def test_bad_parameters_are_refused(monkeypatch):
+    # t is checked on the first candidate, after the orbit checks: an odd
+    # orbit rules tau out whatever t is.
+    swap = swap_antimorphism(6)
+    for t in (0, 3):
+        with pytest.raises(ValueError) as exc:
+            search_regular_sc(6, 3, t, swap)
+        assert str(exc.value) == f"need 1 <= t < k=3, got t={t}"
+
+    # The uniformity is refused before the decomposition.
+    def refuse(*args):
+        raise AssertionError("decomposed")
+
+    monkeypatch.setattr("hsc.search.tau_orbits_on_ksubsets", refuse)
+    for k in (0, 7):
+        with pytest.raises(ValueError) as exc:
+            search_regular_sc(6, k, 2, swap)
+        assert str(exc.value) == f"uniformity k={k} must satisfy 1 <= k <= n=6"
+    with pytest.raises(ValueError, match="uniformity k=0"):
+        enumerate_sc_hypergraphs(6, 0, swap)
