@@ -8,8 +8,8 @@ points.  The hot paths of `hsc.hypercore` work on vertex columns instead
 up in a table whose rows are indexed by vertex, cached per (n, k), and
 rank, check or relabel a whole column at a time in C-level `map`/`zip`
 passes, with no Python code run per subset.  The columns of all k-subsets
-in colex order are replayed from those of the (k-1)-subsets, so nothing is
-ever unranked to list them.
+in colex order are replayed from those of the (k-1)-subsets, cached per
+(n, k), so nothing is ever unranked to list them.
 """
 
 from __future__ import annotations
@@ -128,6 +128,18 @@ def _image_ranks(columns, images, rows):
     return chain.from_iterable(map(block, range(0, len(columns[0]), _PARSE_BLOCK)))
 
 
+@lru_cache(maxsize=64)
+def _colex_heads(n: int, k: int) -> tuple:
+    """(heads, counts) for the replay of the k-subsets of [0, n), k >= 2:
+    the k - 1 columns of all (k-1)-subsets of [0, n - 1) in colex order,
+    and comb(top, k - 1) for each top in [k - 1, n), all as tuples so that
+    no caller can change the cached values.  At k = 3 and n = 466 the heads
+    are two columns of 107 880 entries, about 1.7 MB."""
+    heads = tuple(map(tuple, _colex_columns(n - 1, k - 1)))
+    counts = tuple(comb(top, k - 1) for top in range(k - 1, n))
+    return heads, counts
+
+
 def _colex_columns(n: int, k: int) -> list:
     """The vertex columns of every k-subset of [0, n) in colex order, as k
     lazy iterators: column i runs through the i-th vertex of each subset.
@@ -137,12 +149,15 @@ def _colex_columns(n: int, k: int) -> list:
     are the first comb(top, k - 1) (k-1)-subsets of [0, n - 1).  So each
     of the first k - 1 columns replays a prefix of one stored column of
     those heads for every top in turn, and the last column repeats each top
-    comb(top, k - 1) times; only the comb(n - 1, k - 1) heads are held.
+    comb(top, k - 1) times.  The comb(n - 1, k - 1) heads and the counts are
+    cached per (n, k) by `_colex_heads`, so a repeat call only replays; the
+    1-subsets are the vertex range itself and need no heads.
     """
     if k == 0:
         return []
-    heads = [list(column) for column in _colex_columns(n - 1, k - 1)]
-    counts = [comb(top, k - 1) for top in range(k - 1, n)]
+    if k == 1:
+        return [iter(range(n))]
+    heads, counts = _colex_heads(n, k)
     columns = [
         chain.from_iterable(map(islice, repeat(head), counts)) for head in heads
     ]

@@ -310,17 +310,16 @@ def _set_ranks(bits: bytearray, ranks) -> None:
 def coverage(h: Hypergraph, t: int) -> list[int]:
     """counts[r] is the number of edges containing the t-subset of colex rank r.
 
-    For each choice of t of the k positions in an edge, the ranks of the
-    chosen t-subsets are summed column by column from the binomial table
-    and tallied in one pass, so no t-subset is built as a tuple.
+    For each choice of t of the k vertex columns, the ranks of the chosen
+    t-subsets are summed column by column from the binomial table; one
+    Counter tallies the ranks of all choices chained together, so no
+    t-subset is built as a tuple.
     """
     if not 1 <= t <= h.k:
         raise ValueError(f"need 1 <= t <= k={h.k}, got t={t}")
     rows = _binomial_table(h.n, t)
-    columns = h.columns()
-    tally = Counter()
-    for places in combinations(range(h.k), t):
-        tally.update(_column_ranks(rows, [columns[j] for j in places]))
+    choices = combinations(h.columns(), t)
+    tally = Counter(chain.from_iterable(map(_column_ranks, repeat(rows), choices)))
     return list(map(tally.get, range(comb(h.n, t)), repeat(0)))
 
 
@@ -395,20 +394,28 @@ def _fast_parse(text: str, start: int, end: int, n: int, k: int):
         stop = text.find("\n", start + _PARSE_CHUNK, end)
         if stop < 0:
             stop = end
-        block = text[start:stop].split("\n")
+        chunk = text[start:stop]
         start = stop + 1
-        if any(map(str.startswith, block, repeat("c"))):
-            block = [line for line in block if not (line.startswith("c ") or line == "c")]
+        # Only a chunk with a line opening in "c" is split into lines, to
+        # drop its comments.
+        if chunk.startswith("c") or "\nc" in chunk:
+            block = [
+                line
+                for line in chunk.split("\n")
+                if not (line.startswith("c ") or line == "c")
+            ]
             if not block:
                 continue
-        fields = " ".join(block).split(" ")
-        # Every line opens with an "e" field, which is no vertex label, so
-        # with width * len(block) fields any line not at exactly width
-        # fields leaves some line's "e" among the vertex fields.
-        if not (
-            len(fields) == width * len(block)
-            and all(map(str.startswith, block, repeat("e ")))
-        ):
+            chunk = "\n".join(block)
+        lines = chunk.count("\n") + 1
+        # Each "\ne " opens one line, so the counts agree iff every line
+        # opens with "e ".  That "e" is no vertex label, so with width *
+        # lines fields, a line not at exactly width fields leaves some
+        # line's "e" among the vertex fields.
+        if chunk.count("\ne ") + chunk.startswith("e ") != lines:
+            return None
+        fields = chunk.replace("\n", " ").split(" ")
+        if len(fields) != width * lines:
             return None
         del fields[::width]
         try:
@@ -419,7 +426,7 @@ def _fast_parse(text: str, start: int, end: int, n: int, k: int):
         if not _valid_columns(columns, n):
             return None
         _set_ranks(bits, _column_ranks(rows, columns))
-        edges += len(block)
+        edges += lines
     if bits.count(1) != edges:
         return None
     return Hypergraph._from_indicator(n, k, bits, edges)

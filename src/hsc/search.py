@@ -13,7 +13,7 @@ orbit's bit most significant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 from math import comb
 
 from .colex import _binomial_table, _colex_columns, _image_ranks
@@ -96,10 +96,13 @@ def tau_orbits_on_ksubsets(n: int, k: int, tau: Permutation) -> OrbitDecompositi
     return OrbitDecomposition(n=n, k=k, orbits=tuple(orbits))
 
 
-def _feasible_orbits(n: int, k: int, tau: Permutation, cap: int) -> OrbitDecomposition:
-    """Decompose tau's action on the k-subsets and refuse an odd orbit or a
-    candidate space larger than `cap`; a uniformity outside [1, n] or past
-    the position bound is refused before the decomposition."""
+def _feasible_orbits(
+    n: int, k: int, tau: Permutation, cap: int, t: int | None = None
+) -> OrbitDecomposition:
+    """Decompose tau's action on the k-subsets, then refuse, in this order:
+    an odd orbit (a finding about tau, whatever t is), a t outside [1, k)
+    when t is given, and more than `cap` candidates.  A uniformity outside
+    [1, n] or past the position bound is refused before the decomposition."""
     _positions(n, k)
     dec = tau_orbits_on_ksubsets(n, k, tau)
     for o in dec.orbits:
@@ -108,6 +111,8 @@ def _feasible_orbits(n: int, k: int, tau: Permutation, cap: int) -> OrbitDecompo
                 f"orbit of odd length {len(o)} starting at rank {o[0]} "
                 f"admits no alternating edge assignment"
             )
+    if t is not None and not 1 <= t < k:
+        raise ValueError(f"need 1 <= t < k={k}, got t={t}")
     if 1 << dec.orbit_count > cap:
         raise CandidateCapExceeded(
             f"2^{dec.orbit_count} candidates exceed the cap of {cap}"
@@ -118,10 +123,31 @@ def _feasible_orbits(n: int, k: int, tau: Permutation, cap: int) -> OrbitDecompo
 def _candidates(dec: OrbitDecomposition):
     """Yield every alternating assignment in lexicographic bit order (bit of
     the first orbit most significant; bit 1 puts the orbit's least rank in
-    the edge set)."""
-    choices = [(orbit[1::2], orbit[::2]) for orbit in dec.orbits]
-    for picks in product(*choices):
-        yield Hypergraph.from_ranks(dec.n, dec.k, chain.from_iterable(picks))
+    the edge set).
+
+    Each orbit's two picks are made once as byte masks, ints with byte r
+    set to 1 for each picked rank r; the orbits are disjoint, so a
+    candidate's indicator is the sum of its picks' masks.  An alternating
+    assignment takes half of every even orbit, so it has exactly half the
+    positions as edges."""
+    positions = comb(dec.n, dec.k)
+    half = positions // 2
+    masks = [
+        (_byte_mask(orbit[1::2]), _byte_mask(orbit[::2])) for orbit in dec.orbits
+    ]
+    for picks in product(*masks):
+        bits = bytearray(sum(picks).to_bytes(positions, "little"))
+        count = bits.count(1)
+        if count != half:
+            raise RuntimeError(
+                f"candidate has {count} edges, not half of {positions} positions"
+            )
+        yield Hypergraph._from_indicator(dec.n, dec.k, bits, half)
+
+
+def _byte_mask(ranks) -> int:
+    """The int whose little-endian bytes are 1 at the given ranks, else 0."""
+    return sum(1 << (8 * r) for r in ranks)
 
 
 def enumerate_sc_hypergraphs(
@@ -169,6 +195,6 @@ def search_regular_sc(
 ) -> SearchSummary:
     """Enumerate the alternating assignments for tau and keep the t-subset
     regular ones, in enumeration order."""
-    dec = _feasible_orbits(n, k, tau, cap)
+    dec = _feasible_orbits(n, k, tau, cap, t)
     survivors = tuple(h for h in _candidates(dec) if t_subset_regularity(h, t))
     return SearchSummary(orbit_count=dec.orbit_count, regular=survivors)

@@ -9,7 +9,8 @@ hypergraph is the original's complement; only a failing check walks the
 k-subsets for the lex-first witness.  The exhaustive searches
 (antimorphism and automorphism enumeration) are gated by order: orders up
 to 8 run freely, 9 and 10 need an explicit opt-in, anything larger is
-refused outright; they rank each image subset through the binomial table.
+refused outright; they look each image subset up by its vertex bitmask in a
+dict of indicator bytes filled by one colex walk.
 
 The K4 vertex invariant is asked one vertex at a time but computed for all
 vertices at once: one pass over the edges fills pair-link bitsets (the
@@ -22,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from math import comb
-from operator import eq, getitem
+from operator import eq
 
-from .colex import _binomial_table, colex_walk, unrank_colex
+from .colex import colex_walk, unrank_colex
 from .construct import AdmissibilityError, EdgeFamilies
 from .hypercore import Hypergraph, Permutation, coverage
 
@@ -101,15 +102,15 @@ def t_subset_regularity(h: Hypergraph, t: int) -> RegularityReport:
         raise ValueError(f"need 1 <= t < k={h.k}, got t={t}")
     counts = coverage(h, t)
     first = counts[0]
-    for r, count in enumerate(counts):
-        if count != first:
-            return RegularityReport(
-                t=t,
-                valence=None,
-                witness=unrank_colex(r, h.n, t),
-                witness_count=count,
-                first_count=first,
-            )
+    if counts.count(first) != len(counts):
+        r = next(compress(range(len(counts)), map(first.__ne__, counts)))
+        return RegularityReport(
+            t=t,
+            valence=None,
+            witness=unrank_colex(r, h.n, t),
+            witness_count=counts[r],
+            first_count=first,
+        )
     # Double counting: valence * comb(n,t) == |E| * comb(k,t).
     if first * len(counts) != h.edge_count * comb(h.k, t):
         raise RuntimeError(
@@ -245,18 +246,27 @@ def _backtrack_images(h, *, want_equal, node_budget, first_only):
     """Enumerate permutations mapping edges to edges (want_equal) or edges to
     non-edges (not want_equal), assigning vertices in increasing order with
     candidate images ascending.  Prunes on every k-subset completed by the
-    newest assignment."""
+    newest assignment.
+
+    An image subset is looked up by its vertex bitmask: byte_of maps the
+    bitmask of each k-subset to its indicator byte, and shifted[w] holds
+    1 << images[w], so the image of e has bitmask sum(map(shift, e)), with
+    no sort and no rank.  The search order allows n <= 10, so byte_of has
+    at most comb(10, 5) = 252 entries."""
     n, k = h.n, h.k
     bits = h.indicator
-    rows = _binomial_table(n, k)
     flip = 0 if want_equal else 1
+    bit = [1 << v for v in range(n)]
     images = [0] * n
-    image = images.__getitem__
+    shifted = [0] * n
+    shift = shifted.__getitem__
     used = [False] * n
     # tails[v]: the k-subsets with largest vertex v, each with the indicator
     # byte its image must have (the walk's position is the subset's rank).
     tails = [[] for _ in range(n)]
+    byte_of = {}
     for r, e in enumerate(colex_walk(n, k)):
+        byte_of[sum(map(bit.__getitem__, e))] = bits[r]
         tails[e[-1]].append((e, bits[r] ^ flip))
     found = []
     nodes = 0
@@ -273,9 +283,9 @@ def _backtrack_images(h, *, want_equal, node_budget, first_only):
             if node_budget is not None and nodes > node_budget:
                 raise SearchBudgetExceeded(nodes)
             images[v] = cand
+            shifted[v] = bit[cand]
             for e, want in tails[v]:
-                mapped = sorted(map(image, e))
-                if bits[sum(map(getitem, rows, mapped))] != want:
+                if byte_of[sum(map(shift, e))] != want:
                     break
             else:
                 used[cand] = True

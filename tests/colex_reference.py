@@ -12,13 +12,14 @@ the same inputs.
 The last three are the whole-edge-set versions that the streamed paths
 replaced: the construction's families as tuples, the parse's fast route
 over the whole document at once, and a relabeling through the full list of
-image ranks.
+image ranks.  `colex_columns_replayed` is the colex column replay as it was
+before its heads were cached: it rebuilds them recursively on every call.
 """
 
 from __future__ import annotations
 
 import itertools
-from itertools import repeat
+from itertools import chain, islice, repeat
 from math import comb
 from operator import lt
 
@@ -336,3 +337,19 @@ def parse_whole_document(text: str) -> Hypergraph:
                 if ranks is not None:
                     return Hypergraph.from_ranks(n, k, ranks)
     return parse(text)
+
+
+def colex_columns_replayed(n: int, k: int) -> list[list[int]]:
+    """The vertex columns of every k-subset of [0, n) in colex order, as
+    lists: the heads, the columns of the (k-1)-subsets of [0, n - 1), are
+    rebuilt recursively on every call, and each top vertex replays a prefix
+    of them."""
+    if k == 0:
+        return []
+    heads = colex_columns_replayed(n - 1, k - 1)
+    counts = [comb(top, k - 1) for top in range(k - 1, n)]
+    columns = [
+        list(chain.from_iterable(map(islice, repeat(head), counts))) for head in heads
+    ]
+    columns.append(list(chain.from_iterable(map(repeat, range(k - 1, n), counts))))
+    return columns

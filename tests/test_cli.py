@@ -276,6 +276,20 @@ def test_search_parameter_errors_are_usage_errors(capsys, option, stderr):
     assert run(capsys, "search", "--n", "6", *option) == (2, "", stderr)
 
 
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (["--n", "10", "--t", "3"], "error: need 1 <= t < k=3, got t=3\n"),
+        (["--n", "10", "--t", "0"], "error: need 1 <= t < k=3, got t=0\n"),
+        (["--n", "6", "--t", "3"], "error: need 1 <= t < k=3, got t=3\n"),
+    ],
+)
+def test_search_bad_t_is_refused_before_the_cap(capsys, argv, stderr):
+    # At n = 10 the 2^60 candidates exceed the default cap: a bad t must
+    # still read as a bad t, not as a cap refusal.
+    assert run(capsys, "search", *argv) == (2, "", stderr)
+
+
 def test_search_emit_files_verify(capsys, tmp_path):
     emit = tmp_path / "survivors"
     code, stdout, _ = run(capsys, "search", "--n", "6", "--emit", str(emit))

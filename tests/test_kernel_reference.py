@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 import colex_reference as ref
-from hsc import hypercore
+from hsc import colex, hypercore
 from hsc.construct import Triples, build_gamma, build_gamma_families, swap_antimorphism
 from hsc.hypercore import (
     MAX_POSITIONS,
@@ -107,6 +107,20 @@ def test_colex_walk_is_colex_order():
             walk = list(colex_walk(n, k))
             expected = sorted(combinations(range(n), k), key=lambda s: s[::-1])
             assert walk == expected
+
+
+def test_cached_colex_columns_match_the_uncached_replay():
+    colex._colex_heads.cache_clear()
+    for n in range(13):
+        for k in range(n + 2):
+            expected = ref.colex_columns_replayed(n, k)
+            # The first call fills the cache for (n, k); the repeat reads it.
+            for _ in range(2):
+                assert list(map(list, colex._colex_columns(n, k))) == expected
+            if k >= 2:
+                heads, counts = colex._colex_heads(n, k)
+                assert type(heads) is tuple and type(counts) is tuple
+                assert all(type(head) is tuple for head in heads)
 
 
 def test_edges_match_unranking():
@@ -395,6 +409,50 @@ def test_search_budget_nodes_match_reference():
             assert got.value.nodes == expected.value.nodes
 
 
+def search_outcome(search, h, **kwargs):
+    """("found", permutations) or ("budget", nodes at exhaustion)."""
+    try:
+        return "found", search(h, **kwargs)
+    except SearchBudgetExceeded as exc:
+        return "budget", exc.nodes
+
+
+def search_samples():
+    """Seeded random hypergraphs with k = 2, 3, 4 at n = 5..9, and for each
+    exchanger up to n = 9 a random alternating assignment along its orbits,
+    relabeled, which has an antimorphism to find."""
+    rng = random.Random(4099)
+    for k in (2, 3, 4):
+        for n in range(5, 10):
+            yield random_hypergraph(rng, n, k)
+    for n, k, images in EXCHANGERS:
+        if n <= 9:
+            sigma = random_permutation(rng, n)
+            tau = sigma * Permutation(images) * sigma.inverse()
+            orbits = tau_orbits_on_ksubsets(n, k, tau).orbits
+            ranks = [r for orbit in orbits for r in orbit[rng.randrange(2) :: 2]]
+            yield Hypergraph.from_ranks(n, k, ranks)
+
+
+def test_search_on_random_hypergraphs_matches_reference():
+    for h in search_samples():
+        for want_equal in (True, False):
+            for first_only in (True, False):
+                mode = dict(want_equal=want_equal, first_only=first_only)
+                assert_search_matches(h, **mode)
+                for budget in (0, 1, 7, 40):
+                    expected = search_outcome(
+                        lambda g, **kw: ref.backtrack_images(g, **kw)[0],
+                        h,
+                        node_budget=budget,
+                        **mode,
+                    )
+                    got = search_outcome(
+                        _backtrack_images, h, node_budget=budget, **mode
+                    )
+                    assert got == expected
+
+
 def test_permute_matches_per_edge_reference():
     rng = random.Random(23)
     for h in block_and_sample_hypergraphs():
@@ -533,20 +591,35 @@ def test_tau_orbits_match_reference():
                 assert tau_orbits_on_ksubsets(n, k, tau) == ref.tau_orbits(n, k, tau)
 
 
+# The swap pairs the triples of order 6 (1024 candidates); the 4-cycle
+# (0 1 2 3) and the 6-cycle move pairs and triples in longer orbits.
+CANDIDATE_CASES = (
+    (6, 3, swap_antimorphism(6), [2] * 10),
+    (4, 2, Permutation([1, 2, 3, 0]), [2, 4]),
+    (6, 3, Permutation([1, 2, 3, 4, 5, 0]), [2, 6, 6, 6]),
+)
+
+
 def test_candidate_order_matches_reference():
-    # The swap pairs the triples of order 6 (1024 candidates); the 4-cycle
-    # (0 1 2 3) and the 6-cycle move pairs and triples in longer orbits.
-    cases = (
-        (6, 3, swap_antimorphism(6), [2] * 10),
-        (4, 2, Permutation([1, 2, 3, 0]), [2, 4]),
-        (6, 3, Permutation([1, 2, 3, 4, 5, 0]), [2, 6, 6, 6]),
-    )
-    for n, k, tau, lengths in cases:
+    for n, k, tau, lengths in CANDIDATE_CASES:
         dec = tau_orbits_on_ksubsets(n, k, tau)
         assert sorted(map(len, dec.orbits)) == lengths
         got = [h.edge_ranks for h in enumerate_sc_hypergraphs(n, k, tau)]
         assert len(got) == 1 << dec.orbit_count
         assert got == list(ref.candidates_by_bits(dec))
+
+
+def test_indicator_candidates_equal_rank_built_ones():
+    for n, k, tau, _ in CANDIDATE_CASES:
+        dec = tau_orbits_on_ksubsets(n, k, tau)
+        got = list(enumerate_sc_hypergraphs(n, k, tau))
+        expected = list(ref.candidates_by_bits(dec))
+        assert len(got) == len(expected) == 1 << dec.orbit_count
+        for h, ranks in zip(got, expected):
+            built = Hypergraph.from_ranks(n, k, ranks)
+            assert h == built
+            assert h.edge_count == built.edge_count == comb(n, k) // 2
+            assert h.edge_ranks == built.edge_ranks
 
 
 # Chunk sizes for the parse's fast route: from one line per chunk to the
@@ -660,6 +733,49 @@ def test_parser_chunk_edges_at_the_default_chunk_size(fast_route):
     assert parse_both("\n".join(lines[:-1] + [lines[5], ""])) is None
     # A bad line in the last chunk.
     assert parse_both("\n".join(lines[:-2] + ["e 0 1 50", ""])) is None
+
+
+def test_parser_line_starts_at_every_chunk_size(monkeypatch, fast_route):
+    # Twelve fields that would rank as three valid edges: only the check
+    # that every line opens with "e " tells "e 1 2 3 e 4 5" and "6" apart
+    # from two edge lines.
+    text = "p hsc 7 3\ne 0 1 2\ne 1 2 3 e 4 5\n6\n"
+    assert parse_in_chunks(monkeypatch, fast_route, text) == (None, False)
+    g = build_gamma(10)
+    lines = to_edge_list_text(g).split("\n")
+    for at in (1, 2, 31, len(lines) - 3):
+        # Two edge lines re-cut into a long one and a bare vertex.
+        head, last = lines[at + 1].rsplit(" ", 1)
+        edited = lines[:at] + [f"{lines[at]} {head}", last] + lines[at + 2 :]
+        assert parse_in_chunks(monkeypatch, fast_route, "\n".join(edited)) == (
+            None,
+            False,
+        )
+        # Comment lines and look-alikes, opening a chunk at chunk size 1.
+        for line, ok in (
+            ("c", True),
+            ("c ", True),
+            ("c a comment", True),
+            ("cx", False),
+            ("c\r", False),
+            ("c\tx", False),
+            ("ce 0 1 2", False),
+        ):
+            text = "\n".join(lines[:at] + [line] + lines[at:])
+            result = (g, True) if ok else (None, False)
+            assert parse_in_chunks(monkeypatch, fast_route, text) == result
+        # White space that only the single-space format rules out.
+        for edit in (
+            lines[at].replace(" ", "  ", 1),
+            lines[at].replace(" ", "\t", 1),
+            lines[at].replace(" ", "\t"),
+            lines[at] + " ",
+            lines[at] + "\r",
+        ):
+            text = "\n".join(lines[:at] + [edit] + lines[at + 1 :])
+            assert parse_in_chunks(monkeypatch, fast_route, text) == (None, False)
+    crlf = "\r\n".join(lines)
+    assert parse_in_chunks(monkeypatch, fast_route, crlf) == (None, False)
 
 
 def test_families_match_tuple_reference():
