@@ -10,6 +10,12 @@ rank, check or relabel a whole column at a time in C-level `map`/`zip`
 passes, with no Python code run per subset.  The columns of all k-subsets
 in colex order are replayed from those of the (k-1)-subsets, cached per
 (n, k), so nothing is ever unranked to list them.
+
+Coverage and the antimorphism check list no edges at all.  The
+k-subsets with top vertex c hold the colex ranks [comb(c, k),
+comb(c + 1, k)), in the colex order of their other k - 1 vertices, so the
+block of an indicator over those ranks is itself an indicator over the
+(k-1)-subsets of [0, c); both kernels recurse over these blocks.
 """
 
 from __future__ import annotations

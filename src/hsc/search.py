@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import comb
+from operator import eq
 
 from .colex import _binomial_table, _colex_columns, _image_ranks
 from .hypercore import Hypergraph, Permutation, _positions
@@ -102,22 +103,42 @@ def _feasible_orbits(
     """Decompose tau's action on the k-subsets, then refuse, in this order:
     an odd orbit (a finding about tau, whatever t is), a t outside [1, k)
     when t is given, and more than `cap` candidates.  A uniformity outside
-    [1, n] or past the position bound is refused before the decomposition."""
+    [1, n] or past the position bound is refused before the decomposition,
+    and so are t and the cap when tau is an involution fixing no k-subset,
+    whose comb(n, k) / 2 orbits all have length 2.
+    """
     _positions(n, k)
-    dec = tau_orbits_on_ksubsets(n, k, tau)
-    for o in dec.orbits:
-        if len(o) % 2:
-            raise InfeasibleAntimorphismError(
-                f"orbit of odd length {len(o)} starting at rank {o[0]} "
-                f"admits no alternating edge assignment"
-            )
+    dec = None
+    if _involution_fixed_ksubsets(n, k, tau) != 0:
+        dec = tau_orbits_on_ksubsets(n, k, tau)
+        for o in dec.orbits:
+            if len(o) % 2:
+                raise InfeasibleAntimorphismError(
+                    f"orbit of odd length {len(o)} starting at rank {o[0]} "
+                    f"admits no alternating edge assignment"
+                )
     if t is not None and not 1 <= t < k:
         raise ValueError(f"need 1 <= t < k={k}, got t={t}")
-    if 1 << dec.orbit_count > cap:
+    orbit_count = comb(n, k) // 2 if dec is None else dec.orbit_count
+    if 1 << orbit_count > cap:
         raise CandidateCapExceeded(
-            f"2^{dec.orbit_count} candidates exceed the cap of {cap}"
+            f"2^{orbit_count} candidates exceed the cap of {cap}"
         )
+    if dec is None:
+        dec = tau_orbits_on_ksubsets(n, k, tau)
     return dec
+
+
+def _involution_fixed_ksubsets(n: int, k: int, tau: Permutation) -> int | None:
+    """How many k-subsets of [0, n) tau fixes if it is an involution of
+    [0, n), else None: each is j of its p 2-cycles and k - 2j of its f
+    fixed points."""
+    images = tau.images
+    if len(images) != n or any(images[w] != v for v, w in enumerate(images)):
+        return None
+    f = sum(map(eq, images, range(n)))
+    p = (n - f) // 2
+    return sum(comb(p, j) * comb(f, k - 2 * j) for j in range(k // 2 + 1))
 
 
 def _candidates(dec: OrbitDecomposition):

@@ -3,10 +3,10 @@ its valence, antimorphism verification and backtracking search, per-pair
 coverage split by edge family, vertex-transitivity evidence, and the Euler
 characteristic of 2-valent triple systems.
 
-All checks are pure functions of their inputs.  The antimorphism check
-relabels the edges once, column-wise, and passes when the relabeled
-hypergraph is the original's complement; only a failing check walks the
-k-subsets for the lex-first witness.  The exhaustive searches
+All checks are pure functions of their inputs.  Regularity and the
+antimorphism check read the indicator's colex blocks and list no edge: the
+antimorphism check compares every (k-1)-subset's link mask with the image
+of another under tau.  The exhaustive searches
 (antimorphism and automorphism enumeration) are gated by order: orders up
 to 8 run freely, 9 and 10 need an explicit opt-in, anything larger is
 refused outright; they look each image subset up by its vertex bitmask in a
@@ -21,11 +21,17 @@ links of every edge.  No profile is kept between calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from math import comb
-from operator import eq
+from operator import ne, or_, xor
 
-from .colex import colex_walk, unrank_colex
+from .colex import (
+    _binomial_table,
+    _colex_columns,
+    _image_ranks,
+    colex_walk,
+    unrank_colex,
+)
 from .construct import AdmissibilityError, EdgeFamilies
 from .hypercore import Hypergraph, Permutation, coverage
 
@@ -49,6 +55,9 @@ __all__ = [
 FREE_SEARCH_ORDER = 8
 # Hard ceiling for the exhaustive searches (n! roots grow too fast beyond).
 MAX_SEARCH_ORDER = 10
+
+# Byte table printing 0/1 bytes as binary digits.
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class SearchOrderError(ValueError):
@@ -212,19 +221,80 @@ def verify_antimorphism(h: Hypergraph, tau: Permutation) -> AntimorphismCheck:
     """True iff tau exchanges edges and non-edges; witness is the first
     k-subset (lex order) violating the exchange.
 
-    s is an edge of the pull-back under tau iff tau(s) is an edge of h, so
-    tau passes exactly when the pull-back is h's complement: one comparison
-    of indicator bytes.  Only on failure does a colex walk look for the
-    violations, where the two indicators agree.
+    closed(T) is the n-bit mask of the (k-1)-subset T's vertices and of
+    every x with T + {x} an edge.  tau passes iff, for every T, closed(tau T)
+    and tau(closed(T)) agree on tau T only: the complement of their xor has
+    just those k - 1 bits.  Any other bit y is a violation at T + {tau^-1 y},
+    and the least such vertex of each T gives its lex-first violation.
     """
     if tau.n != h.n:
         raise ValueError(f"permutation length {tau.n} != order {h.n}")
-    pulled = h.permute(tau.inverse())
-    if pulled == h.complement():
+    n, k = h.n, h.k
+    # Reversed, the link rows come last-first and each reads as a binary
+    # numeral with bit x = byte x.
+    digits = _link_rows(h._bits, n, k, n).translate(_BINARY_DIGITS)[::-1]
+    rows = map(slice, range(len(digits) - n, -1, -n), range(len(digits), 0, -n))
+    closed = list(map(int, map(digits.__getitem__, rows), repeat(2)))
+    image = [0]
+    if k > 1:
+        heads = [tuple(column) for column in _colex_columns(n, k - 1)]
+        image = _image_ranks(heads, tau.images, _binomial_table(n, k - 1))
+    moved = _relabel_masks(closed, tau.images)
+    full = (1 << n) - 1
+    agree = map(xor, map(closed.__getitem__, image), moved)
+    flips = list(map(xor, agree, repeat(full)))
+    if sum(map(int.bit_count, flips)) == len(flips) * (k - 1):
         return AntimorphismCheck(ok=True)
-    agree = map(eq, h.indicator, pulled.indicator)
-    witness = min(compress(colex_walk(h.n, h.k), agree))
+    counts = map(int.bit_count, flips)
+    bad = list(compress(range(len(flips)), map(ne, counts, repeat(k - 1))))
+    back = _relabel_masks([flips[r] for r in bad], tau.inverse().images)
+    witness = None
+    for r, mask in zip(bad, back):
+        head = unrank_colex(r, n, k - 1)
+        mask &= ~sum(1 << v for v in head)
+        subset = tuple(sorted(head + ((mask & -mask).bit_length() - 1,)))
+        if witness is None or subset < witness:
+            witness = subset
     return AntimorphismCheck(ok=False, witness=witness)
+
+
+def _link_rows(bits, n: int, k: int, width: int) -> bytearray:
+    """One row of `width` bytes per (k-1)-subset T of [0, n), in colex order:
+    byte x is 1 iff x is in T or T + {x} is an edge of what bits indicates.
+
+    The block of edges with top vertex c, indexed by their other vertices,
+    is column c of the rows of the (k-1)-subsets of [0, c); below c, the
+    rows of the T with top c are the block's own rows on [0, c).
+    """
+    if k == 1:
+        row = bytearray(width)
+        row[:n] = bits
+        return row
+    rows = bytearray(comb(n, k - 1) * width)
+    # The first (k-1)-subset, {0, ..., k-2}, has no vertex below its top.
+    rows[: k - 1] = b"\x01" * (k - 1)
+    for c in range(k - 1, n):
+        block = bits[comb(c, k) : comb(c + 1, k)]
+        low, high = comb(c, k - 1) * width, comb(c + 1, k - 1) * width
+        rows[low:high] = _link_rows(block, c, k - 1, width)
+        rows[low + c : high : width] = b"\x01" * ((high - low) // width)
+        rows[c:low:width] = block
+    return rows
+
+
+def _relabel_masks(masks, images):
+    """Lazily, the image of each n-bit mask under the vertex map `images`:
+    byte j of a mask picks from a table of the images of the vertex sets of
+    8j, ..., 8j + 7, and the ceil(n / 8) picks are or-ed."""
+    width = (len(images) + 7) >> 3
+    data = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
+    moved = repeat(0)
+    for j in range(width):
+        table = [0]
+        for v in images[8 * j : 8 * j + 8]:
+            table += [m | 1 << v for m in table]
+        moved = map(or_, moved, map(table.__getitem__, data[j::width]))
+    return moved
 
 
 def _require_search_order(n: int, allow_large: bool) -> None:

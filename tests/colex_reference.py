@@ -14,14 +14,20 @@ replaced: the construction's families as tuples, the parse's fast route
 over the whole document at once, and a relabeling through the full list of
 image ranks.  `colex_columns_replayed` is the colex column replay as it was
 before its heads were cached: it rebuilds them recursively on every call.
+
+`coverage_by_counter` and `antimorphism_by_permute` are the column-pass
+versions of coverage and the antimorphism check that the colex-block lane
+sums and the link masks replaced: they replay every edge's vertex columns,
+tally t-subset ranks in a Counter, and relabel the whole edge set.
 """
 
 from __future__ import annotations
 
 import itertools
-from itertools import chain, islice, repeat
+from collections import Counter
+from itertools import chain, compress, islice, repeat
 from math import comb
-from operator import lt
+from operator import eq, lt
 
 from hsc.colex import _binomial_table, _column_ranks, _image_ranks
 from hsc.construct import half, side_modulus
@@ -30,6 +36,7 @@ from hsc.hypercore import (
     Hypergraph,
     Permutation,
     _parse_uint,
+    colex_walk,
     subset_rank,
     unrank_colex,
     validate_ksubset,
@@ -353,3 +360,24 @@ def colex_columns_replayed(n: int, k: int) -> list[list[int]]:
     ]
     columns.append(list(chain.from_iterable(map(repeat, range(k - 1, n), counts))))
     return columns
+
+
+def coverage_by_counter(h: Hypergraph, t: int) -> list[int]:
+    """Coverage of every t-subset from the edges' vertex columns: for each
+    choice of t columns the chosen t-subsets are ranked column-wise, and one
+    Counter tallies the ranks of all choices."""
+    rows = _binomial_table(h.n, t)
+    choices = itertools.combinations(h.columns(), t)
+    tally = Counter(chain.from_iterable(map(_column_ranks, repeat(rows), choices)))
+    return list(map(tally.get, range(comb(h.n, t)), repeat(0)))
+
+
+def antimorphism_by_permute(h: Hypergraph, tau: Permutation) -> AntimorphismCheck:
+    """Pull h back through tau and compare it with h's complement; on a
+    mismatch, the lex-least k-subset where the two indicators agree."""
+    pulled = h.permute(tau.inverse())
+    if pulled == h.complement():
+        return AntimorphismCheck(ok=True)
+    agree = map(eq, h.indicator, pulled.indicator)
+    witness = min(compress(colex_walk(h.n, h.k), agree))
+    return AntimorphismCheck(ok=False, witness=witness)

@@ -1,7 +1,8 @@
 """Differential tests: the table-driven colex kernel and its column passes
-(build, permute, complement, serialize, parse), the one-pass K4 profile,
-the table-ranked image search, the orbit map and the candidate order
-against the slow reference implementations in `colex_reference`."""
+(build, permute, complement, serialize, parse), the colex-block lane
+coverage, the link-mask antimorphism check, the one-pass K4 profile, the
+table-ranked image search, the orbit map and the candidate order against
+the slow reference implementations in `colex_reference`."""
 
 import dataclasses
 import random
@@ -12,6 +13,7 @@ import pytest
 
 import colex_reference as ref
 from hsc import colex, hypercore
+from hsc.cli import main
 from hsc.construct import Triples, build_gamma, build_gamma_families, swap_antimorphism
 from hsc.hypercore import (
     MAX_POSITIONS,
@@ -21,6 +23,7 @@ from hsc.hypercore import (
     coverage,
     from_edge_list_text,
     to_edge_list_text,
+    write_edge_list,
 )
 from hsc.search import enumerate_sc_hypergraphs, tau_orbits_on_ksubsets
 from hsc.verify import (
@@ -145,6 +148,19 @@ def test_coverage_and_regularity_match_reference():
             assert t_subset_regularity(h, t) == ref.regularity(h, t)
 
 
+def test_lane_coverage_matches_counter_reference():
+    for h in sample_hypergraphs():
+        for t in range(1, h.k + 1):
+            assert coverage(h, t) == ref.coverage_by_counter(h, t)
+
+
+def test_coverage_lane_width_edges():
+    # A vertex of the complete graph lies in n - 1 edges: 255 fills a
+    # one-byte lane, 256 needs two.
+    assert coverage(Hypergraph.complete(256, 2), 1) == [255] * 256
+    assert coverage(Hypergraph.complete(257, 2), 1) == [256] * 257
+
+
 def test_regularity_witnesses_match_reference():
     rng = random.Random(3)
     for n in (10, 14):
@@ -197,6 +213,47 @@ def test_antimorphism_witnesses_match_reference():
         check = verify_antimorphism(corrupted, tau)
         assert not check.ok
         assert check == ref.antimorphism(corrupted, tau)
+
+
+def test_link_antimorphism_matches_permute_reference():
+    rng = random.Random(13)
+    for h, tau in exchanged_hypergraphs():
+        assert verify_antimorphism(h, tau) == ref.antimorphism_by_permute(h, tau)
+        if 0 < h.edge_count < h.positions:
+            # Exchange one edge for one non-edge other than its image, which
+            # would keep an orbit of length 2 alternating.
+            ranks = list(h.edge_ranks)
+            i = rng.randrange(len(ranks))
+            image = tau.apply_to_subset(colex.unrank_colex(ranks[i], h.n, h.k))
+            non_edges = [r for r in range(h.positions) if not h.has_rank(r)]
+            non_edges.remove(colex.subset_rank(image))
+            ranks[i] = rng.choice(non_edges)
+            corrupted = Hypergraph.from_ranks(h.n, h.k, ranks)
+            check = verify_antimorphism(corrupted, tau)
+            assert not check.ok
+            assert check == ref.antimorphism_by_permute(corrupted, tau)
+        sigma = random_permutation(rng, h.n)
+        assert verify_antimorphism(h, sigma) == ref.antimorphism_by_permute(h, sigma)
+
+
+def test_verify_command_never_builds_the_columns(tmp_path, monkeypatch, capsys):
+    good, bad = tmp_path / "g50.hsc", tmp_path / "bad50.hsc"
+    g = build_gamma(50)
+    write_edge_list(g, good)
+    ranks = list(g.edge_ranks)
+    ranks[-1] = next(r for r in range(g.positions) if not g.has_rank(r))
+    write_edge_list(Hypergraph.from_ranks(50, 3, ranks), bad)
+
+    def spy(self):
+        raise AssertionError("Hypergraph.columns called")
+
+    monkeypatch.setattr(Hypergraph, "columns", spy)
+    for path, code in ((good, 0), (bad, 1)):
+        for fmt in ("kv", "text"):
+            assert main(["verify", "--in", str(path), "--format", fmt]) == code
+    out = capsys.readouterr().out
+    assert "antimorphism_ok=true" in out and "antimorphism_ok=false" in out
+    assert "regular=false" in out
 
 
 def test_antimorphism_witness_is_lex_first_not_colex_first():

@@ -3,11 +3,13 @@ from math import comb
 
 import pytest
 
+from hsc.cli import main
 from hsc.construct import build_gamma, swap_antimorphism
 from hsc.hypercore import Permutation, to_edge_list_text
 from hsc.search import (
     CandidateCapExceeded,
     InfeasibleAntimorphismError,
+    _involution_fixed_ksubsets,
     enumerate_sc_hypergraphs,
     search_regular_sc,
     tau_orbits_on_ksubsets,
@@ -141,8 +143,7 @@ def test_feasible_swap_with_even_uniformity_is_rejected():
 
 
 def test_bad_parameters_are_refused(monkeypatch):
-    # t is checked on the first candidate, after the orbit checks: an odd
-    # orbit rules tau out whatever t is.
+    # t is refused before any candidate is made.
     swap = swap_antimorphism(6)
     for t in (0, 3):
         with pytest.raises(ValueError) as exc:
@@ -160,3 +161,34 @@ def test_bad_parameters_are_refused(monkeypatch):
         assert str(exc.value) == f"uniformity k={k} must satisfy 1 <= k <= n=6"
     with pytest.raises(ValueError, match="uniformity k=0"):
         enumerate_sc_hypergraphs(6, 0, swap)
+
+
+def test_involution_orbit_count_matches_the_decomposition():
+    # An involution's orbits on the k-subsets are its fixed k-subsets and
+    # 2-cycles.
+    involutions = [swap_antimorphism(n) for n in range(6, 31, 2)]
+    involutions += [
+        Permutation((1, 0, 2, 3, 4, 5, 6)),
+        Permutation((0, 1, 3, 2, 5, 4, 6, 9, 8, 7)),
+    ]
+    for tau in involutions:
+        for k in range(1, 5):
+            fixed = _involution_fixed_ksubsets(tau.n, k, tau)
+            dec = tau_orbits_on_ksubsets(tau.n, k, tau)
+            assert (comb(tau.n, k) + fixed) // 2 == dec.orbit_count
+            assert fixed == sum(len(o) == 1 for o in dec.orbits)
+    assert _involution_fixed_ksubsets(6, 3, Permutation([1, 2, 0, 3, 4, 5])) is None
+
+
+def test_over_cap_search_is_refused_before_the_decomposition(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("decomposed")
+
+    monkeypatch.setattr("hsc.search.tau_orbits_on_ksubsets", refuse)
+    assert main(["search", "--n", "202"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 2^676700 candidates exceed the cap of 1048576; "
+        "raise the cap with --cap\n"
+    )
