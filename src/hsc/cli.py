@@ -14,7 +14,7 @@ from math import comb
 from pathlib import Path
 
 from .construct import build_gamma, swap_antimorphism, vertex_label
-from .hypercore import Permutation, read_edge_list, to_edge_list_text, write_edge_list
+from .hypercore import Permutation, _edge_list_blocks, read_edge_list, write_edge_list
 from .parity import PeriodicityError, admissible, residue_classes
 from .search import (
     CandidateCapExceeded,
@@ -86,7 +86,7 @@ def _cmd_construct(args) -> int:
         write_edge_list(h, args.out)
         print(summary)
     else:
-        sys.stdout.write(to_edge_list_text(h))
+        sys.stdout.writelines(_edge_list_blocks(h))
         print(summary, file=sys.stderr)
     return 0
 

@@ -11,11 +11,11 @@ passes, with no Python code run per subset.  The columns of all k-subsets
 in colex order are replayed from those of the (k-1)-subsets, cached per
 (n, k), so nothing is ever unranked to list them.
 
-Coverage and the antimorphism check list no edges at all.  The
-k-subsets with top vertex c hold the colex ranks [comb(c, k),
+Coverage, the antimorphism check and the writer list no edges at all.
+The k-subsets with top vertex c hold the colex ranks [comb(c, k),
 comb(c + 1, k)), in the colex order of their other k - 1 vertices, so the
 block of an indicator over those ranks is itself an indicator over the
-(k-1)-subsets of [0, c); both kernels recurse over these blocks.
+(k-1)-subsets of [0, c); these kernels walk or recurse over the blocks.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ __all__ = [
     "validate_ksubset",
 ]
 
-# Edges per block on the column passes that parse, relabel and print:
-# enough to amortise the per-block calls, few enough that a block's token
-# strings, image subsets or line strings (about 0.2 MB at k = 3) stay small
-# next to the hypergraph.
+# Subsets per block on the passes that relabel subsets or link masks: enough
+# to amortise the per-block calls, few enough that a block's image subsets
+# or mask bytes stay small next to the hypergraph.
 _PARSE_BLOCK = 1024
 
 # Byte table swapping indicator values 0 and 1: an indicator over the colex

@@ -15,17 +15,18 @@ arithmetic:
 
 Swapping the two sides maps every edge to a non-edge and vice versa, and
 every 2-subset of vertices lies in exactly (n-2)/2 edges.
+
+In colex ranks the families have a closed form, so `build_gamma` writes
+the indicator straight from it, one run of ranks per residue pair, and
+`build_gamma_families` reads the families back off the edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 from math import comb
-from operator import add
 
-from .colex import _binomial_table, _colex_columns, _column_ranks, _valid_columns
-from .hypercore import Hypergraph, Permutation, _positions, _set_ranks
+from .hypercore import Hypergraph, Permutation, _positions
 
 __all__ = [
     "AdmissibilityError",
@@ -71,113 +72,72 @@ def vertex_label(v: int, m: int) -> str:
     return f"{v % m}_{v // m}"
 
 
-class Triples:
-    """Vertex triples held as three columns (column i holds the i-th vertex
-    of every triple).  len, iteration (as tuples) and slicing work as on a
-    tuple of triples."""
-
-    __slots__ = ("columns",)
-
-    def __init__(self, columns):
-        self.columns = tuple(columns)
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __iter__(self):
-        return zip(*self.columns)
-
-    def __getitem__(self, index: slice) -> "Triples":
-        return Triples(column[index] for column in self.columns)
-
-
 @dataclass(frozen=True)
 class EdgeFamilies:
     """The three disjoint edge families of a constructed hypergraph.
 
-    Edges are sorted vertex triples under the linear indexing; the families
-    are distinguished by how many vertices they take from side 0 (3, 2, 1).
+    Edges are sorted vertex triples under the linear indexing, in colex
+    order; the families are distinguished by how many vertices they take
+    from side 0 (3, 2, 1).
     """
 
     n: int
     m: int
-    side0_triples: Triples
-    midpoint_triples: Triples
-    off_midpoint_triples: Triples
-
-    def _families(self) -> tuple[Triples, Triples, Triples]:
-        return (self.side0_triples, self.midpoint_triples, self.off_midpoint_triples)
+    side0_triples: tuple[tuple[int, ...], ...]
+    midpoint_triples: tuple[tuple[int, ...], ...]
+    off_midpoint_triples: tuple[tuple[int, ...], ...]
 
     def sizes(self) -> tuple[int, int, int]:
-        return tuple(map(len, self._families()))
-
-    def all_edges(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(chain.from_iterable(self._families()))
-
-    def to_hypergraph(self) -> Hypergraph:
-        """Rank each family column-wise into one indicator; a triple that
-        is invalid or repeated (fewer set bytes than triples) sends all the
-        edges through the Hypergraph constructor, which reports it."""
-        n, families = self.n, self._families()
-        bits = bytearray(_positions(n, 3))
-        edges = sum(map(len, families))
-        if all(_valid_columns(f.columns, n) for f in families):
-            rows = _binomial_table(n, 3)
-            for f in families:
-                _set_ranks(bits, _column_ranks(rows, f.columns))
-            if bits.count(1) == edges:
-                return Hypergraph._from_indicator(n, 3, bits, edges)
-        return Hypergraph(n, 3, self.all_edges())
+        side0, midpoint = len(self.side0_triples), len(self.midpoint_triples)
+        return side0, midpoint, len(self.off_midpoint_triples)
 
 
 def build_gamma_families(n: int) -> EdgeFamilies:
-    """Build the edge families of the order-n construction, kept separate.
-
-    Each family is built as three vertex columns from the colex columns of
-    the residue pairs and triples, with no tuple per edge: a residue pair
-    (a, b) is the side-0 pair of one midpoint triple and, shifted by m, the
-    side-1 pair of m - 1 off-midpoint triples.  The subset-position bound is
-    checked first: past it the families alone would take seconds and
-    gigabytes to build, only for the hypergraph to be refused.
-    """
-    m = side_modulus(n)
-    _positions(n, 3)
-
-    side0 = Triples(list(column) for column in _colex_columns(m, 3))
-
-    a, b = (list(column) for column in _colex_columns(m, 2))
-    # halves[a + b] is the midpoint residue (a + b) / 2 mod m.
-    halves = [half(x % m, m) for x in range(2 * m - 1)]
-    mid = list(map(halves.__getitem__, map(add, a, b)))
-    for x, y, c in zip(a, b, mid):
-        # c == x would force x == y mod m; guards against modulus bugs.
-        if c == x or c == y:
-            raise RuntimeError(f"midpoint {c} of {x} and {y} mod {m} is an endpoint")
-    midpoint = Triples((a, b, list(map(m.__add__, mid))))
-
-    # others[c]: every residue but c, the first vertices of the off-midpoint
-    # triples through the side-1 pair with midpoint c.
-    others = [tuple(range(c)) + tuple(range(c + 1, m)) for c in range(m)]
-
-    def spread(column):
-        """Each side-1 vertex of the column, repeated for its m - 1 triples."""
-        side1 = map(m.__add__, column)
-        return list(chain.from_iterable(map(repeat, side1, repeat(m - 1))))
-
-    first = list(chain.from_iterable(map(others.__getitem__, mid)))
-    off_midpoint = Triples((first, spread(a), spread(b)))
-
+    """The edges of the order-n construction, split into its families: in
+    colex order the first comb(m, 3) lie on side 0, and the midpoint
+    triples are the rest with their middle vertex on side 0."""
+    edges = build_gamma(n).edges()
+    m = n // 2
+    side0, rest = edges[: comb(m, 3)], edges[comb(m, 3) :]
+    midpoint = tuple(e for e in rest if e[1] < m)
+    off_midpoint = tuple(e for e in rest if e[1] >= m)
     return EdgeFamilies(n, m, side0, midpoint, off_midpoint)
+
+
+def _gamma_indicator(n: int) -> bytearray:
+    """The indicator of the order-n construction: side 0's triples, the
+    ranks [0, comb(m, 3)), are all edges; each residue pair b < c sets its
+    midpoint triple {b, c, m + mid(b, c)} and its m triples {x, m + b, m + c}
+    with x on side 0, a run of ranks, but for x = mid(b, c).  The position
+    bound is checked before any byte is made."""
+    m = side_modulus(n)
+    bits = bytearray(_positions(n, 3))
+    bits[: comb(m, 3)] = b"\x01" * comb(m, 3)
+    # halves[a + b] is the midpoint residue (a + b) / 2 mod m; holes[x] is
+    # a run of m edges but for a non-edge at x.
+    halves = [half(x % m, m) for x in range(2 * m - 1)]
+    holes = [b"\x01" * x + b"\x00" + b"\x01" * (m - 1 - x) for x in range(m)]
+    for c in range(m):
+        for b in range(c):
+            x = halves[b + c]
+            # x == b would force b == c mod m; guards against modulus bugs.
+            if x == b or x == c:
+                raise RuntimeError(
+                    f"midpoint {x} of {b} and {c} mod {m} is an endpoint"
+                )
+            bits[b + comb(c, 2) + comb(m + x, 3)] = 1
+            run = comb(m + b, 2) + comb(m + c, 3)
+            bits[run : run + m] = holes[x]
+    return bits
 
 
 def build_gamma(n: int) -> Hypergraph:
     """The order-n constructed hypergraph; exactly comb(n,3)/2 edges."""
-    h = build_gamma_families(n).to_hypergraph()
-    if 2 * h.edge_count != comb(n, 3):
-        raise RuntimeError(
-            f"order {n} gives {h.edge_count} edges, not half of comb({n},3)"
-        )
-    return h
+    bits = _gamma_indicator(n)
+    edges = bits.count(1)
+    if 2 * edges != comb(n, 3):
+        raise RuntimeError(f"order {n} gives {edges} edges, not half of comb({n},3)")
+    return Hypergraph._from_indicator(n, 3, bits, edges)
 
 
 def swap_antimorphism(n: int) -> Permutation:

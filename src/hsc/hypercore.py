@@ -1,31 +1,24 @@
 """k-uniform hypergraphs with dense colex-rank indexing.
 
 A k-subset of the vertex range [0, n) is a strictly increasing tuple of
-ints.  Subsets are ordered colexicographically (compare the largest
-differing element), and a hypergraph stores its edge set once, as one
-indicator byte per rank, giving O(1) membership and a canonical iteration
-order.  Hypergraphs are immutable: every operation returns a new instance,
-so shared read-only use is safe.
+ints, ordered colexicographically (compare the largest differing element).
+A hypergraph stores its edge set once, as one indicator byte per colex
+rank, giving O(1) membership and a canonical iteration order.  Hypergraphs
+are immutable: every operation returns a new instance.
 
 Ranks come from the combinatorial number system in `hsc.colex`, whose
-per-subset entry points this module re-exports.  The hot paths (building
-a hypergraph, parsing, relabeling, serializing) work on vertex columns
-(column i holds the i-th vertex of every edge): they check,
-rank, relabel or print one column at a time through the vertex-indexed
-binomial table, in C-level `map`/`zip`/`bytes` passes with no Python code
-run per edge.  Nothing is ever unranked on the way out: a hypergraph's
-columns are the colex columns of all k-subsets compressed against its
-indicator bytes; the parser looks each vertex token up among the decimal
-labels of [0, n) and ranks each edge line straight from its tokens; the
-serializer joins the same labels.  The parse and the relabeling set each
-block's ranks straight into a fresh indicator, and `write_edge_list` writes
-each block of text as it is made: no list of ranks, lines or edge tuples is
-built, so the indicator and the memoized columns are all that is per edge.
-Coverage needs no columns: it sums the indicator's colex blocks.
+per-subset entry points this module re-exports.  The k-subsets with top
+vertex c hold the colex block [comb(c, k), comb(c + 1, k)) of ranks, over
+the (k-1)-subsets of [0, c), so nothing is unranked on the way out: the
+writer prints each block from the cached colex heads and coverage sums the
+blocks.  The parser reads the open file in chunks and ranks each chunk's
+edge lines column by column into a fresh indicator.  Only relabeling and
+the K4 profile replay the edges' vertex columns (`Hypergraph.columns()`).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain, combinations, compress, repeat
 from math import comb
 from operator import add, itemgetter, mul, setitem
@@ -33,9 +26,9 @@ from pathlib import Path
 
 from .colex import (
     _FLIP,
-    _PARSE_BLOCK,
     _binomial_table,
     _colex_columns,
+    _colex_heads,
     _column_ranks,
     _image_ranks,
     _valid_columns,
@@ -62,19 +55,20 @@ __all__ = [
     "write_edge_list",
 ]
 
-# Characters per chunk of the parse's fast route.  A chunk's strings take
-# about 30 bytes per character: 64 KB chunks peaked above the whole-document
-# parse at n = 50 (1.72 against 1.44 MB), 16 KB ones at 0.49 MB, and parse
-# times were flat from 8 to 64 KB at n = 102 and 302.
-_PARSE_CHUNK = 1 << 14
+# Bytes per read of the parse's fast route, and indicator bytes per span of
+# the writer.  A parse chunk's strings take about 30 bytes per character:
+# 64 KB chunks peaked above the whole-document parse at n = 50 (1.72 against
+# 1.44 MB), 16 KB ones at 0.49 MB, and parse times were flat from 8 to 64 KB
+# at n = 102 and 302.  A writer span's lines take up to about 1 MB.
+_PARSE_CHUNK = _WRITE_SPAN = 1 << 14
 
 # Refuse more subset positions than this.  On the construction, one fresh
 # process per command (2 vCPUs, Python 3.11, peak = VmHWM), `construct --out`
-# and `verify` take 1.6-1.7 s at 77 MB and 1.9-2.6 s at 73 MB at n = 302, and
-# 6.4-6.7 s at 267 MB and 8.1-8.4 s at 229 MB at n = 466, the largest order
-# under it.  There `construct` peaks on the 201 MB of memoized vertex columns
-# it writes from, and `verify` on the 111 MB document read whole.
+# and `verify` take 0.8-1.0 s at 22 MB and 1.8-2.3 s at 26 MB at n = 302,
+# and 2.1-2.8 s at 36 MB and 6.7-9.7 s at 47 MB at n = 466, the largest
+# order under it: the 16.7 MB indicator and one bounded block.
 MAX_POSITIONS = 1 << 24
+
 
 def _positions(n: int, k: int) -> int:
     """comb(n, k), after checking that a hypergraph of that shape is supported."""
@@ -378,28 +372,34 @@ def _lane_sums(bits, n: int, k: int, t: int, lane: int) -> int:
 
 def _edge_list_blocks(h: Hypergraph, comments=()):
     """The edge-list text in pieces: the header and comment lines (checked
-    on the call), then one string per block of edge lines, each ending in a
-    newline, so that the line strings of only one block exist at a time."""
+    before the first piece), then the edge lines of each span of at most
+    _WRITE_SPAN indicator bytes that holds an edge.  The edges with top
+    vertex c are the cached colex heads compressed against c's colex block,
+    closed by c; at k = 1 they are the vertices compressed against the
+    indicator."""
     lines = [f"p hsc {h.n} {h.k}"]
     for c in comments:
         if "\n" in c:
             raise ValueError("comments must be single lines")
         lines.append(f"c {c}")
-    columns = h.columns()
-    # Indexing a tuple of the decimal labels beats str() per vertex token:
-    # at k = 3 each label is printed about n * n / 4 times.  Building them
-    # is O(n), no more than the colex replay behind the columns: at k = 1
-    # and n = 4e6, where each label is printed at most once, one edge takes
-    # 1.7 s against 1.1 s with str().
-    label = tuple(map(str, range(h.n))).__getitem__
-
-    def block(start):
-        stop = start + _PARSE_BLOCK
-        labels = [map(label, column[start:stop]) for column in columns]
-        return "\n".join(map(" ".join, zip(repeat("e"), *labels))) + "\n"
-
-    head = "\n".join(lines) + "\n"
-    return chain((head,), map(block, range(0, h.edge_count, _PARSE_BLOCK)))
+    yield "\n".join(lines) + "\n"
+    n, k, bits = h.n, h.k, h._bits
+    if k == 1:
+        # Each vertex is printed at most once, so str() beats a label table.
+        label, blocks = str, [(0, n, (range(n),), "")]
+    else:
+        # Indexing a tuple of the decimal labels beats str() per vertex
+        # token: at k = 3 each label is printed about n * n / 4 times.
+        label, heads = tuple(map(str, range(n))).__getitem__, _colex_heads(n, k)[0]
+        blocks = [(comb(c, k), comb(c + 1, k), heads, f" {c}") for c in range(k - 1, n)]
+    for start, stop, columns, tail in blocks:
+        for low in range(start, stop, _WRITE_SPAN):
+            span = bits[low : min(low + _WRITE_SPAN, stop)]
+            if 1 in span:
+                skip = slice(low - start, low - start + len(span))
+                labels = [map(label, compress(c[skip], span)) for c in columns]
+                edges = map(" ".join, zip(*labels))
+                yield "e " + f"{tail}\ne ".join(edges) + tail + "\n"
 
 
 def to_edge_list_text(h: Hypergraph, comments=()) -> str:
@@ -413,18 +413,59 @@ def _parse_uint(token: str, context: str) -> int:
     return int(token)
 
 
-def _fast_parse(text: str, start: int, end: int, n: int, k: int):
-    """The hypergraph of the edge lines in text[start:end] (at least one),
-    if all are on the fast route and no edge repeats, else None.
+def _header(line: str) -> tuple[int, int]:
+    """(n, k) from the header line "p hsc <n> <k>"."""
+    head = line.split(" ")
+    if len(head) != 4 or head[0] != "p" or head[1] != "hsc":
+        raise ValueError(f"bad header line: {line!r}")
+    n = _parse_uint(head[2], "header order")
+    return n, _parse_uint(head[3], "header uniformity")
+
+
+def _line_chunks(pieces):
+    """The lines of a document given in pieces of text, in chunks of whole
+    lines joined by newlines: each piece ends its chunk at its last newline
+    and carries the partial line after it into the next.  A final newline
+    ends the last line; it opens no empty one."""
+    parts = []
+    for piece in pieces:
+        head, newline, tail = piece.rpartition("\n")
+        if newline:
+            yield "".join(parts) + head
+            parts = []
+        parts.append(tail)
+    if "".join(parts):
+        yield "".join(parts)
+
+
+def _fast_parse(chunks):
+    """The hypergraph of a document given as `_line_chunks`, if all its edge
+    lines are on the fast route and no edge repeats, else None.
 
     The fast route takes exactly the lines the strict loop accepts without
     complaint: "e" and k vertex labels joined by single spaces, strictly
-    increasing.  The lines are cut into chunks of about _PARSE_CHUNK
-    characters at newlines; each chunk is split into fields, each vertex
-    field is looked up among the labels of [0, n), and the chunk is checked
-    and ranked column by column into the indicator.  A repeated edge shows
-    as fewer set bytes than edge lines.
+    increasing.  Each chunk's vertex fields are looked up among the labels
+    of [0, n) and ranked column by column into the indicator; a repeated
+    edge shows as fewer set bytes than edge lines.  The label map costs
+    about 120 bytes and 0.16-0.75 us per vertex, and at k = 1 the strict
+    loop was faster below n / 4 to n lines (n = 4e5 and 4e6), so the chunks
+    are read ahead until they hold n vertex tokens, or go strict.
     """
+    header, newline, rest = next(chunks, "").partition("\n")
+    try:
+        n, k = _header(header)
+    except ValueError:
+        return None
+    ahead = [rest] if newline else []
+    lines = rest.count("\n") + 1 if newline else 0
+    while 1 <= k <= n and k * lines < n:
+        chunk = next(chunks, None)
+        if chunk is None:
+            return None
+        ahead.append(chunk)
+        lines += chunk.count("\n") + 1
+    if not 1 <= k <= n or comb(n, k) > MAX_POSITIONS:
+        return None
     rows = _binomial_table(n, k)
     # The vertex tokens the format allows are exactly the decimal labels of
     # [0, n): leading zeros, signs, non-ASCII digits and n itself all miss.
@@ -432,12 +473,9 @@ def _fast_parse(text: str, start: int, end: int, n: int, k: int):
     width = k + 1
     bits = bytearray(comb(n, k))
     edges = 0
-    while start <= end:
-        stop = text.find("\n", start + _PARSE_CHUNK, end)
-        if stop < 0:
-            stop = end
-        chunk = text[start:stop]
-        start = stop + 1
+    for chunk in chain(ahead, chunks):
+        if not chunk.isascii():
+            return None
         # Only a chunk with a line opening in "c" is split into lines, to
         # drop its comments.
         if chunk.startswith("c") or "\nc" in chunk:
@@ -476,35 +514,18 @@ def _fast_parse(text: str, start: int, end: int, n: int, k: int):
 
 def from_edge_list_text(text: str) -> Hypergraph:
     """Parse the edge-list text format; strict about shape and duplicates."""
-    if not text:
-        raise ValueError("empty edge-list document")
-    # The document's lines end at `end`, before one final newline if any.
-    end = len(text) - text.endswith("\n")
-    header_end = text.find("\n", 0, end)
-    if header_end < 0:
-        header_end = end
-    head = text[:header_end].split(" ")
-    if len(head) != 4 or head[0] != "p" or head[1] != "hsc":
-        raise ValueError(f"bad header line: {text[:header_end]!r}")
-    n = _parse_uint(head[2], "header order")
-    k = _parse_uint(head[3], "header uniformity")
-    edge_lines = text.count("\n", header_end, end)
-    # The fast route's label map costs O(n) whatever the document's length,
-    # about 120 bytes and 0.16-0.75 us per vertex, and pays back per vertex
-    # token; only k = 1 reaches orders where that matters.  At k = 1 the
-    # label route beat the strict loop from between n / 4 and n / 2 lines
-    # on at n = 4e5, and from between n / 2 and n lines on at n = 4e6, and
-    # the strict loop always peaked lower in memory, so documents with
-    # fewer vertex tokens than vertices take the strict loop.
-    if 1 <= k <= n <= k * edge_lines and comb(n, k) <= MAX_POSITIONS:
-        h = _fast_parse(text, header_end + 1, end, n, k)
-        if h is not None:
-            return h
+    pieces = (text[i : i + _PARSE_CHUNK] for i in range(0, len(text), _PARSE_CHUNK))
+    h = _fast_parse(_line_chunks(pieces))
+    if h is not None:
+        return h
     # Any other document takes the strict loop, which reports the first bad
     # line or the first repeated edge.
+    if not text:
+        raise ValueError("empty edge-list document")
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
+    n, k = _header(lines[0])
     edges = []
     for lineno, line in enumerate(lines[1:], start=2):
         if line.startswith("c ") or line == "c":
@@ -528,4 +549,15 @@ def write_edge_list(h: Hypergraph, path, comments=()) -> None:
 
 
 def read_edge_list(path) -> Hypergraph:
-    return from_edge_list_text(Path(path).read_bytes().decode("ascii"))
+    """Parse an edge-list file.  The fast route reads it in chunks; any
+    other document is read again whole for `from_edge_list_text`, so that
+    its messages and line numbers are the same."""
+    with open(Path(path), "rb") as f:
+        h = None
+        # A pipe cannot be read again, so it is read whole.  Latin-1 maps
+        # every byte to a character, and the fast route refuses non-ASCII.
+        if f.seekable():
+            reads = iter(partial(f.read, _PARSE_CHUNK), b"")
+            h = _fast_parse(_line_chunks(map(bytes.decode, reads, repeat("latin-1"))))
+            f.seek(0)
+        return from_edge_list_text(f.read().decode("ascii")) if h is None else h

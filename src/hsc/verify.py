@@ -21,13 +21,14 @@ links of every edge.  No profile is kept between calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, repeat, tee
 from math import comb
 from operator import ne, or_, xor
 
 from .colex import (
+    _PARSE_BLOCK,
     _binomial_table,
-    _colex_columns,
+    _colex_heads,
     _image_ranks,
     colex_walk,
     unrank_colex,
@@ -230,32 +231,53 @@ def verify_antimorphism(h: Hypergraph, tau: Permutation) -> AntimorphismCheck:
     if tau.n != h.n:
         raise ValueError(f"permutation length {tau.n} != order {h.n}")
     n, k = h.n, h.k
-    # Reversed, the link rows come last-first and each reads as a binary
-    # numeral with bit x = byte x.
-    digits = _link_rows(h._bits, n, k, n).translate(_BINARY_DIGITS)[::-1]
-    rows = map(slice, range(len(digits) - n, -1, -n), range(len(digits), 0, -n))
-    closed = list(map(int, map(digits.__getitem__, rows), repeat(2)))
+    closed = []
+    for rows in _link_blocks(h._bits, n, k):
+        # Reversed, the rows come last-first and each reads as a binary
+        # numeral with bit x = byte x.
+        digits = rows.translate(_BINARY_DIGITS)[::-1]
+        cuts = map(slice, range(len(digits) - n, -1, -n), range(len(digits), 0, -n))
+        closed += map(int, map(digits.__getitem__, cuts), repeat(2))
     image = [0]
     if k > 1:
-        heads = [tuple(column) for column in _colex_columns(n, k - 1)]
+        # The cached heads for (n + 1, k) are the columns of the T.
+        heads = _colex_heads(n + 1, k)[0]
         image = _image_ranks(heads, tau.images, _binomial_table(n, k - 1))
     moved = _relabel_masks(closed, tau.images)
     full = (1 << n) - 1
     agree = map(xor, map(closed.__getitem__, image), moved)
-    flips = list(map(xor, agree, repeat(full)))
-    if sum(map(int.bit_count, flips)) == len(flips) * (k - 1):
+    flips, counted = tee(map(xor, agree, repeat(full)))
+    odd = map(ne, map(int.bit_count, counted), repeat(k - 1))
+    bad = list(compress(enumerate(flips), odd))
+    if not bad:
         return AntimorphismCheck(ok=True)
-    counts = map(int.bit_count, flips)
-    bad = list(compress(range(len(flips)), map(ne, counts, repeat(k - 1))))
-    back = _relabel_masks([flips[r] for r in bad], tau.inverse().images)
+    back = _relabel_masks([flip for _, flip in bad], tau.inverse().images)
     witness = None
-    for r, mask in zip(bad, back):
+    for (r, _), mask in zip(bad, back):
         head = unrank_colex(r, n, k - 1)
         mask &= ~sum(1 << v for v in head)
         subset = tuple(sorted(head + ((mask & -mask).bit_length() - 1,)))
         if witness is None or subset < witness:
             witness = subset
     return AntimorphismCheck(ok=False, witness=witness)
+
+
+def _link_blocks(bits, n: int, k: int):
+    """The link rows (see `_link_rows`) of the (k-1)-subsets T of [0, n),
+    n bytes each, one block per top vertex c of T.  Below c, they are the
+    link rows on [0, c) of the block of edges with top c; byte x above c is
+    the byte of T + {x}, at rank(T) in the block of edges with top x."""
+    if k == 1:
+        # The empty subset's row is the indicator itself.
+        yield bits
+        return
+    for c in range(k - 2, n):
+        low, high = comb(c, k - 1), comb(c + 1, k - 1)
+        rows = _link_rows(bits[comb(c, k) : comb(c + 1, k)], c, k - 1, n)
+        rows[c::n] = b"\x01" * (high - low)
+        for x in range(c + 1, n):
+            rows[x::n] = bits[comb(x, k) + low : comb(x, k) + high]
+        yield rows
 
 
 def _link_rows(bits, n: int, k: int, width: int) -> bytearray:
@@ -283,18 +305,21 @@ def _link_rows(bits, n: int, k: int, width: int) -> bytearray:
 
 
 def _relabel_masks(masks, images):
-    """Lazily, the image of each n-bit mask under the vertex map `images`:
-    byte j of a mask picks from a table of the images of the vertex sets of
-    8j, ..., 8j + 7, and the ceil(n / 8) picks are or-ed."""
+    """Lazily, the image of each n-bit mask in the list `masks` under the
+    vertex map `images`: byte j of a mask picks from a table of the images
+    of the vertex sets of 8j, ..., 8j + 7, and the ceil(n / 8) picks are
+    or-ed, for one block of _PARSE_BLOCK masks' bytes at a time."""
     width = (len(images) + 7) >> 3
-    data = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
-    moved = repeat(0)
-    for j in range(width):
-        table = [0]
-        for v in images[8 * j : 8 * j + 8]:
-            table += [m | 1 << v for m in table]
-        moved = map(or_, moved, map(table.__getitem__, data[j::width]))
-    return moved
+    tables = [[0] for _ in range(width)]
+    for v, w in enumerate(images):
+        tables[v >> 3] += [m | 1 << w for m in tables[v >> 3]]
+    for start in range(0, len(masks), _PARSE_BLOCK):
+        block = masks[start : start + _PARSE_BLOCK]
+        data = b"".join(map(int.to_bytes, block, repeat(width), repeat("little")))
+        moved = repeat(0)
+        for j, table in enumerate(tables):
+            moved = map(or_, moved, map(table.__getitem__, data[j::width]))
+        yield from moved
 
 
 def _require_search_order(n: int, allow_large: bool) -> None:

@@ -19,30 +19,56 @@ before its heads were cached: it rebuilds them recursively on every call.
 versions of coverage and the antimorphism check that the colex-block lane
 sums and the link masks replaced: they replay every edge's vertex columns,
 tally t-subset ranks in a Counter, and relabel the whole edge set.
+
+The last group holds the whole-edge-set versions that the indicator-built
+construction, the colex-block writer, the file-chunk reader and the
+blocked link rows replaced: the construction's families as three vertex
+columns each, ranked into one indicator; the serializer that prints the
+memoized `Hypergraph.columns()`; the parse of the whole document read and
+decoded at once; and the antimorphism check over every link row at once.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from math import comb
-from operator import eq, lt
+from operator import add, eq, lt, ne, xor
+from pathlib import Path
 
-from hsc.colex import _binomial_table, _column_ranks, _image_ranks
+from hsc.colex import (
+    _PARSE_BLOCK,
+    _binomial_table,
+    _colex_columns,
+    _column_ranks,
+    _image_ranks,
+    _valid_columns,
+)
 from hsc.construct import half, side_modulus
 from hsc.hypercore import (
     MAX_POSITIONS,
     Hypergraph,
     Permutation,
     _parse_uint,
+    _positions,
+    _set_ranks,
     colex_walk,
+    from_edge_list_text,
     subset_rank,
     unrank_colex,
     validate_ksubset,
 )
 from hsc.search import OrbitDecomposition
-from hsc.verify import AntimorphismCheck, RegularityReport, SearchBudgetExceeded
+from hsc.verify import (
+    _BINARY_DIGITS,
+    AntimorphismCheck,
+    RegularityReport,
+    SearchBudgetExceeded,
+    _link_rows,
+    _relabel_masks,
+)
 
 
 def edges_by_unranking(h: Hypergraph):
@@ -380,4 +406,133 @@ def antimorphism_by_permute(h: Hypergraph, tau: Permutation) -> AntimorphismChec
         return AntimorphismCheck(ok=True)
     agree = map(eq, h.indicator, pulled.indicator)
     witness = min(compress(colex_walk(h.n, h.k), agree))
+    return AntimorphismCheck(ok=False, witness=witness)
+
+
+class Triples:
+    """Vertex triples held as three columns (column i holds the i-th vertex
+    of every triple).  len, iteration (as tuples) and slicing work as on a
+    tuple of triples."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns):
+        self.columns = tuple(columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return zip(*self.columns)
+
+    def __getitem__(self, index: slice) -> "Triples":
+        return Triples(column[index] for column in self.columns)
+
+
+@dataclass(frozen=True)
+class ColumnFamilies:
+    """The construction's three edge families, each as three vertex columns."""
+
+    n: int
+    m: int
+    side0_triples: Triples
+    midpoint_triples: Triples
+    off_midpoint_triples: Triples
+
+    def _families(self):
+        return (self.side0_triples, self.midpoint_triples, self.off_midpoint_triples)
+
+    def all_edges(self):
+        return tuple(chain.from_iterable(self._families()))
+
+    def to_hypergraph(self) -> Hypergraph:
+        """Rank each family column-wise into one indicator; a triple that
+        is invalid or repeated (fewer set bytes than triples) sends all the
+        edges through the Hypergraph constructor, which reports it."""
+        n, families = self.n, self._families()
+        bits = bytearray(_positions(n, 3))
+        edges = sum(map(len, families))
+        if all(_valid_columns(f.columns, n) for f in families):
+            rows = _binomial_table(n, 3)
+            for f in families:
+                _set_ranks(bits, _column_ranks(rows, f.columns))
+            if bits.count(1) == edges:
+                return Hypergraph._from_indicator(n, 3, bits, edges)
+        return Hypergraph(n, 3, self.all_edges())
+
+
+def gamma_family_columns(n: int) -> ColumnFamilies:
+    """The construction's families as vertex columns built from the colex
+    columns of the residue pairs and triples: a residue pair (a, b) is the
+    side-0 pair of one midpoint triple and, shifted by m, the side-1 pair
+    of m - 1 off-midpoint triples."""
+    m = side_modulus(n)
+    _positions(n, 3)
+    side0 = Triples(list(column) for column in _colex_columns(m, 3))
+    a, b = (list(column) for column in _colex_columns(m, 2))
+    halves = [half(x % m, m) for x in range(2 * m - 1)]
+    mid = list(map(halves.__getitem__, map(add, a, b)))
+    midpoint = Triples((a, b, list(map(m.__add__, mid))))
+    others = [tuple(range(c)) + tuple(range(c + 1, m)) for c in range(m)]
+
+    def spread(column):
+        side1 = map(m.__add__, column)
+        return list(chain.from_iterable(map(repeat, side1, repeat(m - 1))))
+
+    first = list(chain.from_iterable(map(others.__getitem__, mid)))
+    off_midpoint = Triples((first, spread(a), spread(b)))
+    return ColumnFamilies(n, m, side0, midpoint, off_midpoint)
+
+
+def serialize_by_columns(h: Hypergraph, comments=()) -> str:
+    """The edge-list text printed from the memoized vertex columns, one
+    block of _PARSE_BLOCK edges at a time."""
+    lines = [f"p hsc {h.n} {h.k}"]
+    for c in comments:
+        if "\n" in c:
+            raise ValueError("comments must be single lines")
+        lines.append(f"c {c}")
+    columns = h.columns()
+    label = tuple(map(str, range(h.n))).__getitem__
+    blocks = ["\n".join(lines) + "\n"]
+    for start in range(0, h.edge_count, _PARSE_BLOCK):
+        stop = start + _PARSE_BLOCK
+        labels = [map(label, column[start:stop]) for column in columns]
+        blocks.append("\n".join(map(" ".join, zip(repeat("e"), *labels))) + "\n")
+    return "".join(blocks)
+
+
+def read_whole_document(path) -> Hypergraph:
+    """An edge-list file read and decoded whole, then parsed."""
+    return from_edge_list_text(Path(path).read_bytes().decode("ascii"))
+
+
+def antimorphism_by_link_rows(h: Hypergraph, tau: Permutation) -> AntimorphismCheck:
+    """The link-mask antimorphism check over the link rows of every
+    (k-1)-subset at once: one array of comb(n, k - 1) * n bytes, translated
+    to binary digits and reversed whole."""
+    n, k = h.n, h.k
+    digits = _link_rows(h._bits, n, k, n).translate(_BINARY_DIGITS)[::-1]
+    rows = map(slice, range(len(digits) - n, -1, -n), range(len(digits), 0, -n))
+    closed = list(map(int, map(digits.__getitem__, rows), repeat(2)))
+    image = [0]
+    if k > 1:
+        heads = [tuple(column) for column in _colex_columns(n, k - 1)]
+        image = _image_ranks(heads, tau.images, _binomial_table(n, k - 1))
+    moved = _relabel_masks(closed, tau.images)
+    full = (1 << n) - 1
+    agree = map(xor, map(closed.__getitem__, image), moved)
+    flips = list(map(xor, agree, repeat(full)))
+    counts = map(int.bit_count, flips)
+    bad = list(compress(range(len(flips)), map(ne, counts, repeat(k - 1))))
+    if not bad:
+        return AntimorphismCheck(ok=True)
+    back = _relabel_masks([flips[r] for r in bad], tau.inverse().images)
+    witness = None
+    for r, mask in zip(bad, back):
+        head = unrank_colex(r, n, k - 1)
+        mask &= ~sum(1 << v for v in head)
+        subset = tuple(sorted(head + ((mask & -mask).bit_length() - 1,)))
+        if witness is None or subset < witness:
+            witness = subset
     return AntimorphismCheck(ok=False, witness=witness)

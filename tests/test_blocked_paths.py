@@ -1,0 +1,284 @@
+"""Differential tests of the bounded-memory paths against the whole-edge-set
+versions in `colex_reference`: the construction built straight into the
+indicator, the writer that prints colex blocks, the reader that parses the
+open file in chunks and the antimorphism check that builds the link rows of
+one block at a time.  A spy checks that `construct` and `verify` never
+replay the edges' vertex columns."""
+
+import os
+import random
+import threading
+import tracemalloc
+from itertools import chain
+from math import comb
+
+import pytest
+
+import colex_reference as ref
+from hsc import hypercore
+from hsc.cli import main
+from hsc.construct import build_gamma, swap_antimorphism
+from hsc.hypercore import (
+    Hypergraph,
+    Permutation,
+    read_edge_list,
+    to_edge_list_text,
+)
+from hsc.verify import verify_antimorphism
+from test_kernel_reference import (
+    BAD_LINES,
+    exchanged_hypergraphs,
+    random_permutation,
+    sample_hypergraphs,
+)
+
+# Every admissible order up to 150, then two larger ones: the family-column
+# reference takes about a second at n = 302 alone, and 15 s over every
+# admissible order up to 302.
+GAMMA_ORDERS = (*range(6, 151, 4), 202, 302)
+
+
+def test_indicator_matches_the_family_columns():
+    for n in GAMMA_ORDERS:
+        expected = ref.gamma_family_columns(n).to_hypergraph()
+        assert build_gamma(n).indicator == expected.indicator, n
+
+
+def one_edge_hypergraphs():
+    """For k = 1..4, hypergraphs whose one edge is the colex-first, a
+    middle or the colex-last k-subset."""
+    for k, n in ((1, 7), (2, 8), (3, 9), (4, 10)):
+        for r in (0, comb(n, k) // 2, comb(n, k) - 1):
+            yield Hypergraph.from_ranks(n, k, [r])
+
+
+def writer_shapes():
+    return chain(sample_hypergraphs(), one_edge_hypergraphs(), [build_gamma(14)])
+
+
+def test_writer_matches_the_column_serializer():
+    ks = set()
+    for h in writer_shapes():
+        ks.add(h.k)
+        for comments in ((), ("a", "b c")):
+            expected = ref.serialize_by_columns(h, comments)
+            assert to_edge_list_text(h, comments) == expected
+    assert ks == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("span", (1, 2, 3, 7, 64))
+def test_writer_pieces_at_every_span(monkeypatch, span):
+    expected = [ref.serialize_by_columns(h) for h in writer_shapes()]
+    monkeypatch.setattr(hypercore, "_WRITE_SPAN", span)
+    assert [to_edge_list_text(h) for h in writer_shapes()] == expected
+
+
+def test_writer_cost_follows_edges_at_k1():
+    # One edge among 4e6 positions: no label per vertex, no piece per empty
+    # span of the indicator.
+    h = Hypergraph.from_ranks(4_000_000, 1, [1_234_567])
+    tracemalloc.start()
+    try:
+        text = to_edge_list_text(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "p hsc 4000000 1\ne 1234567\n"
+    assert peak < 1e6
+
+
+def test_construct_stdout_streams_the_file_bytes(tmp_path, capsys):
+    path = tmp_path / "g50.hsc"
+    assert main(["construct", "--n", "50", "--out", str(path)]) == 0
+    summary = capsys.readouterr().out
+    assert main(["construct", "--n", "50"]) == 0
+    out, err = capsys.readouterr()
+    assert out.encode("ascii") == path.read_bytes()
+    assert err == summary == "edges=9800 valence=24\n"
+
+
+def test_construct_and_verify_never_replay_the_columns(tmp_path, monkeypatch, capsys):
+    def spy(self):
+        raise AssertionError("Hypergraph.columns called")
+
+    monkeypatch.setattr(Hypergraph, "columns", spy)
+    path = tmp_path / "g50.hsc"
+    assert main(["construct", "--n", "50", "--out", str(path)]) == 0
+    assert main(["construct", "--n", "50"]) == 0
+    assert main(["verify", "--in", str(path)]) == 0
+    assert "result=pass" in capsys.readouterr().out
+
+
+# Chunk sizes for the reader, from one byte per read up: lines of the
+# order-10 construction take 8 to 10 bytes.
+READ_CHUNKS = (1, 2, 3, 5, 8, 9, 13, 16, 31, 64)
+
+
+@pytest.fixture
+def fast_reads(monkeypatch):
+    """The outcome of every fast-route parse: True when it built the
+    hypergraph, False when it handed the document to the strict loop."""
+    seen = []
+    real = hypercore._fast_parse
+
+    def spy(*args):
+        h = real(*args)
+        seen.append(h is not None)
+        return h
+
+    monkeypatch.setattr(hypercore, "_fast_parse", spy)
+    return seen
+
+
+def read_at_every_chunk(tmp_path, monkeypatch, fast_reads, data: bytes):
+    """read_edge_list at every chunk size in READ_CHUNKS against the parse
+    of the whole document: the same hypergraph, or the same message.
+    Returns the hypergraph (None on an error) and whether every read took
+    the fast route."""
+    path = tmp_path / "doc.hsc"
+    path.write_bytes(data)
+    try:
+        expected = ref.read_whole_document(path)
+    except ValueError as exc:
+        expected, message = None, str(exc)
+    fast = []
+    for size in READ_CHUNKS:
+        monkeypatch.setattr(hypercore, "_PARSE_CHUNK", size)
+        fast_reads.clear()
+        if expected is None:
+            with pytest.raises(ValueError) as got:
+                read_edge_list(path)
+            assert str(got.value) == message
+        else:
+            assert read_edge_list(path) == expected
+        fast.append(fast_reads == [True])
+    assert len(set(fast)) == 1
+    return expected, fast[0]
+
+
+def test_reader_matches_the_whole_document_parse(tmp_path, monkeypatch, fast_reads):
+    g = build_gamma(10)
+    text = to_edge_list_text(g)
+
+    def read(doc):
+        return read_at_every_chunk(tmp_path, monkeypatch, fast_reads, doc.encode())
+
+    assert read(text) == (g, True)
+    # No final newline.
+    assert read(text[:-1]) == (g, True)
+    lines = text.split("\n")
+    # Comment lines everywhere, one longer than the largest chunk.
+    long = "c " + "y" * 100
+    commented = [lines[0], "c", long] + [
+        f"{line}\n{('c', 'c x', long)[i % 3]}" for i, line in enumerate(lines[1:-1])
+    ]
+    assert read("\n".join(commented) + "\n") == (g, True)
+    assert read("p hsc 3 3\n" + "c\n" * 30 + "e 0 1 2\n" + "c z\n" * 30) == (
+        Hypergraph.complete(3, 3),
+        True,
+    )
+    # Line endings, white space, a blank line, a repeated edge: the strict
+    # loop's messages, with their line numbers.
+    head, body = text.split("\n", 1)
+    for bad in (
+        text.replace("\n", "\r\n"),
+        head + "\n" + body.replace("\n", "\r\n"),
+        text[:-1] + "\r\n",
+        text.replace("e 0 1 2\n", "e 0\t1 2\n"),
+        text.replace("e 0 1 2\n", "e 0  1 2\n"),
+        text.replace("e 0 1 2\n", "e 0 1 2 \n"),
+        text + "\n",
+        text + lines[5] + "\n",
+        text[:-1] + "\n" + lines[30],
+    ):
+        assert read(bad) == (None, False)
+    # Short documents, bad headers and an order the fast route leaves to
+    # the strict loop (fewer vertex tokens than vertices).
+    sparse = Hypergraph.from_ranks(100, 1, [5, 7])
+    for doc in (
+        "",
+        "\n",
+        "p hsc 10 3",
+        "p hsc 10 3\n",
+        "p hsc 10 3\nc\n",
+        "q hsc 10 3\ne 0 1 2\n",
+        "p hsc 10 x\n",
+        "p hsc 100 1\ne 5\ne 7\n",
+    ):
+        result, fast = read(doc)
+        assert not fast
+        assert result in (None, Hypergraph.empty(10, 3), sparse)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LINES))
+def test_reader_rejects_with_the_whole_document_message(
+    tmp_path, monkeypatch, fast_reads, case
+):
+    old, new = BAD_LINES[case]
+    text = to_edge_list_text(build_gamma(6))
+    doc = text.replace(f"\n{old}\n", f"\n{new}\n", 1).encode("utf-8")
+    assert read_at_every_chunk(tmp_path, monkeypatch, fast_reads, doc) == (None, False)
+
+
+def test_reader_reports_a_non_ascii_byte_at_its_offset(
+    tmp_path, monkeypatch, fast_reads
+):
+    text = to_edge_list_text(build_gamma(10)).encode("ascii")
+    # The byte in the header, in a comment line and in two edge lines.
+    start = text.index(b"e 0 1 2")
+    docs = [(start + 5, text[:start] + b"c caf\xe9\n" + text[start:])]
+    for at in (3, len(text) // 2, len(text) - 2):
+        docs.append((at, text[:at] + b"\xe9" + text[at:]))
+    for at, doc in docs:
+        result = read_at_every_chunk(tmp_path, monkeypatch, fast_reads, doc)
+        assert result == (None, False)
+        with pytest.raises(UnicodeDecodeError, match=f"position {at}:"):
+            read_edge_list(tmp_path / "doc.hsc")
+
+
+def test_reader_takes_a_pipe_like_a_file(tmp_path):
+    text = to_edge_list_text(build_gamma(10))
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    for doc in (text, text.replace("e 0 1 2\n", "e 0 1\n")):
+        writer = threading.Thread(target=pipe.write_text, args=(doc,))
+        writer.start()
+        try:
+            got = read_edge_list(pipe)
+        except ValueError as exc:
+            got = str(exc)
+        writer.join()
+        try:
+            expected = ref.parse(doc)
+        except ValueError as exc:
+            expected = str(exc)
+        assert got == expected
+    assert expected == "line 2: edge needs exactly 3 vertices"
+
+
+def test_blocked_link_check_matches_the_whole_array():
+    rng = random.Random(31)
+    failures = 0
+    for h, tau in exchanged_hypergraphs():
+        check = verify_antimorphism(h, tau)
+        assert check.ok and check == ref.antimorphism_by_link_rows(h, tau)
+        ranks = list(h.edge_ranks)
+        non_edges = [r for r in range(h.positions) if not h.has_rank(r)]
+        for _ in range(3):
+            ranks[rng.randrange(len(ranks))] = rng.choice(non_edges)
+            corrupted = Hypergraph.from_ranks(h.n, h.k, set(ranks))
+            check = verify_antimorphism(corrupted, tau)
+            assert check == ref.antimorphism_by_link_rows(corrupted, tau)
+            failures += not check.ok
+    assert failures >= 30
+    for h in sample_hypergraphs():
+        for tau in (Permutation.identity(h.n), random_permutation(rng, h.n)):
+            assert verify_antimorphism(h, tau) == ref.antimorphism_by_link_rows(h, tau)
+    g = build_gamma(50)
+    swap = swap_antimorphism(50)
+    assert verify_antimorphism(g, swap) == ref.antimorphism_by_link_rows(g, swap)
+    ranks = list(g.edge_ranks)
+    ranks[-1] = next(r for r in range(g.positions) if not g.has_rank(r))
+    bad = Hypergraph.from_ranks(50, 3, ranks)
+    assert verify_antimorphism(bad, swap) == ref.antimorphism_by_link_rows(bad, swap)
+

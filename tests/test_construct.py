@@ -126,7 +126,8 @@ def test_families_disjoint_and_sized():
     for n in ADMISSIBLE_ORDERS:
         fams = build_gamma_families(n)
         assert fams.sizes() == edge_counts(n)
-        all_edges = fams.all_edges()
+        all_edges = fams.side0_triples + fams.midpoint_triples
+        all_edges += fams.off_midpoint_triples
         assert len(set(all_edges)) == len(all_edges)
         # families are separated by how many side-0 vertices an edge uses
         m = fams.m
@@ -200,16 +201,15 @@ def test_midpoint_check_covers_the_larger_endpoint(monkeypatch):
 
 
 def test_edge_count_check_is_explicit(monkeypatch):
-    import dataclasses
-
     import hsc.construct
 
-    real = hsc.construct.build_gamma_families
+    real = hsc.construct._gamma_indicator
 
     def short(n):
-        fams = real(n)
-        return dataclasses.replace(fams, side0_triples=fams.side0_triples[1:])
+        bits = real(n)
+        bits[0] = 0
+        return bits
 
-    monkeypatch.setattr("hsc.construct.build_gamma_families", short)
+    monkeypatch.setattr("hsc.construct._gamma_indicator", short)
     with pytest.raises(RuntimeError, match="not half of comb"):
         build_gamma(6)
