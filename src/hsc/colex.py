@@ -1,9 +1,9 @@
 """The combinatorial number system on k-subsets of [0, n) in colex order.
 
 A k-subset is a strictly increasing tuple of vertices, and its colex rank
-(Knuth, TAOCP 4A 7.2.1.3) is the sum of comb(s[i], i + 1).  `rank_colex`,
-`subset_rank` and `unrank_colex` are the table-free per-subset entry
-points.  The hot paths of `hsc.hypercore` work on vertex columns instead
+(Knuth, TAOCP 4A 7.2.1.3) is the sum of comb(s[i], i + 1).  `unrank_colex`
+is the table-free per-subset entry point and `validate_ksubset` checks a
+subset's shape.  The hot paths of `hsc.hypercore` work on vertex columns
 (column i holds the i-th vertex of every subset): they look the binomials
 up in a table whose rows are indexed by vertex, cached per (n, k), and
 rank, check or relabel a whole column at a time in C-level `map`/`zip`
@@ -27,8 +27,6 @@ from operator import add, lt
 
 __all__ = [
     "colex_walk",
-    "rank_colex",
-    "subset_rank",
     "unrank_colex",
     "validate_ksubset",
 ]
@@ -37,15 +35,6 @@ __all__ = [
 # to amortise the per-block calls, few enough that a block's image subsets
 # or mask bytes stay small next to the hypergraph.
 _PARSE_BLOCK = 1024
-
-# Byte table swapping indicator values 0 and 1: an indicator over the colex
-# ranks translated through it is the indicator of the complement.
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-
-
-def subset_rank(s) -> int:
-    """Colex rank of a strictly increasing vertex tuple (no validation)."""
-    return sum(comb(v, i + 1) for i, v in enumerate(s))
 
 
 def validate_ksubset(s, n: int, k: int) -> None:
@@ -61,15 +50,8 @@ def validate_ksubset(s, n: int, k: int) -> None:
         raise ValueError(f"subset {tuple(s)} leaves the vertex range [0, {n})")
 
 
-def rank_colex(s, n: int, k: int) -> int:
-    """Colex rank of the k-subset s among all k-subsets of [0, n)."""
-    s = tuple(s)
-    validate_ksubset(s, n, k)
-    return subset_rank(s)
-
-
 def unrank_colex(r: int, n: int, k: int) -> tuple[int, ...]:
-    """The k-subset of [0, n) with colex rank r; inverse of rank_colex."""
+    """The k-subset of [0, n) with colex rank r."""
     total = comb(n, k)
     if not 0 <= r < total:
         raise ValueError(f"rank {r} out of range [0, {total}) for n={n}, k={k}")

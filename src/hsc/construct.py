@@ -33,7 +33,6 @@ __all__ = [
     "EdgeFamilies",
     "build_gamma",
     "build_gamma_families",
-    "edge_counts",
     "half",
     "side_modulus",
     "swap_antimorphism",
@@ -86,10 +85,6 @@ class EdgeFamilies:
     side0_triples: tuple[tuple[int, ...], ...]
     midpoint_triples: tuple[tuple[int, ...], ...]
     off_midpoint_triples: tuple[tuple[int, ...], ...]
-
-    def sizes(self) -> tuple[int, int, int]:
-        side0, midpoint = len(self.side0_triples), len(self.midpoint_triples)
-        return side0, midpoint, len(self.off_midpoint_triples)
 
 
 def build_gamma_families(n: int) -> EdgeFamilies:
@@ -146,9 +141,3 @@ def swap_antimorphism(n: int) -> Permutation:
         raise ValueError(f"order must be even and positive, got {n}")
     m = n // 2
     return Permutation((v + m) % n for v in range(n))
-
-
-def edge_counts(n: int) -> tuple[int, int, int]:
-    """Closed-form family sizes (side0, midpoint, off-midpoint); sum comb(n,3)/2."""
-    m = side_modulus(n)
-    return (comb(m, 3), comb(m, 2), comb(m, 2) * (m - 1))

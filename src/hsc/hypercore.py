@@ -4,38 +4,32 @@ A k-subset of the vertex range [0, n) is a strictly increasing tuple of
 ints, ordered colexicographically (compare the largest differing element).
 A hypergraph stores its edge set once, as one indicator byte per colex
 rank, giving O(1) membership and a canonical iteration order.  Hypergraphs
-are immutable: every operation returns a new instance.
+are immutable.
 
-Ranks come from the combinatorial number system in `hsc.colex`, whose
-per-subset entry points this module re-exports.  The k-subsets with top
-vertex c hold the colex block [comb(c, k), comb(c + 1, k)) of ranks, over
-the (k-1)-subsets of [0, c), so nothing is unranked on the way out: the
-writer prints each block from the cached colex heads and coverage sums the
-blocks.  The parser reads the open file in chunks and ranks each chunk's
-edge lines column by column into a fresh indicator.  Only relabeling and
-the K4 profile replay the edges' vertex columns (`Hypergraph.columns()`).
+Ranks come from the combinatorial number system in `hsc.colex`.  The
+k-subsets with top vertex c hold the colex block [comb(c, k), comb(c + 1, k))
+of ranks, over the (k-1)-subsets of [0, c), so nothing is unranked on the
+way out: the writer prints each block from the cached colex heads and
+coverage sums the blocks.  The parser reads the open file in chunks and
+ranks each chunk's edge lines column by column into a fresh indicator.
+Only the K4 profile and `Hypergraph.edges()` replay the edges' vertex
+columns (`Hypergraph.columns()`).
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, compress, repeat
 from math import comb
 from operator import add, itemgetter, mul, setitem
 from pathlib import Path
 
 from .colex import (
-    _FLIP,
     _binomial_table,
     _colex_columns,
     _colex_heads,
     _column_ranks,
-    _image_ranks,
     _valid_columns,
-    colex_walk,
-    rank_colex,
-    subset_rank,
-    unrank_colex,
     validate_ksubset,
 )
 
@@ -43,15 +37,10 @@ __all__ = [
     "MAX_POSITIONS",
     "Hypergraph",
     "Permutation",
-    "colex_walk",
     "coverage",
     "from_edge_list_text",
-    "rank_colex",
     "read_edge_list",
-    "subset_rank",
     "to_edge_list_text",
-    "unrank_colex",
-    "validate_ksubset",
     "write_edge_list",
 ]
 
@@ -70,14 +59,30 @@ _PARSE_CHUNK = _WRITE_SPAN = 1 << 14
 MAX_POSITIONS = 1 << 24
 
 
+def _capped_comb(n: int, k: int, cap: int) -> int | None:
+    """comb(n, k), for 0 <= k <= n and cap >= 1, if it is at most cap, else
+    None: with j = min(k, n - k) it grows comb(n - j + i, i), i = 1, ..., j,
+    and stops at the first past cap.  Each factor at least doubles it, so a
+    huge shape costs about log2(cap) steps, not a binomial of huge size."""
+    j = min(k, n - k)
+    positions = 1
+    for i in range(1, j + 1):
+        positions = positions * (n - j + i) // i
+        if positions > cap:
+            return None
+    return positions
+
+
 def _positions(n: int, k: int) -> int:
-    """comb(n, k), after checking that a hypergraph of that shape is supported."""
+    """comb(n, k), after checking that the shape is supported; a refusal
+    names a count of up to 100 digits and never computes a larger one."""
     if not 1 <= k <= n:
         raise ValueError(f"uniformity k={k} must satisfy 1 <= k <= n={n}")
-    positions = comb(n, k)
-    if positions > MAX_POSITIONS:
+    positions = _capped_comb(n, k, 10**100)
+    if positions is None or positions > MAX_POSITIONS:
+        count = "" if positions is None else f"={positions}"
         raise ValueError(
-            f"comb({n},{k})={positions} subset positions exceed the "
+            f"comb({n},{k}){count} subset positions exceed the "
             f"supported bound of {MAX_POSITIONS}"
         )
     return positions
@@ -98,35 +103,15 @@ class Permutation:
             seen[v] = True
         self.images = images
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
-
     @property
     def n(self) -> int:
         return len(self.images)
-
-    def __call__(self, v: int) -> int:
-        return self.images[v]
-
-    def apply_to_subset(self, s) -> tuple[int, ...]:
-        """Image of a vertex subset, re-sorted ascending."""
-        return tuple(sorted(self.images[v] for v in s))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for v, w in enumerate(self.images):
             inv[w] = v
         return Permutation(inv)
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition self * other: apply other first, then self."""
-        if len(self.images) != len(other.images):
-            raise ValueError("cannot compose permutations of different lengths")
-        return Permutation(self.images[w] for w in other.images)
-
-    def is_identity(self) -> bool:
-        return all(w == v for v, w in enumerate(self.images))
 
     def __eq__(self, other):
         if not isinstance(other, Permutation):
@@ -145,8 +130,8 @@ class Hypergraph:
 
     The edge set is stored once, as one indicator byte per colex rank, so
     membership is O(1) and iteration order is canonical.  Every other view
-    is derived from the indicator: the edge ranks and edge tuples on each
-    call, and the edges' vertex columns on first use, kept for later calls.
+    is derived from the indicator: the edge tuples on each call, and the
+    edges' vertex columns on first use, kept for later calls.
     Two hypergraphs are equal iff they have the same n, k, and edge set.
     """
 
@@ -179,14 +164,6 @@ class Hypergraph:
         obj._fill(n, k, bits, edge_count)
         return obj
 
-    @classmethod
-    def empty(cls, n: int, k: int) -> "Hypergraph":
-        return cls.from_ranks(n, k, ())
-
-    @classmethod
-    def complete(cls, n: int, k: int) -> "Hypergraph":
-        return cls.from_ranks(n, k, range(comb(n, k)))
-
     def _setup(self, n, k, positions, ranks):
         """Fill the instance from a list of edge ranks in any order."""
         bits = bytearray(positions)
@@ -214,22 +191,9 @@ class Hypergraph:
         self._column_memo = None
 
     @property
-    def edge_ranks(self) -> tuple[int, ...]:
-        """Colex ranks of the edges, ascending."""
-        return tuple(compress(range(self.positions), self._bits))
-
-    @property
     def indicator(self) -> memoryview:
         """Read-only bytes over the colex ranks: byte r is 1 iff rank r is an edge."""
         return memoryview(self._bits).toreadonly()
-
-    def has_rank(self, r: int) -> bool:
-        if not 0 <= r < self.positions:
-            raise ValueError(f"rank {r} out of range [0, {self.positions})")
-        return bool(self._bits[r])
-
-    def has_edge(self, s) -> bool:
-        return bool(self._bits[rank_colex(tuple(s), self.n, self.k)])
 
     def edges(self) -> tuple[tuple[int, ...], ...]:
         """Edge subsets in colex-rank order."""
@@ -245,43 +209,6 @@ class Hypergraph:
                 for column in _colex_columns(self.n, self.k)
             )
         return self._column_memo
-
-    def complement(self) -> "Hypergraph":
-        """Same vertices, edge set flipped to the unused k-subsets."""
-        flipped = self._bits.translate(_FLIP)
-        return Hypergraph._from_indicator(
-            self.n, self.k, flipped, self.positions - self.edge_count
-        )
-
-    def permute(self, sigma: Permutation) -> "Hypergraph":
-        """Relabel vertices through sigma; edges are re-sorted images, ranked
-        column-wise one block of edges at a time and set straight into the
-        new indicator."""
-        if sigma.n != self.n:
-            raise ValueError(f"permutation length {sigma.n} != order {self.n}")
-        rows = _binomial_table(self.n, self.k)
-        bits = bytearray(self.positions)
-        _set_ranks(bits, _image_ranks(self.columns(), sigma.images, rows))
-        # A bijection maps distinct edges to distinct images.
-        count = bits.count(1)
-        if count != self.edge_count:
-            raise RuntimeError(
-                f"relabeling gives {count} distinct edges, not {self.edge_count}"
-            )
-        return Hypergraph._from_indicator(self.n, self.k, bits, count)
-
-    def is_complete_on(self, vertices) -> bool:
-        """True iff every k-subset of the given vertex set is an edge."""
-        vs = sorted(vertices)
-        for prev, v in zip([-1] + vs, vs):
-            if v == prev:
-                raise ValueError(f"vertex set has a repeated vertex {v}")
-            if not 0 <= v < self.n:
-                raise ValueError(f"vertex {v} out of range [0, {self.n})")
-        if len(vs) < self.k:
-            raise ValueError(f"need at least k={self.k} vertices, got {len(vs)}")
-        bits = self._bits
-        return all(bits[subset_rank(c)] for c in combinations(vs, self.k))
 
     def __eq__(self, other):
         if not isinstance(other, Hypergraph):
@@ -308,12 +235,12 @@ def coverage(h: Hypergraph, t: int) -> list[int]:
     The counts are summed from the indicator as one int with a w-byte lane
     per t-subset, w the least power of two holding comb(n - t, k - t), the
     most edges a t-subset lies in, so no lane carries into the next.  That
-    costs a Python call per colex block on each path of (k, t) steps, not a
-    step per edge.  Against a Counter of every edge's t-subset ranks it
-    measured faster at k = 3, t = 2 (1.1x at n = 6, 13x at n = 202), t = k
-    and k = 2, but slower for t < k - 1 on small shapes: 0.4-0.95x at k = 3
-    and 4 up to n = 30, and 0.33-0.45x when k > n / 2 (n = 12, k = 6, t = 3:
-    2.1 against 5.9 ms).
+    costs a Python call per colex block and t, not a step per edge.  Against
+    a Counter of every edge's t-subset ranks it measured faster at k = 3,
+    t = 2 (1.1x at n = 6, 13x at n = 202), t = k and k = 2; for t < k - 1 on
+    small shapes it ranges from 0.8x (n = 10, k = 4, t = 2) and 0.95x
+    (n = 30, k = 3, t = 1) to 1.25x (n = 12, k = 6, t = 3) and 6x (n = 16,
+    k = 8, t = 4).
     """
     if not 1 <= t <= h.k:
         raise ValueError(f"need 1 <= t <= k={h.k}, got t={t}")
@@ -321,7 +248,10 @@ def coverage(h: Hypergraph, t: int) -> list[int]:
     width = 1
     while comb(n - t, k - t) >> 8 * width:
         width *= 2
-    lanes = _lane_sums(h._bits, n, k, t, 8 * width)
+    if 2 <= t <= k - 2:
+        lanes = _lane_sums_once(h._bits, n, k, t, 8 * width, {})
+    else:
+        lanes = _lane_sums(h._bits, n, k, t, 8 * width)
     raw = lanes.to_bytes(comb(n, t) * width, "little")
     # Read each lane's little-endian bytes, most significant first.
     counts = raw[width - 1 :: width]
@@ -359,6 +289,26 @@ def _lane_sums(bits, n: int, k: int, t: int, lane: int) -> int:
     return total
 
 
+def _lane_sums_once(bits, n: int, k: int, t: int, lane: int, memo, start=0) -> int:
+    """`_lane_sums` for 2 <= t <= k - 2, where a block's (k-1, t) and (k-1,
+    t-1) sums both recurse into its sub-blocks' (k-2, t-1) sums: `memo` keeps
+    each block's sums by (k, t) and its first rank `start` in the indicator.
+    Other t repeat none and skip the memo's arguments (5% at k = 3, t = 2)."""
+    if t in (0, k) or n == k:
+        return _lane_sums(bits, n, k, t, lane)
+    if (start, k, t) not in memo:
+        total = 0
+        for c in range(k - 1, n):
+            low = comb(c, k)
+            block = bits[low : comb(c + 1, k)]
+            total += _lane_sums_once(block, c, k - 1, t, lane, memo, start + low) + (
+                _lane_sums_once(block, c, k - 1, t - 1, lane, memo, start + low)
+                << lane * comb(c, t)
+            )
+        memo[start, k, t] = total
+    return memo[start, k, t]
+
+
 # ---------------------------------------------------------------------------
 # Edge-list text format
 #
@@ -370,19 +320,13 @@ def _lane_sums(bits, n: int, k: int, t: int, lane: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _edge_list_blocks(h: Hypergraph, comments=()):
-    """The edge-list text in pieces: the header and comment lines (checked
-    before the first piece), then the edge lines of each span of at most
-    _WRITE_SPAN indicator bytes that holds an edge.  The edges with top
-    vertex c are the cached colex heads compressed against c's colex block,
-    closed by c; at k = 1 they are the vertices compressed against the
-    indicator."""
-    lines = [f"p hsc {h.n} {h.k}"]
-    for c in comments:
-        if "\n" in c:
-            raise ValueError("comments must be single lines")
-        lines.append(f"c {c}")
-    yield "\n".join(lines) + "\n"
+def _edge_list_blocks(h: Hypergraph):
+    """The edge-list text in pieces: the header line, then the edge lines of
+    each span of at most _WRITE_SPAN indicator bytes that holds an edge.
+    The edges with top vertex c are the cached colex heads compressed
+    against c's colex block, closed by c; at k = 1 they are the vertices
+    compressed against the indicator."""
+    yield f"p hsc {h.n} {h.k}\n"
     n, k, bits = h.n, h.k, h._bits
     if k == 1:
         # Each vertex is printed at most once, so str() beats a label table.
@@ -402,9 +346,9 @@ def _edge_list_blocks(h: Hypergraph, comments=()):
                 yield "e " + f"{tail}\ne ".join(edges) + tail + "\n"
 
 
-def to_edge_list_text(h: Hypergraph, comments=()) -> str:
+def to_edge_list_text(h: Hypergraph) -> str:
     """Serialize a hypergraph to the edge-list text format (bit-exact)."""
-    return "".join(_edge_list_blocks(h, comments))
+    return "".join(_edge_list_blocks(h))
 
 
 def _parse_uint(token: str, context: str) -> int:
@@ -464,14 +408,15 @@ def _fast_parse(chunks):
             return None
         ahead.append(chunk)
         lines += chunk.count("\n") + 1
-    if not 1 <= k <= n or comb(n, k) > MAX_POSITIONS:
+    positions = _capped_comb(n, k, MAX_POSITIONS) if 1 <= k <= n else None
+    if positions is None:
         return None
     rows = _binomial_table(n, k)
     # The vertex tokens the format allows are exactly the decimal labels of
     # [0, n): leading zeros, signs, non-ASCII digits and n itself all miss.
     vertex = {str(v): v for v in range(n)}.__getitem__
     width = k + 1
-    bits = bytearray(comb(n, k))
+    bits = bytearray(positions)
     edges = 0
     for chunk in chain(ahead, chunks):
         if not chunk.isascii():
@@ -539,13 +484,10 @@ def from_edge_list_text(text: str) -> Hypergraph:
     return Hypergraph(n, k, edges)
 
 
-def write_edge_list(h: Hypergraph, path, comments=()) -> None:
+def write_edge_list(h: Hypergraph, path) -> None:
     """Write the edge-list text to path one block at a time, as made."""
-    blocks = _edge_list_blocks(h, comments)
-    head = next(blocks).encode("ascii")
     with open(path, "wb") as f:
-        f.write(head)
-        f.writelines(map(str.encode, blocks))
+        f.writelines(map(str.encode, _edge_list_blocks(h)))
 
 
 def read_edge_list(path) -> Hypergraph:

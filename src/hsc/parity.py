@@ -61,21 +61,19 @@ def admissible(n: int, k: int, t: int) -> AdmissibilityReport:
     return AdmissibilityReport(n=n, k=k, t=t, parities=parities)
 
 
-def residue_classes(k: int, t: int, modulus: int, periods: int = 8) -> set[int]:
+def residue_classes(k: int, t: int, modulus: int) -> set[int]:
     """Residues of admissible orders mod a power of two, found by scanning.
 
-    The scan starts at the smallest legal order k+1 and covers `periods`
+    The scan starts at the smallest legal order k+1 and covers eight
     consecutive blocks of length `modulus`; the admissible residue set must
     be identical in every block, otherwise the answer would depend on the
     scan range and a PeriodicityError is raised instead.
     """
     if modulus < 1 or modulus & (modulus - 1):
         raise ValueError(f"modulus must be a power of two, got {modulus}")
-    if periods < 2:
-        raise ValueError("need at least two periods to confirm stability")
     start = k + 1
     blocks = []
-    for j in range(periods):
+    for j in range(8):
         lo = start + j * modulus
         blocks.append(
             {

@@ -27,7 +27,6 @@ __all__ = [
     "InfeasibleAntimorphismError",
     "OrbitDecomposition",
     "SearchSummary",
-    "enumerate_sc_hypergraphs",
     "search_regular_sc",
     "tau_orbits_on_ksubsets",
 ]
@@ -59,10 +58,6 @@ class OrbitDecomposition:
     @property
     def orbit_count(self) -> int:
         return len(self.orbits)
-
-    @property
-    def all_even(self) -> bool:
-        return all(len(o) % 2 == 0 for o in self.orbits)
 
 
 def tau_orbits_on_ksubsets(n: int, k: int, tau: Permutation) -> OrbitDecomposition:
@@ -169,18 +164,6 @@ def _candidates(dec: OrbitDecomposition):
 def _byte_mask(ranks) -> int:
     """The int whose little-endian bytes are 1 at the given ranks, else 0."""
     return sum(1 << (8 * r) for r in ranks)
-
-
-def enumerate_sc_hypergraphs(
-    n: int, k: int, tau: Permutation, *, cap: int = DEFAULT_CANDIDATE_CAP
-):
-    """All hypergraphs for which tau exchanges edges and non-edges.
-
-    Returns a lazy generator over the 2**orbit_count alternating
-    assignments; raises CandidateCapExceeded up front when there are more
-    than `cap` of them.  Take a prefix with `itertools.islice`.
-    """
-    return _candidates(_feasible_orbits(n, k, tau, cap))
 
 
 @dataclass(frozen=True)

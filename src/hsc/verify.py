@@ -33,7 +33,7 @@ from .colex import (
     colex_walk,
     unrank_colex,
 )
-from .construct import AdmissibilityError, EdgeFamilies
+from .construct import EdgeFamilies
 from .hypercore import Hypergraph, Permutation, coverage
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "SearchOrderError",
     "automorphism_vertex_orbits",
     "euler_characteristic_triangulation",
-    "expected_valence",
     "find_antimorphism",
     "pair_case_breakdown",
     "t_subset_regularity",
@@ -128,19 +127,6 @@ def t_subset_regularity(h: Hypergraph, t: int) -> RegularityReport:
             f"{h.edge_count} edges * comb({h.k},{t})"
         )
     return RegularityReport(t=t, valence=first)
-
-
-def expected_valence(n: int, k: int, t: int) -> int:
-    """The only t-valence a hypergraph paired with its complement can have:
-    half of comb(n-t, k-t)."""
-    if not 0 < t < k <= n:
-        raise ValueError(f"need 0 < t < k <= n, got t={t}, k={k}, n={n}")
-    c = comb(n - t, k - t)
-    if c % 2:
-        raise AdmissibilityError(
-            f"comb({n - t},{k - t})={c} is odd; no such valence exists"
-        )
-    return c // 2
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,12 @@ blocked link rows replaced: the construction's families as three vertex
 columns each, ranked into one indicator; the serializer that prints the
 memoized `Hypergraph.columns()`; the parse of the whole document read and
 decoded at once; and the antimorphism check over every link row at once.
+
+The first group holds members that left `hsc` because only tests called
+them: the per-subset colex ranks `subset_rank` and `rank_colex`, the
+permutation algebra, the empty and complete hypergraphs, the complement,
+the membership queries, the enumeration of all alternating assignments and `relabel`,
+which relabels a hypergraph through the column-wise image ranks.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ from hsc.colex import (
     _column_ranks,
     _image_ranks,
     _valid_columns,
+    colex_walk,
+    unrank_colex,
+    validate_ksubset,
 )
 from hsc.construct import half, side_modulus
 from hsc.hypercore import (
@@ -54,13 +63,14 @@ from hsc.hypercore import (
     _parse_uint,
     _positions,
     _set_ranks,
-    colex_walk,
     from_edge_list_text,
-    subset_rank,
-    unrank_colex,
-    validate_ksubset,
 )
-from hsc.search import OrbitDecomposition
+from hsc.search import (
+    DEFAULT_CANDIDATE_CAP,
+    OrbitDecomposition,
+    _candidates,
+    _feasible_orbits,
+)
 from hsc.verify import (
     _BINARY_DIGITS,
     AntimorphismCheck,
@@ -71,9 +81,101 @@ from hsc.verify import (
 )
 
 
+def subset_rank(s) -> int:
+    """Colex rank of a strictly increasing vertex tuple (no validation)."""
+    return sum(comb(v, i + 1) for i, v in enumerate(s))
+
+
+def rank_colex(s, n: int, k: int) -> int:
+    """Colex rank of the k-subset s among all k-subsets of [0, n)."""
+    s = tuple(s)
+    validate_ksubset(s, n, k)
+    return subset_rank(s)
+
+
+def identity(n: int) -> Permutation:
+    return Permutation(range(n))
+
+
+def compose(p: Permutation, q: Permutation) -> Permutation:
+    """p after q: apply q first, then p."""
+    if p.n != q.n:
+        raise ValueError("cannot compose permutations of different lengths")
+    return Permutation(p.images[w] for w in q.images)
+
+
+def subset_image(sigma: Permutation, s) -> tuple[int, ...]:
+    """Image of a vertex subset under sigma, re-sorted ascending."""
+    return tuple(sorted(sigma.images[v] for v in s))
+
+
+def empty(n: int, k: int) -> Hypergraph:
+    return Hypergraph.from_ranks(n, k, ())
+
+
+def complete(n: int, k: int) -> Hypergraph:
+    return Hypergraph.from_ranks(n, k, range(comb(n, k)))
+
+
+def flipped(h: Hypergraph) -> Hypergraph:
+    """The complement of h: the same vertices and the unused k-subsets."""
+    bits = bytearray(h.indicator).translate(bytes.maketrans(b"\x00\x01", b"\x01\x00"))
+    return Hypergraph._from_indicator(h.n, h.k, bits, h.positions - h.edge_count)
+
+
+def edge_ranks(h: Hypergraph) -> tuple[int, ...]:
+    """Colex ranks of the edges, ascending."""
+    return tuple(compress(range(h.positions), h.indicator))
+
+
+def has_edge(h: Hypergraph, s) -> bool:
+    return bool(h.indicator[rank_colex(s, h.n, h.k)])
+
+
+def is_complete_on(h: Hypergraph, vertices) -> bool:
+    """True iff every k-subset of the given vertex set is an edge."""
+    vs = sorted(vertices)
+    for prev, v in zip([-1] + vs, vs):
+        if v == prev:
+            raise ValueError(f"vertex set has a repeated vertex {v}")
+        if not 0 <= v < h.n:
+            raise ValueError(f"vertex {v} out of range [0, {h.n})")
+    if len(vs) < h.k:
+        raise ValueError(f"need at least k={h.k} vertices, got {len(vs)}")
+    bits = h.indicator
+    return all(bits[subset_rank(c)] for c in itertools.combinations(vs, h.k))
+
+
+def alternating_assignments(
+    n: int, k: int, tau: Permutation, *, cap: int = DEFAULT_CANDIDATE_CAP
+):
+    """All hypergraphs for which tau exchanges edges and non-edges, lazily,
+    in the enumeration order of `hsc.search`; raises CandidateCapExceeded
+    up front when there are more than `cap` of them."""
+    return _candidates(_feasible_orbits(n, k, tau, cap))
+
+
+def relabel(h: Hypergraph, sigma: Permutation) -> Hypergraph:
+    """h relabeled through sigma: the edges' re-sorted images, ranked
+    column-wise one block of edges at a time and set straight into the new
+    indicator."""
+    if sigma.n != h.n:
+        raise ValueError(f"permutation length {sigma.n} != order {h.n}")
+    rows = _binomial_table(h.n, h.k)
+    bits = bytearray(h.positions)
+    _set_ranks(bits, _image_ranks(h.columns(), sigma.images, rows))
+    # A bijection maps distinct edges to distinct images.
+    count = bits.count(1)
+    if count != h.edge_count:
+        raise RuntimeError(
+            f"relabeling gives {count} distinct edges, not {h.edge_count}"
+        )
+    return Hypergraph._from_indicator(h.n, h.k, bits, count)
+
+
 def edges_by_unranking(h: Hypergraph):
     """Edge subsets in colex order, unranking every edge rank."""
-    return tuple(unrank_colex(r, h.n, h.k) for r in h.edge_ranks)
+    return tuple(unrank_colex(r, h.n, h.k) for r in edge_ranks(h))
 
 
 def setup_ranks(positions: int, ranks) -> tuple[int, ...]:
@@ -95,13 +197,13 @@ def build_ranks(n: int, k: int, edges) -> tuple[int, ...]:
     subsets = [tuple(e) for e in edges]
     for s in subsets:
         validate_ksubset(s, n, k)
-    positions = Hypergraph.empty(n, k).positions
+    positions = empty(n, k).positions
     return setup_ranks(positions, [subset_rank(s) for s in subsets])
 
 
 def permute(h: Hypergraph, sigma: Permutation) -> tuple[int, ...]:
     """Edge ranks of h relabeled through sigma, one sorted image per edge."""
-    images = [sigma.apply_to_subset(e) for e in edges_by_unranking(h)]
+    images = [subset_image(sigma, e) for e in edges_by_unranking(h)]
     return setup_ranks(h.positions, [subset_rank(s) for s in images])
 
 
@@ -111,13 +213,9 @@ def complement(h: Hypergraph) -> tuple[int, ...]:
     return tuple(r for r in range(h.positions) if not bits[r])
 
 
-def serialize(h: Hypergraph, comments=()) -> str:
+def serialize(h: Hypergraph) -> str:
     """The edge-list text, one formatted line per unranked edge."""
     lines = [f"p hsc {h.n} {h.k}"]
-    for c in comments:
-        if "\n" in c:
-            raise ValueError("comments must be single lines")
-        lines.append(f"c {c}")
     for e in edges_by_unranking(h):
         lines.append("e " + " ".join(map(str, e)))
     return "\n".join(lines) + "\n"
@@ -133,11 +231,11 @@ def tau_orbits(n: int, k: int, tau: Permutation) -> OrbitDecomposition:
             continue
         cycle = [start]
         seen[start] = 1
-        r = subset_rank(tau.apply_to_subset(unrank_colex(start, n, k)))
+        r = subset_rank(subset_image(tau, unrank_colex(start, n, k)))
         while r != start:
             cycle.append(r)
             seen[r] = 1
-            r = subset_rank(tau.apply_to_subset(unrank_colex(r, n, k)))
+            r = subset_rank(subset_image(tau, unrank_colex(r, n, k)))
         orbits.append(tuple(cycle))
     return OrbitDecomposition(n=n, k=k, orbits=tuple(orbits))
 
@@ -199,7 +297,7 @@ def antimorphism(h: Hypergraph, tau) -> AntimorphismCheck:
     """Scan every k-subset in lex order; stop at the first violation."""
     edges = set(edges_by_unranking(h))
     for e in itertools.combinations(range(h.n), h.k):
-        if (e in edges) == (tau.apply_to_subset(e) in edges):
+        if (e in edges) == (subset_image(tau, e) in edges):
             return AntimorphismCheck(ok=False, witness=e)
     return AntimorphismCheck(ok=True)
 
@@ -401,8 +499,8 @@ def coverage_by_counter(h: Hypergraph, t: int) -> list[int]:
 def antimorphism_by_permute(h: Hypergraph, tau: Permutation) -> AntimorphismCheck:
     """Pull h back through tau and compare it with h's complement; on a
     mismatch, the lex-least k-subset where the two indicators agree."""
-    pulled = h.permute(tau.inverse())
-    if pulled == h.complement():
+    pulled = relabel(h, tau.inverse())
+    if pulled == flipped(h):
         return AntimorphismCheck(ok=True)
     agree = map(eq, h.indicator, pulled.indicator)
     witness = min(compress(colex_walk(h.n, h.k), agree))
@@ -484,17 +582,12 @@ def gamma_family_columns(n: int) -> ColumnFamilies:
     return ColumnFamilies(n, m, side0, midpoint, off_midpoint)
 
 
-def serialize_by_columns(h: Hypergraph, comments=()) -> str:
+def serialize_by_columns(h: Hypergraph) -> str:
     """The edge-list text printed from the memoized vertex columns, one
     block of _PARSE_BLOCK edges at a time."""
-    lines = [f"p hsc {h.n} {h.k}"]
-    for c in comments:
-        if "\n" in c:
-            raise ValueError("comments must be single lines")
-        lines.append(f"c {c}")
     columns = h.columns()
     label = tuple(map(str, range(h.n))).__getitem__
-    blocks = ["\n".join(lines) + "\n"]
+    blocks = [f"p hsc {h.n} {h.k}\n"]
     for start in range(0, h.edge_count, _PARSE_BLOCK):
         stop = start + _PARSE_BLOCK
         labels = [map(label, column[start:stop]) for column in columns]

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import colex_reference as ref
 import hsc
 from hsc.cli import main
 from hsc.construct import build_gamma
@@ -167,12 +168,12 @@ def test_invariants_relabeled_order_50(capsys, tmp_path):
     random.Random(50).shuffle(images)
     sigma = hsc.Permutation(images)
     path = tmp_path / "g50.hsc"
-    write_edge_list(build_gamma(50).permute(sigma), path)
+    write_edge_list(ref.relabel(build_gamma(50), sigma), path)
     code, stdout, _ = run(capsys, "invariants", "--in", str(path))
     assert code == 0
     k4 = [0] * 50
     for v in range(25):
-        k4[sigma(v)] = comb(24, 3)
+        k4[sigma.images[v]] = comb(24, 3)
     assert stdout == (
         f"n=50\nk=3\nedges={comb(50, 3) // 2}\n"
         f"k4={','.join(map(str, k4))}\nk4_distinct=2\norbit_count=inconclusive\n"
@@ -180,10 +181,8 @@ def test_invariants_relabeled_order_50(capsys, tmp_path):
 
 
 def test_invariants_complete_hypergraph(capsys, tmp_path):
-    import hsc
-
     path = tmp_path / "k5.hsc"
-    write_edge_list(hsc.Hypergraph.complete(5, 3), path)
+    write_edge_list(ref.complete(5, 3), path)
     code, stdout, _ = run(capsys, "invariants", "--in", str(path))
     assert code == 0
     assert "orbit_count=1" in stdout
@@ -350,8 +349,8 @@ def test_verify_checks_survive_python_O(capsys, tmp_path):
     # Exchange one edge of the order-10 construction for a non-edge, then run
     # verify under -O, which strips assert statements.
     g = build_gamma(10)
-    ranks = list(g.edge_ranks)
-    ranks[5] = next(r for r in range(g.positions) if not g.has_rank(r))
+    ranks = list(ref.edge_ranks(g))
+    ranks[5] = g.indicator.tobytes().index(0)
     path = tmp_path / "corrupted.hsc"
     write_edge_list(hsc.Hypergraph.from_ranks(10, 3, ranks), path)
     code, expected, _ = run(capsys, "verify", "--in", str(path))
@@ -470,7 +469,7 @@ def golden_dir(tmp_path, monkeypatch):
     write_edge_list(build_gamma(6), "g6.hsc")
     write_edge_list(hsc.Hypergraph(6, 3, build_gamma(6).edges()[1:]), "broken.hsc")
     write_edge_list(build_gamma(10), "g10.hsc")
-    write_edge_list(hsc.Hypergraph.complete(5, 3), "k5.hsc")
+    write_edge_list(ref.complete(5, 3), "k5.hsc")
     Path("id.perm").write_text("0 1 2 3 4 5\n")
     return tmp_path
 
@@ -519,5 +518,36 @@ def test_construct_refuses_past_the_position_bound(capsys):
     assert (code, stdout) == (2, "")
     assert stderr == (
         f"error: comb(470,3)={comb(470, 3)} subset positions exceed the "
+        f"supported bound of {hsc.hypercore.MAX_POSITIONS}\n"
+    )
+
+
+def test_verify_refuses_a_huge_header_without_its_binomial(capsys, tmp_path):
+    # A count of up to 100 digits is still named, as before.
+    path = tmp_path / "wide.hsc"
+    path.write_text("p hsc 1000 4\ne 0 1 2 3\n")
+    assert run(capsys, "verify", "--in", str(path)) == (
+        2,
+        "",
+        f"error: comb(1000,4)={comb(1000, 4)} subset positions exceed the "
+        f"supported bound of {hsc.hypercore.MAX_POSITIONS}\n",
+    )
+    # comb(4000000, 2000000) has over a million digits: the refusal must not
+    # compute it, and the message carries no count.
+    path = tmp_path / "huge.hsc"
+    path.write_text("p hsc 4000000 2000000\n")
+    src = str(Path(hsc.__file__).resolve().parent.parent)
+    path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hsc.cli", "verify", "--in", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: comb(4000000,2000000) subset positions exceed the "
         f"supported bound of {hsc.hypercore.MAX_POSITIONS}\n"
     )

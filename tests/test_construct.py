@@ -2,11 +2,11 @@ from math import comb
 
 import pytest
 
+import colex_reference as ref
 from hsc.construct import (
     AdmissibilityError,
     build_gamma,
     build_gamma_families,
-    edge_counts,
     half,
     side_modulus,
     swap_antimorphism,
@@ -101,7 +101,7 @@ def test_families_refused_past_the_position_bound():
 def test_gamma6_exact_edge_set():
     g = build_gamma(6)
     assert set(g.edges()) == GAMMA6_EDGES
-    assert g.has_edge((0, 1, 2))
+    assert ref.has_edge(g, (0, 1, 2))
 
 
 def test_gamma10_edge_count():
@@ -115,17 +115,30 @@ def test_build_gamma_rejects_inadmissible_orders():
             build_gamma(n)
 
 
+def family_sizes(fams):
+    return tuple(
+        map(len, (fams.side0_triples, fams.midpoint_triples, fams.off_midpoint_triples))
+    )
+
+
+def edge_counts(n):
+    """Closed-form family sizes (side0, midpoint, off-midpoint)."""
+    m = n // 2
+    return (comb(m, 3), comb(m, 2), comb(m, 2) * (m - 1))
+
+
 def test_edge_counts_closed_forms():
     assert edge_counts(6) == (1, 3, 6)
     assert edge_counts(10) == (10, 10, 40)
     for n in range(6, 51, 4):
         assert sum(edge_counts(n)) == comb(n, 3) // 2
+        assert family_sizes(build_gamma_families(n)) == edge_counts(n)
 
 
 def test_families_disjoint_and_sized():
     for n in ADMISSIBLE_ORDERS:
         fams = build_gamma_families(n)
-        assert fams.sizes() == edge_counts(n)
+        assert family_sizes(fams) == edge_counts(n)
         all_edges = fams.side0_triples + fams.midpoint_triples
         all_edges += fams.off_midpoint_triples
         assert len(set(all_edges)) == len(all_edges)
@@ -148,11 +161,11 @@ def test_family_arithmetic_invariants():
 
 def test_swap_antimorphism_mapping():
     phi = swap_antimorphism(6)
-    assert phi(0) == 3 and phi(3) == 0 and phi(2) == 5
+    assert phi.images[0] == 3 and phi.images[3] == 0 and phi.images[2] == 5
     for n in ADMISSIBLE_ORDERS:
         phi = swap_antimorphism(n)
-        assert (phi * phi).is_identity()
-        assert all(phi(v) != v for v in range(n))
+        assert phi.inverse() == phi
+        assert all(phi.images[v] != v for v in range(n))
 
 
 def test_swap_antimorphism_rejects_odd():
@@ -165,20 +178,20 @@ def test_swap_antimorphism_rejects_odd():
 def test_self_complementarity():
     for n in ADMISSIBLE_ORDERS:
         g = build_gamma(n)
-        assert g.permute(swap_antimorphism(n)) == g.complement()
+        assert ref.relabel(g, swap_antimorphism(n)) == ref.flipped(g)
 
 
 def test_complement_of_gamma6():
     g = build_gamma(6)
-    gc = g.complement()
+    gc = ref.flipped(g)
     assert gc.edge_count == 10
     assert not set(g.edges()) & set(gc.edges())
 
 
 def test_side0_is_complete_but_side1_is_not():
     g = build_gamma(10)
-    assert g.is_complete_on(range(5))
-    assert not g.is_complete_on(range(5, 10))
+    assert ref.is_complete_on(g, range(5))
+    assert not ref.is_complete_on(g, range(5, 10))
 
 
 def test_build_is_deterministic():

@@ -70,8 +70,11 @@ def test_residue_classes_known_instances():
 
 
 def test_residue_classes_stable_across_longer_scans():
-    assert residue_classes(3, 2, 4, periods=32) == {2}
-    assert residue_classes(3, 2, 8, periods=16) == {2, 6}
+    # The eight-block scan agrees with 32 and 16 blocks of orders scanned here.
+    for modulus, blocks, expected in ((4, 32, {2}), (8, 16, {2, 6})):
+        orders = range(4, 4 + blocks * modulus)
+        scanned = {n % modulus for n in orders if admissible(n, 3, 2).admissible}
+        assert residue_classes(3, 2, modulus) == scanned == expected
 
 
 def test_residue_classes_rejects_bad_modulus():
@@ -79,8 +82,6 @@ def test_residue_classes_rejects_bad_modulus():
         residue_classes(3, 2, 6)
     with pytest.raises(ValueError):
         residue_classes(3, 2, 0)
-    with pytest.raises(ValueError):
-        residue_classes(3, 2, 4, periods=1)
 
 
 def test_residue_classes_detects_instability():

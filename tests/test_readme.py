@@ -1,7 +1,11 @@
 """README.md as a contract: its `>>>` session runs against the `hsc`
-package namespace, and each `$ hsc ...` example prints what it shows."""
+package namespace, each `$ hsc ...` example prints what it shows, and
+every name a module exports is called by the program, named in the README
+or patched by the benchmark's tracer."""
 
+import ast
 import doctest
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -9,8 +13,10 @@ from pathlib import Path
 import hsc
 from hsc.cli import main
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 FENCED = re.compile(r"^```(\w*)\n(.*?)^```$", re.M | re.S)
+MODULES = ("cli", "colex", "construct", "hypercore", "parity", "search", "verify")
 
 
 def fenced_blocks(language):
@@ -42,7 +48,83 @@ def test_readme_uses_only_the_public_api():
     session = "\n".join(fenced_blocks("python"))
     used = set(re.findall(r"\bhsc\.(\w+)", session))
     assert used and used <= set(hsc.__all__)
-    assert len(hsc.__all__) <= 12
+    assert len(hsc.__all__) <= 9
+
+
+def readme_names():
+    """The identifiers in the README's code: fenced blocks and `spans`."""
+    prose = FENCED.sub("", README)
+    spans = re.findall(r"`([^`]+)`", prose)
+    code = [body for _, body in FENCED.findall(README)] + spans
+    return set(re.findall(r"\w+", " ".join(code)))
+
+
+def tracer_names():
+    """The functions and Hypergraph methods that bench/tracer.py patches."""
+    text = (ROOT / "bench" / "tracer.py").read_text()
+    functions = re.findall(r'\("hsc\.\w+", "(\w+)"', text)
+    return set(functions + re.findall(r'\("(\w+)", "hypercore\.', text))
+
+
+def referenced(nodes):
+    """Names and attributes read anywhere under the given nodes."""
+    found = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if not isinstance(getattr(sub, "ctx", None), ast.Load):
+                continue
+            if isinstance(sub, ast.Name):
+                found.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                found.add(sub.attr)
+    return found
+
+
+def definitions(stmt):
+    """(name, nodes) for a module-level function, or for a class: its bases,
+    decorators, class-level statements and dunder methods under its own
+    name, and each other method under the method's name."""
+    if isinstance(stmt, ast.FunctionDef):
+        return [(stmt.name, [stmt])]
+    methods = [
+        s
+        for s in stmt.body
+        if isinstance(s, ast.FunctionDef) and not s.name.startswith("__")
+    ]
+    own = [s for s in stmt.body if s not in methods] + stmt.bases + stmt.decorator_list
+    return [(stmt.name, own)] + [(m.name, [m]) for m in methods]
+
+
+def reached_names():
+    """Every name reachable from what runs: module-level statements (which
+    run on import and build the CLI's parser), the README's names and the
+    tracer's.  A reached name adds the names that its definitions use."""
+    uses, roots = {}, readme_names() | tracer_names()
+    for path in sorted((ROOT / "src" / "hsc").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                for name, nodes in definitions(stmt):
+                    uses.setdefault(name, set()).update(referenced(nodes) - {name})
+            else:
+                roots |= referenced([stmt])
+    reached, frontier = set(), list(roots)
+    while frontier:
+        name = frontier.pop()
+        if name not in reached:
+            reached.add(name)
+            frontier.extend(uses.get(name, ()))
+    return reached
+
+
+def test_every_exported_name_has_a_caller():
+    reached = reached_names()
+    unused = [
+        f"hsc.{module}.{name}"
+        for module in MODULES
+        for name in importlib.import_module(f"hsc.{module}").__all__
+        if name not in reached
+    ]
+    assert unused == []
 
 
 def test_readme_commands_print_what_they_show(capsys, tmp_path, monkeypatch):

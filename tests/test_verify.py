@@ -3,7 +3,8 @@ from math import comb
 
 import pytest
 
-from hsc.construct import AdmissibilityError, build_gamma, build_gamma_families, swap_antimorphism
+import colex_reference as ref
+from hsc.construct import build_gamma, build_gamma_families, swap_antimorphism
 from hsc.hypercore import Hypergraph, Permutation, coverage
 from hsc.verify import (
     SearchBudgetExceeded,
@@ -11,7 +12,6 @@ from hsc.verify import (
     _k4_profile,
     automorphism_vertex_orbits,
     euler_characteristic_triangulation,
-    expected_valence,
     find_antimorphism,
     pair_case_breakdown,
     t_subset_regularity,
@@ -39,7 +39,7 @@ def test_regularity_of_constructions():
 
 
 def test_regularity_complete_hypergraph():
-    rep = t_subset_regularity(Hypergraph.complete(5, 3), 2)
+    rep = t_subset_regularity(ref.complete(5, 3), 2)
     assert rep.valence == 3
 
 
@@ -61,7 +61,7 @@ def test_regularity_rejects_bad_t():
 
 
 def test_regularity_double_counting():
-    for h in (build_gamma(6), build_gamma(10), Hypergraph.complete(6, 3)):
+    for h in (build_gamma(6), build_gamma(10), ref.complete(6, 3)):
         for t in (1, 2):
             rep = t_subset_regularity(h, t)
             assert rep.regular
@@ -80,19 +80,20 @@ def test_complement_valence_relation():
     for n in (6, 10):
         g = build_gamma(n)
         lam = t_subset_regularity(g, 2).valence
-        lam_c = t_subset_regularity(g.complement(), 2).valence
+        lam_c = t_subset_regularity(ref.flipped(g), 2).valence
         assert lam + lam_c == comb(n - 2, 1)
 
 
 def test_expected_valence():
-    assert expected_valence(6, 3, 2) == 2
-    assert expected_valence(5, 2, 1) == 2
+    # A t-regular hypergraph exchanged with its complement has valence
+    # comb(n - t, k - t) / 2: the construction, and the 5-cycle, which
+    # v -> 2v mod 5 exchanges with the pentagram.
     for n in range(6, 51, 4):
-        assert expected_valence(n, 3, 2) == (n - 2) // 2
-    with pytest.raises(AdmissibilityError):
-        expected_valence(7, 3, 2)
-    with pytest.raises(ValueError):
-        expected_valence(6, 3, 3)
+        valence = t_subset_regularity(build_gamma(n), 2).valence
+        assert valence == comb(n - 2, 1) // 2 == (n - 2) // 2
+    cycle = Hypergraph(5, 2, [tuple(sorted((v, (v + 1) % 5))) for v in range(5)])
+    assert verify_antimorphism(cycle, Permutation([0, 2, 4, 1, 3])).ok
+    assert t_subset_regularity(cycle, 1).valence == comb(4, 1) // 2 == 2
 
 
 def test_pair_case_examples_order_10():
@@ -142,13 +143,13 @@ def test_verify_antimorphism_swap():
 
 def test_verify_antimorphism_identity_fails_with_witness():
     g = build_gamma(6)
-    chk = verify_antimorphism(g, Permutation.identity(6))
+    chk = verify_antimorphism(g, ref.identity(6))
     assert not chk.ok
     assert chk.witness == (0, 1, 2)
 
 
 def test_verify_antimorphism_complete_hypergraph():
-    h = Hypergraph.complete(5, 3)
+    h = ref.complete(5, 3)
     for images in itertools.permutations(range(5)):
         if not verify_antimorphism(h, Permutation(images)).ok:
             continue
@@ -158,11 +159,11 @@ def test_verify_antimorphism_complete_hypergraph():
 def test_verify_antimorphism_cross_checks_permute_complement():
     cases = [
         (build_gamma(6), swap_antimorphism(6)),
-        (build_gamma(6), Permutation.identity(6)),
+        (build_gamma(6), ref.identity(6)),
         (Hypergraph(5, 3, [(0, 1, 2)]), Permutation([1, 2, 3, 4, 0])),
     ]
     for h, tau in cases:
-        assert verify_antimorphism(h, tau).ok == (h.permute(tau) == h.complement())
+        assert verify_antimorphism(h, tau).ok == (ref.relabel(h, tau) == ref.flipped(h))
 
 
 def test_find_antimorphism_on_construction():
@@ -216,7 +217,7 @@ def test_orbits_of_construction_order_10():
 
 
 def test_orbits_complete_hypergraph():
-    assert automorphism_vertex_orbits(Hypergraph.complete(5, 3)) == ((0, 1, 2, 3, 4),)
+    assert automorphism_vertex_orbits(ref.complete(5, 3)) == ((0, 1, 2, 3, 4),)
 
 
 def test_orbits_budget_exhaustion():
@@ -225,7 +226,7 @@ def test_orbits_budget_exhaustion():
 
 
 def test_k4_invariant_complete():
-    h = Hypergraph.complete(6, 3)
+    h = ref.complete(6, 3)
     for v in range(6):
         assert vertex_invariant_k4(h, v) == comb(5, 3)
 
@@ -236,7 +237,7 @@ def k4_count_oracle(h, v):
     return sum(
         1
         for quad in itertools.combinations(range(n), 4)
-        if v in quad and h.is_complete_on(quad)
+        if v in quad and ref.is_complete_on(h, quad)
     )
 
 
@@ -266,18 +267,18 @@ def test_k4_invariant_constant_order_6():
 
 def test_k4_invariant_input_errors():
     with pytest.raises(ValueError):
-        vertex_invariant_k4(Hypergraph.complete(5, 2), 0)
+        vertex_invariant_k4(ref.complete(5, 2), 0)
     with pytest.raises(ValueError):
-        vertex_invariant_k4(Hypergraph.complete(3, 3), 0)
+        vertex_invariant_k4(ref.complete(3, 3), 0)
     with pytest.raises(ValueError):
-        vertex_invariant_k4(Hypergraph.complete(6, 3), 6)
+        vertex_invariant_k4(ref.complete(6, 3), 6)
     # The checks run in this order: uniformity, order, then the vertex.
     with pytest.raises(ValueError, match="3-uniform"):
-        vertex_invariant_k4(Hypergraph.complete(3, 2), 9)
+        vertex_invariant_k4(ref.complete(3, 2), 9)
     with pytest.raises(ValueError, match="need n >= 4"):
-        vertex_invariant_k4(Hypergraph.complete(3, 3), 9)
+        vertex_invariant_k4(ref.complete(3, 3), 9)
     with pytest.raises(ValueError, match="out of range"):
-        vertex_invariant_k4(Hypergraph.complete(6, 3), -1)
+        vertex_invariant_k4(ref.complete(6, 3), -1)
 
 
 def test_euler_characteristic_projective_plane():
@@ -285,7 +286,7 @@ def test_euler_characteristic_projective_plane():
 
 
 def test_euler_characteristic_tetrahedron():
-    assert euler_characteristic_triangulation(Hypergraph.complete(4, 3)) == 2
+    assert euler_characteristic_triangulation(ref.complete(4, 3)) == 2
 
 
 def test_euler_characteristic_octahedron_covered_skeleton():
@@ -306,7 +307,7 @@ def test_euler_characteristic_rejects_non_triangulations():
     with pytest.raises(ValueError):
         euler_characteristic_triangulation(build_gamma(10))
     with pytest.raises(ValueError):
-        euler_characteristic_triangulation(Hypergraph.complete(5, 2))
+        euler_characteristic_triangulation(ref.complete(5, 2))
 
 
 def test_regularity_double_counting_check_is_explicit(monkeypatch):
@@ -314,4 +315,4 @@ def test_regularity_double_counting_check_is_explicit(monkeypatch):
     # counting check with an exception, not an assert that -O strips.
     monkeypatch.setattr("hsc.verify.coverage", lambda h, t: [1] * comb(h.n, t))
     with pytest.raises(RuntimeError, match="double counting"):
-        t_subset_regularity(Hypergraph.empty(6, 3), 2)
+        t_subset_regularity(ref.empty(6, 3), 2)
