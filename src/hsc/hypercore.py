@@ -10,16 +10,17 @@ Ranks come from the combinatorial number system in `hsc.colex`.  The
 k-subsets with top vertex c hold the colex block [comb(c, k), comb(c + 1, k))
 of ranks, over the (k-1)-subsets of [0, c), so nothing is unranked on the
 way out: the writer prints each block from the cached colex heads and
-coverage sums the blocks.  The parser reads the open file in chunks and
-ranks each chunk's edge lines column by column into a fresh indicator.
+coverage sums the blocks, or on small shapes the rows of a cached table.
+The parser reads the open file in chunks and ranks each chunk's edge
+lines column by column into a fresh indicator.
 Only the K4 profile and `Hypergraph.edges()` replay the edges' vertex
 columns (`Hypergraph.columns()`).
 """
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import chain, compress, repeat
+from functools import lru_cache, partial
+from itertools import chain, combinations, compress, repeat
 from math import comb
 from operator import add, itemgetter, mul, setitem
 from pathlib import Path
@@ -57,6 +58,14 @@ _PARSE_CHUNK = _WRITE_SPAN = 1 << 14
 # and 2.1-2.8 s at 36 MB and 6.7-9.7 s at 47 MB at n = 466, the largest
 # order under it: the 16.7 MB indicator and one bounded block.
 MAX_POSITIONS = 1 << 24
+
+# Most lane bytes, comb(n, k) * comb(n, t) * w, for which `coverage` sums a
+# cached table.  A one-shot call pays the whole build.  At k = 3, t = 2 (one
+# process, 2 vCPUs, Python 3.11) the table takes 0.12 ms and 1 KB at n = 6,
+# 0.23 ms and 8 KB at n = 10 (repaid by the fifth call) and 0.33 ms and
+# 17 KB at n = 12, the largest order under this bound; past it, 2.4 ms and
+# 0.28 MB at n = 22 and 7.8 ms and 1.3 MB at n = 30.
+_TABLE_BYTES = 1 << 14
 
 
 def _capped_comb(n: int, k: int, cap: int) -> int | None:
@@ -139,6 +148,11 @@ class Hypergraph:
 
     def __init__(self, n: int, k: int, edges=()):
         subsets = list(map(tuple, edges))
+        if not subsets:
+            # Nothing to validate: refuse an oversized shape before building
+            # k empty columns.
+            self._setup(n, k, _positions(n, k), [])
+            return
         shaped = all(map(k.__eq__, map(len, subsets)))
         columns = [list(map(itemgetter(i), subsets)) for i in range(k)] if shaped else []
         if not (shaped and _valid_columns(columns, n)):
@@ -234,13 +248,18 @@ def coverage(h: Hypergraph, t: int) -> list[int]:
 
     The counts are summed from the indicator as one int with a w-byte lane
     per t-subset, w the least power of two holding comb(n - t, k - t), the
-    most edges a t-subset lies in, so no lane carries into the next.  That
-    costs a Python call per colex block and t, not a step per edge.  Against
-    a Counter of every edge's t-subset ranks it measured faster at k = 3,
-    t = 2 (1.1x at n = 6, 13x at n = 202), t = k and k = 2; for t < k - 1 on
-    small shapes it ranges from 0.8x (n = 10, k = 4, t = 2) and 0.95x
-    (n = 30, k = 3, t = 1) to 1.25x (n = 12, k = 6, t = 3) and 6x (n = 16,
-    k = 8, t = 4).
+    most edges a t-subset lies in, so no lane carries into the next.
+
+    Small shapes, t < k with comb(n, k) * comb(n, t) * w at most
+    _TABLE_BYTES, sum the edges' rows of a cached table (`_coverage_table`)
+    in one C-level pass: at k = 3, t = 2 a call takes 3.0-3.6 us at n = 6
+    and 7.5-8.0 us at n = 10, against 15.5-16.3 and 56-70 us on the blocks.
+    Other shapes sum the colex blocks (`_lane_sums`), a Python call per
+    block and t, not a step per edge; at t = k that is the indicator read
+    as one int.  Against a Counter of every edge's t-subset ranks the blocks
+    measured faster at k = 3, t = 2 (13x at n = 202), t = k and k = 2; for
+    t < k - 1 they range from 0.95x (n = 30, k = 3, t = 1) to 1.25x (n =
+    12, k = 6, t = 3) and 6x (n = 16, k = 8, t = 4).
     """
     if not 1 <= t <= h.k:
         raise ValueError(f"need 1 <= t <= k={h.k}, got t={t}")
@@ -248,16 +267,35 @@ def coverage(h: Hypergraph, t: int) -> list[int]:
     width = 1
     while comb(n - t, k - t) >> 8 * width:
         width *= 2
-    if 2 <= t <= k - 2:
+    subsets = comb(n, t)
+    if t < k and h.positions * subsets * width <= _TABLE_BYTES:
+        lanes = sum(compress(_coverage_table(n, k, t, 8 * width), h._bits))
+    elif 2 <= t <= k - 2:
         lanes = _lane_sums_once(h._bits, n, k, t, 8 * width, {})
     else:
         lanes = _lane_sums(h._bits, n, k, t, 8 * width)
-    raw = lanes.to_bytes(comb(n, t) * width, "little")
+    raw = lanes.to_bytes(subsets * width, "little")
     # Read each lane's little-endian bytes, most significant first.
     counts = raw[width - 1 :: width]
     for j in range(width - 2, -1, -1):
         counts = map(add, map(mul, counts, repeat(256)), raw[j::width])
     return list(counts)
+
+
+@lru_cache(maxsize=16)
+def _coverage_table(n: int, k: int, t: int, lane: int) -> tuple:
+    """The t-vs-k inclusion matrix, one `lane`-bit lane int per k-subset:
+    row r has a 1 in the lane of each t-subset of the k-subset of colex rank
+    r, so the rows of a hypergraph's edges sum to its coverage lanes.  Each
+    choice of t of the k vertex columns ranks one t-subset of every k-subset
+    at once."""
+    columns = [tuple(column) for column in _colex_columns(n, k)]
+    rows = _binomial_table(n, t)
+    ones = [
+        map((1).__lshift__, map(lane.__mul__, _column_ranks(rows, picked)))
+        for picked in combinations(columns, t)
+    ]
+    return tuple(map(sum, zip(*ones)))
 
 
 def _lane_sums(bits, n: int, k: int, t: int, lane: int) -> int:

@@ -206,6 +206,22 @@ def test_capped_comb_stops_past_the_cap():
                 assert hypercore._capped_comb(n, k, cap) == (c if c <= cap else None)
 
 
+def test_empty_edge_set_is_refused_before_any_column(monkeypatch):
+    # Each vertex column is built with one itemgetter; with no edges there
+    # is nothing to validate, so an oversized shape must be refused before
+    # the 2 000 000 empty columns of comb(4000000,2000000).
+    def no_columns(i):
+        pytest.fail(f"built vertex column {i} of an empty edge set")
+
+    monkeypatch.setattr(hypercore, "itemgetter", no_columns)
+    with pytest.raises(ValueError, match=r"^comb\(4000000,2000000\) subset positions exceed"):
+        Hypergraph(4_000_000, 2_000_000, [])
+    with pytest.raises(ValueError, match=r"^uniformity k=5 must satisfy 1 <= k <= n=4$"):
+        Hypergraph(4, 5, [])
+    empty = Hypergraph(6, 3, iter(()))
+    assert empty == ref.empty(6, 3) and empty.edge_count == 0 and empty.positions == 20
+
+
 def test_edge_list_text_exact_bytes():
     h = Hypergraph(4, 3, [(0, 1, 2), (1, 2, 3)])
     assert to_edge_list_text(h) == "p hsc 4 3\ne 0 1 2\ne 1 2 3\n"

@@ -154,30 +154,40 @@ def test_lane_coverage_matches_counter_reference():
             assert coverage(h, t) == ref.coverage_by_counter(h, t)
 
 
+def spy_lane_sums(monkeypatch):
+    """Record the name of each call of both block-sum kernels in the
+    returned list."""
+    calls = []
+    for name in ("_lane_sums", "_lane_sums_once"):
+        real = getattr(hypercore, name)
+
+        def counted(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(hypercore, name, counted)
+    return calls
+
+
 def test_lane_sums_sum_each_block_once(monkeypatch):
     # For 2 <= t <= k - 2 the (k-1, t) and (k-1, t-1) sums of a block both
     # recurse into the (k-2, t-1) sums of the same sub-blocks.  Summed once
     # per block, the first two shapes take 3565 and 54121 calls, not 7459
     # and 346299 (one per path).  At k = 3, t = 2, which verify runs, no sum
     # repeats and the plain recursion runs alone, one call per block and t.
-    calls = []
-    for name in ("_lane_sums", "_lane_sums_once"):
-        real = getattr(hypercore, name, None)
-
-        def counted(*args, real=real, name=name):
-            calls.append(name)
-            return real(*args)
-
-        monkeypatch.setattr(hypercore, name, counted, raising=False)
+    calls = spy_lane_sums(monkeypatch)
     rng = random.Random(16)
     for n, k, t, most in ((12, 6, 3, 3565), (16, 8, 4, 54121)):
         h = random_hypergraph(rng, n, k)
         calls.clear()
         assert coverage(h, t) == ref.coverage_by_counter(h, t)
-        assert len(calls) <= most
+        # Both shapes are past the table bound, so they sum the blocks.
+        assert 0 < len(calls) <= most
     calls.clear()
+    built = hypercore._coverage_table.cache_info().misses
     assert coverage(build_gamma(102), 2) == [50] * comb(102, 2)
     assert calls == ["_lane_sums"] * 10299
+    assert hypercore._coverage_table.cache_info().misses == built
 
 
 def test_coverage_lane_width_edges():
@@ -185,6 +195,90 @@ def test_coverage_lane_width_edges():
     # one-byte lane, 256 needs two.
     assert coverage(ref.complete(256, 2), 1) == [255] * 256
     assert coverage(ref.complete(257, 2), 1) == [256] * 257
+
+
+def table_bytes(n, k, t):
+    """The bytes `coverage` compares with `_TABLE_BYTES`: comb(n, k) rows of
+    comb(n, t) lanes, each of the least power-of-two width holding comb(n -
+    t, k - t)."""
+    width = 1
+    while comb(n - t, k - t) >= 1 << 8 * width:
+        width *= 2
+    return comb(n, k) * comb(n, t) * width
+
+
+def straddling_shapes():
+    """For several (k, t) with t < k, the largest order whose table is
+    within the bound and the next one, past it."""
+    for k, t in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2)):
+        n = k + 1
+        while table_bytes(n + 1, k, t) <= hypercore._TABLE_BYTES:
+            n += 1
+        yield n, k, t, True
+        yield n + 1, k, t, False
+
+
+def test_table_and_block_coverage_match_counter_reference(monkeypatch):
+    # Force each path on every sample shape: a bound of 0 sends all of them
+    # to the block sums, a huge one every t < k to the table.  The complete
+    # 4-uniform hypergraph on 14 vertices has 286 edges at a vertex, so its
+    # t = 1 table needs two-byte lanes.
+    rng = random.Random(13)
+    wide = [ref.complete(14, 4), random_hypergraph(rng, 14, 4, 0.95)]
+    for bound in (0, 1 << 40):
+        monkeypatch.setattr(hypercore, "_TABLE_BYTES", bound)
+        hypercore._coverage_table.cache_clear()
+        for h in sample_hypergraphs():
+            for t in range(1, h.k + 1):
+                assert coverage(h, t) == ref.coverage_by_counter(h, t)
+        for h in wide:
+            assert coverage(h, 1) == ref.coverage_by_counter(h, 1)
+        assert coverage(wide[0], 1) == [286] * 14
+        assert bool(hypercore._coverage_table.cache_info().misses) == bool(bound)
+
+
+def test_coverage_straddles_the_table_bound(monkeypatch):
+    calls = spy_lane_sums(monkeypatch)
+    rng = random.Random(17)
+    for n, k, t, inside in straddling_shapes():
+        assert (table_bytes(n, k, t) <= hypercore._TABLE_BYTES) == inside
+        cases = [ref.complete(n, k)]
+        cases += [random_hypergraph(rng, n, k, d) for d in (0.1, 0.5, 0.9)]
+        for h in cases:
+            calls.clear()
+            assert coverage(h, t) == ref.coverage_by_counter(h, t)
+            assert bool(calls) != inside
+            assert t_subset_regularity(h, t) == ref.regularity(h, t)
+
+
+def test_regularity_matches_reference_on_both_sides_of_the_bound():
+    # The construction at n = 10 is within the bound and at n = 14 past it;
+    # each loses one edge at a time for a witness.
+    rng = random.Random(19)
+    for n in (10, 14):
+        g = build_gamma(n)
+        assert (table_bytes(n, 3, 2) <= hypercore._TABLE_BYTES) == (n == 10)
+        assert t_subset_regularity(g, 2) == ref.regularity(g, 2)
+        assert t_subset_regularity(g, 2).regular
+        ranks = list(ref.edge_ranks(g))
+        for _ in range(5):
+            h = Hypergraph.from_ranks(n, 3, ranks[:rng.randrange(len(ranks))])
+            for t in (1, 2):
+                assert t_subset_regularity(h, t) == ref.regularity(h, t)
+
+
+def test_small_orders_build_their_table_once(monkeypatch):
+    # The search and verify orders 6 and 10 at k = 3, t = 2 sum a table,
+    # built on the first call of each shape and reused after it.
+    calls = spy_lane_sums(monkeypatch)
+    hypercore._coverage_table.cache_clear()
+    rng = random.Random(23)
+    for n in (6, 10):
+        for h in [build_gamma(n)] + [random_hypergraph(rng, n, 3) for _ in range(3)]:
+            assert t_subset_regularity(h, 2) == ref.regularity(h, 2)
+    info = hypercore._coverage_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 6, 2)
+    assert calls == []
 
 
 def test_regularity_witnesses_match_reference():
