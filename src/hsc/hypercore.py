@@ -9,10 +9,11 @@ are immutable.
 Ranks come from the combinatorial number system in `hsc.colex`.  The
 k-subsets with top vertex c hold the colex block [comb(c, k), comb(c + 1, k))
 of ranks, over the (k-1)-subsets of [0, c), so nothing is unranked on the
-way out: the writer prints each block from the cached colex heads and
-coverage sums the blocks, or on small shapes the rows of a cached table.
-The parser reads the open file in chunks and ranks each chunk's edge
-lines column by column into a fresh indicator.
+way out: the writer prints each block by picking, per edge, one prefix
+string formatted once from the cached colex heads, and coverage sums the
+blocks, or on small shapes the rows of a cached table.  The parser reads
+the open file in chunks, splits each chunk once into k fields per edge
+line and ranks them column by column into a fresh indicator.
 Only the K4 profile and `Hypergraph.edges()` replay the edges' vertex
 columns (`Hypergraph.columns()`).
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from itertools import chain, combinations, compress, repeat
 from math import comb
-from operator import add, itemgetter, mul, setitem
+from operator import add, itemgetter, lt, mul, setitem
 from pathlib import Path
 
 from .colex import (
@@ -54,9 +55,10 @@ _PARSE_CHUNK = _WRITE_SPAN = 1 << 14
 
 # Refuse more subset positions than this.  On the construction, one fresh
 # process per command (2 vCPUs, Python 3.11, peak = VmHWM), `construct --out`
-# and `verify` take 0.8-1.0 s at 22 MB and 1.8-2.3 s at 26 MB at n = 302,
-# and 2.1-2.8 s at 36 MB and 6.7-9.7 s at 47 MB at n = 466, the largest
-# order under it: the 16.7 MB indicator and one bounded block.
+# and `verify` take 0.2-0.3 s at 25 MB and 2.1-2.4 s at 26 MB at n = 302,
+# and 0.8-1.0 s at 42 MB and 7.3-8.1 s at 47 MB at n = 466, the largest
+# order under it: the 16.7 MB indicator and one bounded block, and for the
+# writer its 7.2 MB of line prefixes.
 MAX_POSITIONS = 1 << 24
 
 # Most lane bytes, comb(n, k) * comb(n, t) * w, for which `coverage` sums a
@@ -361,27 +363,33 @@ def _lane_sums_once(bits, n: int, k: int, t: int, lane: int, memo, start=0) -> i
 def _edge_list_blocks(h: Hypergraph):
     """The edge-list text in pieces: the header line, then the edge lines of
     each span of at most _WRITE_SPAN indicator bytes that holds an edge.
-    The edges with top vertex c are the cached colex heads compressed
-    against c's colex block, closed by c; at k = 1 they are the vertices
-    compressed against the indicator."""
+
+    For k >= 2 every line opens with one of comb(n - 1, k - 1) prefix
+    strings, "e" and the labels of a (k-1)-subset of [0, n - 1) each
+    followed by a space, formatted once from the cached colex heads.  The
+    edges with top vertex c pick their prefixes by compressing the first
+    comb(c, k - 1) of them against c's colex block, and the tail "c\\n"
+    joins and closes them: one C-level pick per edge, with no label looked
+    up.  At k = 1 the lines are the vertices compressed against the
+    indicator, each formatted once."""
     yield f"p hsc {h.n} {h.k}\n"
     n, k, bits = h.n, h.k, h._bits
     if k == 1:
-        # Each vertex is printed at most once, so str() beats a label table.
-        label, blocks = str, [(0, n, (range(n),), "")]
-    else:
-        # Indexing a tuple of the decimal labels beats str() per vertex
-        # token: at k = 3 each label is printed about n * n / 4 times.
-        label, heads = tuple(map(str, range(n))).__getitem__, _colex_heads(n, k)[0]
-        blocks = [(comb(c, k), comb(c + 1, k), heads, f" {c}") for c in range(k - 1, n)]
-    for start, stop, columns, tail in blocks:
+        for low in range(0, n, _WRITE_SPAN):
+            span = bits[low : low + _WRITE_SPAN]
+            if 1 in span:
+                vertices = compress(range(low, low + len(span)), span)
+                yield "".join(map("e {}\n".format, vertices))
+        return
+    # About 67 bytes a prefix with its list slot: 7.2 MB at n = 466, k = 3.
+    prefixes = list(map(("e " + "{} " * (k - 1)).format, *_colex_heads(n, k)[0]))
+    for c in range(k - 1, n):
+        start, stop, tail = comb(c, k), comb(c + 1, k), f"{c}\n"
         for low in range(start, stop, _WRITE_SPAN):
             span = bits[low : min(low + _WRITE_SPAN, stop)]
             if 1 in span:
-                skip = slice(low - start, low - start + len(span))
-                labels = [map(label, compress(c[skip], span)) for c in columns]
-                edges = map(" ".join, zip(*labels))
-                yield "e " + f"{tail}\ne ".join(edges) + tail + "\n"
+                picked = prefixes[low - start : low - start + len(span)]
+                yield tail.join(compress(picked, span)) + tail
 
 
 def to_edge_list_text(h: Hypergraph) -> str:
@@ -420,18 +428,44 @@ def _line_chunks(pieces):
         yield "".join(parts)
 
 
+def _label_maps(n: int, k: int) -> tuple:
+    """(plain, glued): the lookups of the vertex tokens of an edge line.
+    The tokens the format allows are exactly the decimal labels of [0, n):
+    leading zeros, signs, non-ASCII digits and n itself all miss.  A line's
+    last label comes glued to the newline and the next line's "e", as in
+    "12\\ne", and looks up in glued; the others look up in plain, built
+    only for k >= 2.  The maps stay apart, so that a token in the other's
+    column misses."""
+    glued = {f"{v}\ne": v for v in range(n)}.__getitem__
+    return ({str(v): v for v in range(n)}.__getitem__ if k > 1 else None), glued
+
+
+# Orders whose label maps the parse keeps, at most 8 of them, about 1 MB
+# each at the bound.  Below it a call reuses them (5.5 us of a 33 us parse
+# at n = 6); above it they are built per call, so that a huge k = 1 order
+# does not hold its map.
+_CACHED_LABELS = 1 << 12
+_cached_label_maps = lru_cache(maxsize=8)(_label_maps)
+
+
 def _fast_parse(chunks):
     """The hypergraph of a document given as `_line_chunks`, if all its edge
     lines are on the fast route and no edge repeats, else None.
 
     The fast route takes exactly the lines the strict loop accepts without
     complaint: "e" and k vertex labels joined by single spaces, strictly
-    increasing.  Each chunk's vertex fields are looked up among the labels
-    of [0, n) and ranked column by column into the indicator; a repeated
-    edge shows as fewer set bytes than edge lines.  The label map costs
-    about 120 bytes and 0.16-0.75 us per vertex, and at k = 1 the strict
-    loop was faster below n / 4 to n lines (n = 4e5 and 4e6), so the chunks
-    are read ahead until they hold n vertex tokens, or go strict.
+    increasing.  Past its leading "e ", each chunk is split once on spaces
+    into k fields per line, the last glued to the newline and the next
+    "e" (`_label_maps`); they are looked up by column and ranked through
+    the cached binomial table into the indicator.  A looked-up label lies
+    in [0, n), so only the order of each edge's vertices is checked, and a
+    repeated edge shows as fewer set bytes than edge lines.
+
+    A label map costs about 105 bytes and 0.9 us per vertex.  At k = 1 and
+    n = 4e6 (one process per point) the strict loop took 1.0-1.3 s on n / 10
+    lines and 2.3-3.6 s on n / 4, against 3.5-4.4 and 5.0-5.4 s here, and
+    both took 4.5-4.9 s on n / 2, so the chunks are read ahead until they
+    hold n vertex tokens, or go strict.
     """
     header, newline, rest = next(chunks, "").partition("\n")
     try:
@@ -450,10 +484,8 @@ def _fast_parse(chunks):
     if positions is None:
         return None
     rows = _binomial_table(n, k)
-    # The vertex tokens the format allows are exactly the decimal labels of
-    # [0, n): leading zeros, signs, non-ASCII digits and n itself all miss.
-    vertex = {str(v): v for v in range(n)}.__getitem__
-    width = k + 1
+    labels = _cached_label_maps if n <= _CACHED_LABELS else _label_maps
+    plain, glued = labels(n, k)
     bits = bytearray(positions)
     edges = 0
     for chunk in chain(ahead, chunks):
@@ -470,23 +502,22 @@ def _fast_parse(chunks):
             if not block:
                 continue
             chunk = "\n".join(block)
-        lines = chunk.count("\n") + 1
-        # Each "\ne " opens one line, so the counts agree iff every line
-        # opens with "e ".  That "e" is no vertex label, so with width *
-        # lines fields, a line not at exactly width fields leaves some
-        # line's "e" among the vertex fields.
-        if chunk.count("\ne ") + chunk.startswith("e ") != lines:
+        if not chunk.startswith("e "):
             return None
-        fields = chunk.replace("\n", " ").split(" ")
-        if len(fields) != width * lines:
+        # "e a b\ne c d" gives a, b\ne, c, d: k fields per line.  Only a
+        # glued field holds a newline, one each, so with k fields a line
+        # and every lookup a hit, each line is "e" and k labels.
+        fields = chunk[2:].split(" ")
+        lines = len(fields) // k
+        if len(fields) != k * lines:
             return None
-        del fields[::width]
+        fields[-1] += "\ne"
         try:
-            values = list(map(vertex, fields))
+            columns = [list(map(plain, fields[i::k])) for i in range(k - 1)]
+            columns.append(list(map(glued, fields[k - 1 :: k])))
         except KeyError:
             return None
-        columns = [values[i::k] for i in range(k)]
-        if not _valid_columns(columns, n):
+        if not all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:])):
             return None
         _set_ranks(bits, _column_ranks(rows, columns))
         edges += lines

@@ -113,10 +113,13 @@ def t_subset_regularity(h: Hypergraph, t: int) -> RegularityReport:
     first = counts[0]
     if counts.count(first) != len(counts):
         r = next(compress(range(len(counts)), map(first.__ne__, counts)))
+        # The cached heads for (n + 1, t + 1) are the columns of the
+        # t-subsets of [0, n); t = 1 needs none.
+        heads = _colex_heads(h.n + 1, t + 1)[0] if t > 1 else (range(h.n),)
         return RegularityReport(
             t=t,
             valence=None,
-            witness=unrank_colex(r, h.n, t),
+            witness=tuple(column[r] for column in heads),
             witness_count=counts[r],
             first_count=first,
         )

@@ -1,8 +1,11 @@
 """Property tests over small random hypergraphs: the K4 vertex profile, the
 rank/unrank bijection, the permute/complement algebra, the edge-list round
-trip and a parser fuzz against the strict reference loop."""
+trip, a parser fuzz against the strict reference loop and single-character
+edits read on the parse's fast route."""
 
+import re
 from math import comb
+from unittest import mock
 
 import pytest
 
@@ -11,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import colex_reference as ref
 from colex_reference import rank_colex, relabel
+from hsc import hypercore
 from hsc.colex import unrank_colex
 from hsc.hypercore import (
     Hypergraph,
@@ -19,6 +23,7 @@ from hsc.hypercore import (
     to_edge_list_text,
 )
 from hsc.verify import vertex_invariant_k4
+from test_edge_list_format import fast_route
 
 
 @st.composite
@@ -174,3 +179,62 @@ def test_parser_fuzz_matches_strict_loop(text):
         assert str(got.value) == str(exc)
     else:
         assert from_edge_list_text(text) == expected
+
+
+# Characters an edit inserts or puts in place of another: the format's own,
+# and a few it never allows.
+EDIT_CHARACTERS = "0123456789 \nepc\r\tx"
+
+
+@st.composite
+def edited_documents(draw):
+    """A valid document of a random hypergraph with enough edge lines that
+    one edit cannot leave the fast route short of n vertex tokens, and one
+    random single-character edit: half the time a vertex digit of an edge
+    line replaced by a digit, which often keeps the line's shape but breaks
+    the order of its vertices, else an insertion, deletion or replacement
+    anywhere."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(max(k, 3), 9))
+    positions = comb(n, k)
+    low = min(positions, -(-n // k) + 2)
+    ranks = draw(st.sets(st.integers(0, positions - 1), min_size=low))
+    text = to_edge_list_text(Hypergraph.from_ranks(n, k, ranks))
+    if draw(st.booleans()):
+        body = text.index("\n")
+        at = draw(st.sampled_from([i for i in range(body, len(text)) if text[i].isdigit()]))
+        return text[:at] + draw(st.sampled_from("0123456789")) + text[at + 1 :]
+    at = draw(st.integers(0, len(text)))
+    op = draw(st.sampled_from(("insert", "delete", "replace")))
+    char = draw(st.sampled_from(EDIT_CHARACTERS))
+    if op == "insert":
+        return text[:at] + char + text[at:]
+    return text[:at] + (char if op == "replace" else "") + text[at + 1 :]
+
+
+@settings(deadline=None, max_examples=300)
+@given(edited_documents(), st.integers(1, 40))
+def test_fast_route_agrees_with_the_strict_loop(text, size):
+    try:
+        strict = ref.parse(text)
+    except ValueError:
+        strict = None
+    fast = fast_route(text, size)
+    if fast is not None:
+        assert fast == strict
+    else:
+        # The fast route leaves to the strict loop only a refusal, a vertex
+        # written with a leading zero, or (an edit of the header's order)
+        # fewer lines than n / k, which a final newline does not open.
+        lines = text.count("\n") - text.endswith("\n")
+        assert (
+            strict is None
+            or re.search(" 0[0-9]", text)
+            or strict.k * lines < strict.n
+        )
+    with mock.patch.object(hypercore, "_PARSE_CHUNK", size):
+        try:
+            got = from_edge_list_text(text)
+        except ValueError:
+            got = None
+    assert got == strict

@@ -52,6 +52,31 @@ def test_regularity_witness_after_edge_removal():
     assert rep.witness is not None and len(rep.witness) == 2
 
 
+def test_regularity_witness_is_read_not_unranked(monkeypatch):
+    # The witness comes from the cached colex heads, so a failing candidate
+    # costs no unranking; it is still the reference's colex-first deviation.
+    from hsc import verify
+
+    def spy(*args):
+        raise AssertionError("unrank_colex called")
+
+    monkeypatch.setattr(verify, "unrank_colex", spy)
+    g = build_gamma(10)
+    shapes = (
+        Hypergraph(10, 3, list(g.edges())[3:]),
+        octahedron(),
+        Hypergraph(9, 4, [(0, 1, 2, 3), (2, 5, 7, 8)]),
+    )
+    failures = 0
+    for h in shapes:
+        for t in range(1, h.k):
+            rep = t_subset_regularity(h, t)
+            assert rep == ref.regularity(h, t), (h, t)
+            failures += not rep.regular
+    assert failures == 6
+    assert t_subset_regularity(shapes[2], 3).witness == (0, 1, 4)
+
+
 def test_regularity_rejects_bad_t():
     g = build_gamma(6)
     with pytest.raises(ValueError):
