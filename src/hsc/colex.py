@@ -1,15 +1,15 @@
 """The combinatorial number system on k-subsets of [0, n) in colex order.
 
 A k-subset is a strictly increasing tuple of vertices, and its colex rank
-(Knuth, TAOCP 4A 7.2.1.3) is the sum of comb(s[i], i + 1).  `unrank_colex`
-is the table-free per-subset entry point and `validate_ksubset` checks a
-subset's shape.  The hot paths of `hsc.hypercore` work on vertex columns
-(column i holds the i-th vertex of every subset): they look the binomials
-up in a table whose rows are indexed by vertex, cached per (n, k), and
-rank, check or relabel a whole column at a time in C-level `map`/`zip`
-passes, with no Python code run per subset.  The columns of all k-subsets
-in colex order are replayed from those of the (k-1)-subsets, cached per
-(n, k), so nothing is ever unranked to list them.
+(Knuth, TAOCP 4A 7.2.1.3) is the sum of comb(s[i], i + 1).  The hot paths
+of `hsc.hypercore` work on vertex columns (column i holds the i-th vertex
+of every subset): they look the binomials up in a table whose rows are
+indexed by vertex, cached per (n, k), and rank, check or relabel a whole
+column at a time in C-level `map`/`zip` passes, with no Python code run per
+subset.  The columns of all k-subsets in colex order are replayed from
+those of the (k-1)-subsets, cached per (n, k), so nothing is ever unranked:
+the subset of colex rank r is read as entry r of each cached column
+(`_subset_columns`).
 
 Coverage, the antimorphism check and the writer list no edges at all.
 The k-subsets with top vertex c hold the colex ranks [comb(c, k),
@@ -25,11 +25,7 @@ from itertools import chain, islice, repeat
 from math import comb
 from operator import add, lt
 
-__all__ = [
-    "colex_walk",
-    "unrank_colex",
-    "validate_ksubset",
-]
+__all__ = ["validate_ksubset"]
 
 # Subsets per block on the passes that relabel subsets or link masks: enough
 # to amortise the per-block calls, few enough that a block's image subsets
@@ -48,23 +44,6 @@ def validate_ksubset(s, n: int, k: int) -> None:
         prev = v
     if k and (s[0] < 0 or s[-1] >= n):
         raise ValueError(f"subset {tuple(s)} leaves the vertex range [0, {n})")
-
-
-def unrank_colex(r: int, n: int, k: int) -> tuple[int, ...]:
-    """The k-subset of [0, n) with colex rank r."""
-    total = comb(n, k)
-    if not 0 <= r < total:
-        raise ValueError(f"rank {r} out of range [0, {total}) for n={n}, k={k}")
-    out = [0] * k
-    c = n - 1
-    for size in range(k, 0, -1):
-        # Largest c with comb(c, size) <= r picks the biggest remaining vertex.
-        while comb(c, size) > r:
-            c -= 1
-        out[size - 1] = c
-        r -= comb(c, size)
-        c -= 1
-    return tuple(out)
 
 
 @lru_cache(maxsize=64)
@@ -127,6 +106,12 @@ def _colex_heads(n: int, k: int) -> tuple:
     return heads, counts
 
 
+def _subset_columns(n: int, k: int) -> tuple:
+    """The vertex columns of every k-subset of [0, n) in colex order, k >= 1,
+    as the cached heads of the (k+1)-subsets of [0, n + 1): rank r is entry r."""
+    return _colex_heads(n + 1, k + 1)[0]
+
+
 def _colex_columns(n: int, k: int) -> list:
     """The vertex columns of every k-subset of [0, n) in colex order, as k
     lazy iterators: column i runs through the i-th vertex of each subset.
@@ -150,13 +135,6 @@ def _colex_columns(n: int, k: int) -> list:
     ]
     columns.append(chain.from_iterable(map(repeat, range(k - 1, n), counts)))
     return columns
-
-
-def colex_walk(n: int, k: int):
-    """Every k-subset of [0, n) in colex order, as a lazy iterator."""
-    if k == 0:
-        return iter(((),))
-    return zip(*_colex_columns(n, k))
 
 
 def _valid_columns(columns, n: int) -> bool:

@@ -10,7 +10,7 @@ Ranks come from the combinatorial number system in `hsc.colex`.  The
 k-subsets with top vertex c hold the colex block [comb(c, k), comb(c + 1, k))
 of ranks, over the (k-1)-subsets of [0, c), so nothing is unranked on the
 way out: the writer prints each block by picking, per edge, one prefix
-string formatted once from the cached colex heads, and coverage sums the
+string formatted once from the cached subset columns, and coverage sums the
 blocks, or on small shapes the rows of a cached table.  The parser reads
 the open file in chunks, splits each chunk once into k fields per edge
 line and ranks them column by column into a fresh indicator.
@@ -21,7 +21,7 @@ columns (`Hypergraph.columns()`).
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, compress, islice, repeat
 from math import comb
 from operator import add, itemgetter, lt, mul, setitem
 from pathlib import Path
@@ -29,8 +29,8 @@ from pathlib import Path
 from .colex import (
     _binomial_table,
     _colex_columns,
-    _colex_heads,
     _column_ranks,
+    _subset_columns,
     _valid_columns,
     validate_ksubset,
 )
@@ -256,12 +256,12 @@ def coverage(h: Hypergraph, t: int) -> list[int]:
     _TABLE_BYTES, sum the edges' rows of a cached table (`_coverage_table`)
     in one C-level pass: at k = 3, t = 2 a call takes 3.0-3.6 us at n = 6
     and 7.5-8.0 us at n = 10, against 15.5-16.3 and 56-70 us on the blocks.
-    Other shapes sum the colex blocks (`_lane_sums`), a Python call per
-    block and t, not a step per edge; at t = k that is the indicator read
-    as one int.  Against a Counter of every edge's t-subset ranks the blocks
-    measured faster at k = 3, t = 2 (13x at n = 202), t = k and k = 2; for
-    t < k - 1 they range from 0.95x (n = 30, k = 3, t = 1) to 1.25x (n =
-    12, k = 6, t = 3) and 6x (n = 16, k = 8, t = 4).
+    Other shapes sum the colex blocks in one recursion (`_lane_sums`), a
+    Python call per block and t, not a step per edge.  Against a Counter of
+    every edge's t-subset ranks the blocks measured faster at k = 3, t = 2
+    (13x at n = 202), t = k and k = 2; for t < k - 1 they range from 0.95x
+    (n = 30, k = 3, t = 1) to 1.2x (n = 12, k = 6, t = 3) and 4.6x (n = 16,
+    k = 8, t = 4).
     """
     if not 1 <= t <= h.k:
         raise ValueError(f"need 1 <= t <= k={h.k}, got t={t}")
@@ -272,10 +272,9 @@ def coverage(h: Hypergraph, t: int) -> list[int]:
     subsets = comb(n, t)
     if t < k and h.positions * subsets * width <= _TABLE_BYTES:
         lanes = sum(compress(_coverage_table(n, k, t, 8 * width), h._bits))
-    elif 2 <= t <= k - 2:
-        lanes = _lane_sums_once(h._bits, n, k, t, 8 * width, {})
     else:
-        lanes = _lane_sums(h._bits, n, k, t, 8 * width)
+        memo = {} if 2 <= t <= k - 2 else None
+        lanes = _lane_sums(h._bits, n, k, t, 8 * width, memo)
     raw = lanes.to_bytes(subsets * width, "little")
     # Read each lane's little-endian bytes, most significant first.
     counts = raw[width - 1 :: width]
@@ -291,22 +290,25 @@ def _coverage_table(n: int, k: int, t: int, lane: int) -> tuple:
     r, so the rows of a hypergraph's edges sum to its coverage lanes.  Each
     choice of t of the k vertex columns ranks one t-subset of every k-subset
     at once."""
-    columns = [tuple(column) for column in _colex_columns(n, k)]
     rows = _binomial_table(n, t)
     ones = [
         map((1).__lshift__, map(lane.__mul__, _column_ranks(rows, picked)))
-        for picked in combinations(columns, t)
+        for picked in combinations(_subset_columns(n, k), t)
     ]
     return tuple(map(sum, zip(*ones)))
 
 
-def _lane_sums(bits, n: int, k: int, t: int, lane: int) -> int:
+def _lane_sums(bits, n: int, k: int, t: int, lane: int, memo=None, start=0) -> int:
     """An int whose `lane`-bit lane r counts the k-subsets that bits
     indicates over [0, n) through the t-subset of colex rank r.
 
     The block of k-subsets with top vertex c is indexed by their other
     vertices, a (k-1)-subset of [0, c): its (k-1, t) sums add at lane 0,
-    and its (k-1, t-1) sums, with c added, at lane comb(c, t).
+    and its (k-1, t-1) sums, with c added, at lane comb(c, t).  For 2 <= t
+    <= k - 2 both recurse into the same sub-blocks' (k-2, t-1) sums, so a
+    dict `memo` keeps them by k, t and the block's first rank `start`;
+    other t repeat none and pass None (at k = 3, n = 466 a memo would hold
+    0.3-0.5 MB of sums never read again, for no change in time).
     """
     if t == 0:
         return bits.count(1)
@@ -320,33 +322,19 @@ def _lane_sums(bits, n: int, k: int, t: int, lane: int) -> int:
     if n == k:
         # The one k-subset covers all comb(k, t) t-subsets once.
         return bits[0] * ((1 << lane * comb(k, t)) - 1) // ((1 << lane) - 1)
-    total = 0
+    if memo is not None and (start, k, t) in memo:
+        return memo[start, k, t]
+    total = low = 0
     for c in range(k - 1, n):
-        block = bits[comb(c, k) : comb(c + 1, k)]
-        total += _lane_sums(block, c, k - 1, t, lane) + (
-            _lane_sums(block, c, k - 1, t - 1, lane) << lane * comb(c, t)
+        high = comb(c + 1, k)
+        block, at = bits[low:high], start + low
+        total += _lane_sums(block, c, k - 1, t, lane, memo, at) + (
+            _lane_sums(block, c, k - 1, t - 1, lane, memo, at) << lane * comb(c, t)
         )
-    return total
-
-
-def _lane_sums_once(bits, n: int, k: int, t: int, lane: int, memo, start=0) -> int:
-    """`_lane_sums` for 2 <= t <= k - 2, where a block's (k-1, t) and (k-1,
-    t-1) sums both recurse into its sub-blocks' (k-2, t-1) sums: `memo` keeps
-    each block's sums by (k, t) and its first rank `start` in the indicator.
-    Other t repeat none and skip the memo's arguments (5% at k = 3, t = 2)."""
-    if t in (0, k) or n == k:
-        return _lane_sums(bits, n, k, t, lane)
-    if (start, k, t) not in memo:
-        total = 0
-        for c in range(k - 1, n):
-            low = comb(c, k)
-            block = bits[low : comb(c + 1, k)]
-            total += _lane_sums_once(block, c, k - 1, t, lane, memo, start + low) + (
-                _lane_sums_once(block, c, k - 1, t - 1, lane, memo, start + low)
-                << lane * comb(c, t)
-            )
+        low = high
+    if memo is not None:
         memo[start, k, t] = total
-    return memo[start, k, t]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +352,13 @@ def _edge_list_blocks(h: Hypergraph):
     """The edge-list text in pieces: the header line, then the edge lines of
     each span of at most _WRITE_SPAN indicator bytes that holds an edge.
 
-    For k >= 2 every line opens with one of comb(n - 1, k - 1) prefix
-    strings, "e" and the labels of a (k-1)-subset of [0, n - 1) each
-    followed by a space, formatted once from the cached colex heads.  The
-    edges with top vertex c pick their prefixes by compressing the first
-    comb(c, k - 1) of them against c's colex block, and the tail "c\\n"
-    joins and closes them: one C-level pick per edge, with no label looked
-    up.  At k = 1 the lines are the vertices compressed against the
+    For k >= 2 every line opens with a prefix string, "e" and the labels of
+    a (k-1)-subset of [0, n - 1) each followed by a space, formatted once
+    from the cached subset columns up to the top vertex of the last edge.
+    The edges with top vertex c pick their prefixes by compressing the
+    first comb(c, k - 1) of them against c's colex block, and the tail
+    "c\\n" joins and closes them: one C-level pick per edge, with no label
+    looked up.  At k = 1 the lines are the vertices compressed against the
     indicator, each formatted once."""
     yield f"p hsc {h.n} {h.k}\n"
     n, k, bits = h.n, h.k, h._bits
@@ -381,9 +369,16 @@ def _edge_list_blocks(h: Hypergraph):
                 vertices = compress(range(low, low + len(span)), span)
                 yield "".join(map("e {}\n".format, vertices))
         return
+    last = bits.rfind(1)
+    if last < 0:
+        return
+    top = k - 1
+    while comb(top + 1, k) <= last:
+        top += 1
     # About 67 bytes a prefix with its list slot: 7.2 MB at n = 466, k = 3.
-    prefixes = list(map(("e " + "{} " * (k - 1)).format, *_colex_heads(n, k)[0]))
-    for c in range(k - 1, n):
+    heads = map(islice, _subset_columns(n - 1, k - 1), repeat(comb(top, k - 1)))
+    prefixes = list(map(("e " + "{} " * (k - 1)).format, *heads))
+    for c in range(k - 1, top + 1):
         start, stop, tail = comb(c, k), comb(c + 1, k), f"{c}\n"
         for low in range(start, stop, _WRITE_SPAN):
             span = bits[low : min(low + _WRITE_SPAN, stop)]

@@ -19,6 +19,13 @@ __all__ = [
 ]
 
 
+# Refuse a larger modulus: the scan's time grows linearly with it.  One
+# process, 2 vCPUs, Python 3.11: `residues` took 0.18 s at 4096, 0.58 s at
+# 16 384, 1.9-2.4 s at this bound ((k, t) = (3, 1), (3, 2), (12, 11)) and
+# 33 s at 2^20.
+MAX_MODULUS = 1 << 16
+
+
 class PeriodicityError(ValueError):
     """The admissible residue set failed to repeat across scanned periods."""
 
@@ -71,6 +78,8 @@ def residue_classes(k: int, t: int, modulus: int) -> set[int]:
     """
     if modulus < 1 or modulus & (modulus - 1):
         raise ValueError(f"modulus must be a power of two, got {modulus}")
+    if modulus > MAX_MODULUS:
+        raise ValueError(f"modulus {modulus} exceeds the bound of {MAX_MODULUS}")
     start = k + 1
     blocks = []
     for j in range(8):

@@ -10,7 +10,7 @@ of another under tau.  The exhaustive searches
 (antimorphism and automorphism enumeration) are gated by order: orders up
 to 8 run freely, 9 and 10 need an explicit opt-in, anything larger is
 refused outright; they look each image subset up by its vertex bitmask in a
-dict of indicator bytes filled by one colex walk.
+dict of indicator bytes filled from the cached colex columns.
 
 The K4 vertex invariant is asked one vertex at a time but computed for all
 vertices at once: one pass over the edges fills pair-link bitsets (the
@@ -28,10 +28,8 @@ from operator import ne, or_, xor
 from .colex import (
     _PARSE_BLOCK,
     _binomial_table,
-    _colex_heads,
     _image_ranks,
-    colex_walk,
-    unrank_colex,
+    _subset_columns,
 )
 from .construct import EdgeFamilies
 from .hypercore import Hypergraph, Permutation, coverage
@@ -113,13 +111,10 @@ def t_subset_regularity(h: Hypergraph, t: int) -> RegularityReport:
     first = counts[0]
     if counts.count(first) != len(counts):
         r = next(compress(range(len(counts)), map(first.__ne__, counts)))
-        # The cached heads for (n + 1, t + 1) are the columns of the
-        # t-subsets of [0, n); t = 1 needs none.
-        heads = _colex_heads(h.n + 1, t + 1)[0] if t > 1 else (range(h.n),)
         return RegularityReport(
             t=t,
             valence=None,
-            witness=tuple(column[r] for column in heads),
+            witness=tuple(column[r] for column in _subset_columns(h.n, t)),
             witness_count=counts[r],
             first_count=first,
         )
@@ -227,10 +222,10 @@ def verify_antimorphism(h: Hypergraph, tau: Permutation) -> AntimorphismCheck:
         digits = rows.translate(_BINARY_DIGITS)[::-1]
         cuts = map(slice, range(len(digits) - n, -1, -n), range(len(digits), 0, -n))
         closed += map(int, map(digits.__getitem__, cuts), repeat(2))
-    image = [0]
+    # At k = 1 the only T is the empty set, its own image (rank 0).
+    heads, image = (), [0]
     if k > 1:
-        # The cached heads for (n + 1, k) are the columns of the T.
-        heads = _colex_heads(n + 1, k)[0]
+        heads = _subset_columns(n, k - 1)
         image = _image_ranks(heads, tau.images, _binomial_table(n, k - 1))
     moved = _relabel_masks(closed, tau.images)
     full = (1 << n) - 1
@@ -243,7 +238,7 @@ def verify_antimorphism(h: Hypergraph, tau: Permutation) -> AntimorphismCheck:
     back = _relabel_masks([flip for _, flip in bad], tau.inverse().images)
     witness = None
     for (r, _), mask in zip(bad, back):
-        head = unrank_colex(r, n, k - 1)
+        head = tuple(column[r] for column in heads)
         mask &= ~sum(1 << v for v in head)
         subset = tuple(sorted(head + ((mask & -mask).bit_length() - 1,)))
         if witness is None or subset < witness:
@@ -349,7 +344,7 @@ def _backtrack_images(h, *, want_equal, node_budget, first_only):
     # byte its image must have (the walk's position is the subset's rank).
     tails = [[] for _ in range(n)]
     byte_of = {}
-    for r, e in enumerate(colex_walk(n, k)):
+    for r, e in enumerate(zip(*_subset_columns(n, k))):
         byte_of[sum(map(bit.__getitem__, e))] = bits[r]
         tails[e[-1]].append((e, bits[r] ^ flip))
     found = []
@@ -410,23 +405,10 @@ def automorphism_vertex_orbits(
     autos = _backtrack_images(
         h, want_equal=True, node_budget=node_budget, first_only=False
     )
-    parent = list(range(h.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in autos:
-        for v, w in enumerate(p.images):
-            rv, rw = find(v), find(w)
-            if rv != rw:
-                parent[rw] = rv
-    groups: dict[int, list[int]] = {}
-    for v in range(h.n):
-        groups.setdefault(find(v), []).append(v)
-    return tuple(tuple(g) for g in sorted(groups.values()))
+    # The search lists the whole group, so a vertex's orbit is the set of
+    # its images, read down its column of the image tuples.
+    images = zip(*(p.images for p in autos))
+    return tuple(sorted({tuple(sorted(set(column))) for column in images}))
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +472,9 @@ def euler_characteristic_triangulation(h: Hypergraph) -> int:
     counts = coverage(h, 2)
     for r, c in enumerate(counts):
         if c != 2:
+            pair = tuple(column[r] for column in _subset_columns(h.n, 2))
             raise ValueError(
-                f"not a triangulation candidate: pair {unrank_colex(r, h.n, 2)}"
+                f"not a triangulation candidate: pair {pair}"
                 f" lies in {c} edges, need exactly 2"
             )
     return h.n - len(counts) + h.edge_count

@@ -29,9 +29,11 @@ decoded at once; and the antimorphism check over every link row at once.
 
 The first group holds members that left `hsc` because only tests called
 them: the per-subset colex ranks `subset_rank` and `rank_colex`, the
+per-subset colex unrank `unrank_colex` and the colex walk `colex_walk`, the
 permutation algebra, the empty and complete hypergraphs, the complement,
-the membership queries, the enumeration of all alternating assignments and `relabel`,
-which relabels a hypergraph through the column-wise image ranks.
+the membership queries, the enumeration of all alternating assignments, the
+union-find of the automorphism orbits and `relabel`, which relabels a
+hypergraph through the column-wise image ranks.
 """
 
 from __future__ import annotations
@@ -51,8 +53,6 @@ from hsc.colex import (
     _column_ranks,
     _image_ranks,
     _valid_columns,
-    colex_walk,
-    unrank_colex,
     validate_ksubset,
 )
 from hsc.construct import half, side_modulus
@@ -91,6 +91,30 @@ def rank_colex(s, n: int, k: int) -> int:
     s = tuple(s)
     validate_ksubset(s, n, k)
     return subset_rank(s)
+
+
+def colex_walk(n: int, k: int):
+    """Every k-subset of [0, n) in colex order, as a lazy iterator."""
+    if k == 0:
+        return iter(((),))
+    return zip(*_colex_columns(n, k))
+
+
+def unrank_colex(r: int, n: int, k: int) -> tuple[int, ...]:
+    """The k-subset of [0, n) with colex rank r."""
+    total = comb(n, k)
+    if not 0 <= r < total:
+        raise ValueError(f"rank {r} out of range [0, {total}) for n={n}, k={k}")
+    out = [0] * k
+    c = n - 1
+    for size in range(k, 0, -1):
+        # Largest c with comb(c, size) <= r picks the biggest remaining vertex.
+        while comb(c, size) > r:
+            c -= 1
+        out[size - 1] = c
+        r -= comb(c, size)
+        c -= 1
+    return tuple(out)
 
 
 def identity(n: int) -> Permutation:
@@ -153,6 +177,28 @@ def alternating_assignments(
     in the enumeration order of `hsc.search`; raises CandidateCapExceeded
     up front when there are more than `cap` of them."""
     return _candidates(_feasible_orbits(n, k, tau, cap))
+
+
+def orbits_by_union_find(n: int, autos) -> tuple[tuple[int, ...], ...]:
+    """The vertex orbits of the group generated by the permutations autos,
+    by joining each vertex with its image under each of them."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p in autos:
+        for v, w in enumerate(p.images):
+            rv, rw = find(v), find(w)
+            if rv != rw:
+                parent[rw] = rv
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    return tuple(tuple(g) for g in sorted(groups.values()))
 
 
 def relabel(h: Hypergraph, sigma: Permutation) -> Hypergraph:

@@ -7,7 +7,7 @@ import time
 from math import comb
 
 import colex_reference as ref
-from hsc.colex import unrank_colex
+from colex_reference import unrank_colex
 from hsc.construct import build_gamma, build_gamma_families, swap_antimorphism
 from hsc.hypercore import (
     Permutation,

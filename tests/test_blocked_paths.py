@@ -80,6 +80,26 @@ def test_writer_cost_follows_edges_at_k1():
     assert peak < 1e6
 
 
+def test_writer_cost_follows_edges_at_k3():
+    # At n = 466 every prefix would take about 7.2 MB.  With no edge none is
+    # formatted, and with edges only up to top vertex 20 only the 190 with
+    # a top below 20; the cached subset columns are built first, outside
+    # the trace, as a dense write shares them.
+    empty = Hypergraph(466, 3, [])
+    sparse = Hypergraph(466, 3, [(0, 1, 2), (3, 7, 20)])
+    to_edge_list_text(Hypergraph(466, 3, [(463, 464, 465)]))
+    texts, peaks = [], []
+    for h in (empty, sparse):
+        tracemalloc.start()
+        try:
+            texts.append(to_edge_list_text(h))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert texts == ["p hsc 466 3\n", "p hsc 466 3\ne 0 1 2\ne 3 7 20\n"]
+    assert max(peaks) < 1e6, peaks
+
+
 def test_construct_stdout_streams_the_file_bytes(tmp_path, capsys):
     path = tmp_path / "g50.hsc"
     assert main(["construct", "--n", "50", "--out", str(path)]) == 0

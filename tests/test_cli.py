@@ -229,6 +229,15 @@ def test_residues_unstable_scan(capsys):
     assert "unstable" in stderr
 
 
+def test_residues_refuses_a_modulus_past_the_bound(capsys):
+    # Twice the bound is refused before any order is scanned.
+    assert run(capsys, "residues", "--mod", "131072") == (
+        2,
+        "",
+        "error: modulus 131072 exceeds the bound of 65536\n",
+    )
+
+
 def test_search_summary(capsys):
     code, stdout, _ = run(capsys, "search", "--n", "6")
     assert code == 0

@@ -6,9 +6,9 @@ from math import comb
 import pytest
 
 import colex_reference as ref
-from colex_reference import rank_colex, relabel, subset_rank
+from colex_reference import rank_colex, relabel, subset_rank, unrank_colex
 from hsc import hypercore
-from hsc.colex import unrank_colex, validate_ksubset
+from hsc.colex import validate_ksubset
 from hsc.construct import build_gamma, swap_antimorphism
 from hsc.hypercore import (
     Hypergraph,

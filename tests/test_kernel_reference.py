@@ -12,10 +12,10 @@ from math import comb
 import pytest
 
 import colex_reference as ref
+from colex_reference import colex_walk
 from hsc import colex, hypercore
 from hsc.cli import main
 from hsc.construct import build_gamma, build_gamma_families, swap_antimorphism
-from hsc.colex import colex_walk
 from hsc.hypercore import (
     MAX_POSITIONS,
     Hypergraph,
@@ -126,6 +126,16 @@ def test_cached_colex_columns_match_the_uncached_replay():
                 assert all(type(head) is tuple for head in heads)
 
 
+def test_subset_columns_match_unranking():
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            columns = colex._subset_columns(n, k)
+            assert len(columns) == k
+            for r in range(comb(n, k)):
+                subset = tuple(column[r] for column in columns)
+                assert subset == ref.unrank_colex(r, n, k)
+
+
 def test_edges_match_unranking():
     for h in sample_hypergraphs():
         assert h.edges() == ref.edges_by_unranking(h)
@@ -155,29 +165,28 @@ def test_lane_coverage_matches_counter_reference():
 
 
 def spy_lane_sums(monkeypatch):
-    """Record the name of each call of both block-sum kernels in the
-    returned list."""
+    """Record the name of each call of the block-sum kernel in the returned
+    list."""
     calls = []
-    for name in ("_lane_sums", "_lane_sums_once"):
-        real = getattr(hypercore, name)
+    real = hypercore._lane_sums
 
-        def counted(*args, real=real, name=name):
-            calls.append(name)
-            return real(*args)
+    def counted(*args):
+        calls.append("_lane_sums")
+        return real(*args)
 
-        monkeypatch.setattr(hypercore, name, counted)
+    monkeypatch.setattr(hypercore, "_lane_sums", counted)
     return calls
 
 
 def test_lane_sums_sum_each_block_once(monkeypatch):
     # For 2 <= t <= k - 2 the (k-1, t) and (k-1, t-1) sums of a block both
     # recurse into the (k-2, t-1) sums of the same sub-blocks.  Summed once
-    # per block, the first two shapes take 3565 and 54121 calls, not 7459
+    # per block, the first two shapes take 2069 and 31791 calls, not 7459
     # and 346299 (one per path).  At k = 3, t = 2, which verify runs, no sum
-    # repeats and the plain recursion runs alone, one call per block and t.
+    # repeats and the recursion keeps no memo, one call per block and t.
     calls = spy_lane_sums(monkeypatch)
     rng = random.Random(16)
-    for n, k, t, most in ((12, 6, 3, 3565), (16, 8, 4, 54121)):
+    for n, k, t, most in ((12, 6, 3, 2069), (16, 8, 4, 31791)):
         h = random_hypergraph(rng, n, k)
         calls.clear()
         assert coverage(h, t) == ref.coverage_by_counter(h, t)
@@ -344,7 +353,7 @@ def test_link_antimorphism_matches_permute_reference():
             # would keep an orbit of length 2 alternating.
             ranks = list(ref.edge_ranks(h))
             i = rng.randrange(len(ranks))
-            image = ref.subset_image(tau, colex.unrank_colex(ranks[i], h.n, h.k))
+            image = ref.subset_image(tau, ref.unrank_colex(ranks[i], h.n, h.k))
             non_edges = [r for r in range(h.positions) if not h.indicator[r]]
             non_edges.remove(ref.subset_rank(image))
             ranks[i] = rng.choice(non_edges)
@@ -560,6 +569,24 @@ def test_automorphism_search_matches_reference():
         orbits = automorphism_vertex_orbits(h, allow_large=True, node_budget=nodes)
         sides = [range(n)] if n == 6 else [range(n // 2), range(n // 2, n)]
         assert orbits == tuple(sorted(ref.subset_image(sigma, s) for s in sides))
+
+
+def test_automorphism_orbits_match_union_find():
+    # Sparse random hypergraphs up to order 7 have groups of every size, so
+    # their orbits range from all singletons to one orbit.
+    rng = random.Random(29)
+    sizes = set()
+    for n in range(3, 8):
+        for k in (2, 3):
+            for _ in range(12):
+                h = random_hypergraph(rng, n, k, rng.choice((0.1, 0.3, 0.5)))
+                autos = _backtrack_images(
+                    h, want_equal=True, node_budget=None, first_only=False
+                )
+                orbits = automorphism_vertex_orbits(h)
+                assert orbits == ref.orbits_by_union_find(n, autos), h
+                sizes.add(len(orbits))
+    assert {1, 2, 3}.issubset(sizes) and max(sizes) >= 5
 
 
 def test_antimorphism_search_matches_reference():

@@ -82,6 +82,8 @@ def test_residue_classes_rejects_bad_modulus():
         residue_classes(3, 2, 6)
     with pytest.raises(ValueError):
         residue_classes(3, 2, 0)
+    with pytest.raises(ValueError, match="exceeds the bound of 65536"):
+        residue_classes(3, 2, 1 << 17)
 
 
 def test_residue_classes_detects_instability():

@@ -13,9 +13,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import colex_reference as ref
-from colex_reference import rank_colex, relabel
+from colex_reference import rank_colex, relabel, unrank_colex
 from hsc import hypercore
-from hsc.colex import unrank_colex
 from hsc.hypercore import (
     Hypergraph,
     Permutation,
