@@ -1,29 +1,26 @@
 """k-uniform hypergraphs with dense colex-rank indexing.
 
-A k-subset of the vertex range [0, n) is a strictly increasing tuple of
-ints, ordered colexicographically (compare the largest differing element).
-A hypergraph stores its edge set once, as one indicator byte per colex
-rank, giving O(1) membership and a canonical iteration order.  Hypergraphs
-are immutable.
+A k-subset of [0, n) is a strictly increasing tuple of ints, ordered
+colexicographically (the largest differing element decides).  An immutable
+hypergraph stores its edge set once, as one indicator byte per colex rank.
 
 Ranks come from the combinatorial number system in `hsc.colex`.  The
 k-subsets with top vertex c hold the colex block [comb(c, k), comb(c + 1, k))
-of ranks, over the (k-1)-subsets of [0, c), so nothing is unranked on the
-way out: the writer prints each block by picking, per edge, one prefix
-string formatted once from the cached subset columns, and coverage sums the
-blocks, or on small shapes the rows of a cached table.  The parser reads
-the open file in chunks, splits each chunk once into k fields per edge
-line and ranks them column by column into a fresh indicator.
-Only the K4 profile and `Hypergraph.edges()` replay the edges' vertex
-columns (`Hypergraph.columns()`).
+of ranks, over the (k-1)-subsets of [0, c), so nothing is unranked: the
+writer joins each block's edge prefixes ("e" and the first k - 1 vertices)
+with the tail " c\\n", and the parser splits each run of c's lines once on
+that tail and looks each piece up as one prefix, in colex order.  Coverage
+sums the blocks, or on small shapes the rows of a cached table.  Only the K4
+profile and `Hypergraph.edges()` replay the edges' vertex columns.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache, partial
-from itertools import chain, combinations, compress, islice, repeat
+from itertools import chain, combinations, compress, count, islice, repeat
 from math import comb
-from operator import add, itemgetter, lt, mul, setitem
+from operator import add, itemgetter, mul, setitem
 from pathlib import Path
 
 from .colex import (
@@ -46,19 +43,16 @@ __all__ = [
     "write_edge_list",
 ]
 
-# Bytes per read of the parse's fast route, and indicator bytes per span of
-# the writer.  A parse chunk's strings take about 30 bytes per character:
-# 64 KB chunks peaked above the whole-document parse at n = 50 (1.72 against
-# 1.44 MB), 16 KB ones at 0.49 MB, and parse times were flat from 8 to 64 KB
-# at n = 102 and 302.  A writer span's lines take up to about 1 MB.
+# Bytes per read of the parse, and indicator bytes per span of the writer.
+# Parsing the n = 50 file peaked at 0.12, 0.19 and 0.37 MB (tracemalloc) with
+# 8, 16 and 64 KB reads; at n = 102 and 302 times were flat from 4 to 32 KB.
+# A writer span's lines take up to about 1 MB.
 _PARSE_CHUNK = _WRITE_SPAN = 1 << 14
 
-# Refuse more subset positions than this.  On the construction, one fresh
-# process per command (2 vCPUs, Python 3.11, peak = VmHWM), `construct --out`
-# and `verify` take 0.2-0.3 s at 25 MB and 2.1-2.4 s at 26 MB at n = 302,
-# and 0.8-1.0 s at 42 MB and 7.3-8.1 s at 47 MB at n = 466, the largest
-# order under it: the 16.7 MB indicator and one bounded block, and for the
-# writer its 7.2 MB of line prefixes.
+# Refuse more subset positions.  At n = 466, the largest order under it (one
+# fresh process, 2 vCPUs, Python 3.11, peak = VmHWM), `construct --out` takes
+# 0.6-0.9 s at 40 MB and `verify` 4.8-6.9 s at 47 MB: the 16.7 MB indicator,
+# a bounded block, and the writer's 7.2 MB of prefixes or the parser's map.
 MAX_POSITIONS = 1 << 24
 
 # Most lane bytes, comb(n, k) * comb(n, t) * w, for which `coverage` sums a
@@ -68,6 +62,12 @@ MAX_POSITIONS = 1 << 24
 # 17 KB at n = 12, the largest order under this bound; past it, 2.4 ms and
 # 0.28 MB at n = 22 and 7.8 ms and 1.3 MB at n = 30.
 _TABLE_BYTES = 1 << 14
+
+# Refuse coverage of more t-subsets.  `verify --t` on one edge (one fresh
+# process, 2 vCPUs, Python 3.11) took 0.38 s / 72 MB at (n, k, t) = (44, 43,
+# 5), 1 086 008 lanes, 1.4 s / 252 MB at (40, 39, 6) and 8.3 s / 1.35 GB at
+# (40, 39, 7).
+MAX_LANES = 1 << 20
 
 
 def _capped_comb(n: int, k: int, cap: int) -> int | None:
@@ -158,8 +158,7 @@ class Hypergraph:
         shaped = all(map(k.__eq__, map(len, subsets)))
         columns = [list(map(itemgetter(i), subsets)) for i in range(k)] if shaped else []
         if not (shaped and _valid_columns(columns, n)):
-            # Rerun the per-subset checks only to report the first bad
-            # subset with its message.
+            # Rerun the per-subset checks only for the first bad one's message.
             for s in subsets:
                 validate_ksubset(s, n, k)
         positions = _positions(n, k)
@@ -254,22 +253,22 @@ def coverage(h: Hypergraph, t: int) -> list[int]:
 
     Small shapes, t < k with comb(n, k) * comb(n, t) * w at most
     _TABLE_BYTES, sum the edges' rows of a cached table (`_coverage_table`)
-    in one C-level pass: at k = 3, t = 2 a call takes 3.0-3.6 us at n = 6
-    and 7.5-8.0 us at n = 10, against 15.5-16.3 and 56-70 us on the blocks.
-    Other shapes sum the colex blocks in one recursion (`_lane_sums`), a
-    Python call per block and t, not a step per edge.  Against a Counter of
-    every edge's t-subset ranks the blocks measured faster at k = 3, t = 2
-    (13x at n = 202), t = k and k = 2; for t < k - 1 they range from 0.95x
-    (n = 30, k = 3, t = 1) to 1.2x (n = 12, k = 6, t = 3) and 4.6x (n = 16,
-    k = 8, t = 4).
+    in one C-level pass: at k = 3, t = 2, 3.0-3.6 us at n = 6 and 7.5-8.0 us
+    at n = 10, against 15.5-16.3 and 56-70 us on the blocks.  Other shapes
+    sum the colex blocks in one recursion (`_lane_sums`), a Python call per
+    block and t: against a Counter of every edge's t-subset ranks, 13x
+    faster at (n, k, t) = (202, 3, 2) and 0.95-4.6x for t < k - 1.  More
+    than MAX_LANES t-subsets are refused.
     """
     if not 1 <= t <= h.k:
         raise ValueError(f"need 1 <= t <= k={h.k}, got t={t}")
     n, k = h.n, h.k
+    subsets = _capped_comb(n, t, MAX_LANES)
+    if subsets is None:
+        raise ValueError(f"comb({n},{t}) {t}-subsets exceed the bound of {MAX_LANES}")
     width = 1
     while comb(n - t, k - t) >> 8 * width:
         width *= 2
-    subsets = comb(n, t)
     if t < k and h.positions * subsets * width <= _TABLE_BYTES:
         lanes = sum(compress(_coverage_table(n, k, t, 8 * width), h._bits))
     else:
@@ -286,10 +285,9 @@ def coverage(h: Hypergraph, t: int) -> list[int]:
 @lru_cache(maxsize=16)
 def _coverage_table(n: int, k: int, t: int, lane: int) -> tuple:
     """The t-vs-k inclusion matrix, one `lane`-bit lane int per k-subset:
-    row r has a 1 in the lane of each t-subset of the k-subset of colex rank
-    r, so the rows of a hypergraph's edges sum to its coverage lanes.  Each
-    choice of t of the k vertex columns ranks one t-subset of every k-subset
-    at once."""
+    row r has a 1 in the lane of each t-subset of the k-subset of rank r, so
+    the rows of the edges sum to the coverage lanes.  Each choice of t of
+    the k vertex columns ranks one t-subset of every k-subset at once."""
     rows = _binomial_table(n, t)
     ones = [
         map((1).__lshift__, map(lane.__mul__, _column_ranks(rows, picked)))
@@ -348,18 +346,22 @@ def _lane_sums(bits, n: int, k: int, t: int, lane: int, memo=None, start=0) -> i
 # ---------------------------------------------------------------------------
 
 
+def _prefixes(m: int, j: int, size: int):
+    """The edge-line prefixes, "e" and a space before each vertex, of the
+    first `size` j-subsets of [0, m) in colex order, replayed lazily.  The
+    writer joins a top c's prefixes with " c\\n"; the parser splits on it."""
+    columns = map(islice, _colex_columns(m, j), repeat(size))
+    return map(("e" + " {}" * j).format, *columns)
+
+
 def _edge_list_blocks(h: Hypergraph):
     """The edge-list text in pieces: the header line, then the edge lines of
     each span of at most _WRITE_SPAN indicator bytes that holds an edge.
-
-    For k >= 2 every line opens with a prefix string, "e" and the labels of
-    a (k-1)-subset of [0, n - 1) each followed by a space, formatted once
-    from the cached subset columns up to the top vertex of the last edge.
-    The edges with top vertex c pick their prefixes by compressing the
-    first comb(c, k - 1) of them against c's colex block, and the tail
-    "c\\n" joins and closes them: one C-level pick per edge, with no label
-    looked up.  At k = 1 the lines are the vertices compressed against the
-    indicator, each formatted once."""
+    For k >= 2 the `_prefixes` up to the last edge's top vertex are
+    formatted once; the edges with top c pick theirs by compressing the
+    first comb(c, k - 1) against c's colex block, and the tail " c\\n"
+    joins and closes them.  At k = 1 the lines are the vertices compressed
+    against the indicator."""
     yield f"p hsc {h.n} {h.k}\n"
     n, k, bits = h.n, h.k, h._bits
     if k == 1:
@@ -376,10 +378,9 @@ def _edge_list_blocks(h: Hypergraph):
     while comb(top + 1, k) <= last:
         top += 1
     # About 67 bytes a prefix with its list slot: 7.2 MB at n = 466, k = 3.
-    heads = map(islice, _subset_columns(n - 1, k - 1), repeat(comb(top, k - 1)))
-    prefixes = list(map(("e " + "{} " * (k - 1)).format, *heads))
+    prefixes = list(_prefixes(n - 1, k - 1, comb(top, k - 1)))
     for c in range(k - 1, top + 1):
-        start, stop, tail = comb(c, k), comb(c + 1, k), f"{c}\n"
+        start, stop, tail = comb(c, k), comb(c + 1, k), f" {c}\n"
         for low in range(start, stop, _WRITE_SPAN):
             span = bits[low : min(low + _WRITE_SPAN, stop)]
             if 1 in span:
@@ -410,8 +411,7 @@ def _header(line: str) -> tuple[int, int]:
 def _line_chunks(pieces):
     """The lines of a document given in pieces of text, in chunks of whole
     lines joined by newlines: each piece ends its chunk at its last newline
-    and carries the partial line after it into the next.  A final newline
-    ends the last line; it opens no empty one."""
+    and carries the rest into the next.  A final newline opens no line."""
     parts = []
     for piece in pieces:
         head, newline, tail = piece.rpartition("\n")
@@ -423,119 +423,111 @@ def _line_chunks(pieces):
         yield "".join(parts)
 
 
-def _label_maps(n: int, k: int) -> tuple:
-    """(plain, glued): the lookups of the vertex tokens of an edge line.
-    The tokens the format allows are exactly the decimal labels of [0, n):
-    leading zeros, signs, non-ASCII digits and n itself all miss.  A line's
-    last label comes glued to the newline and the next line's "e", as in
-    "12\\ne", and looks up in glued; the others look up in plain, built
-    only for k >= 2.  The maps stay apart, so that a token in the other's
-    column misses."""
-    glued = {f"{v}\ne": v for v in range(n)}.__getitem__
-    return ({str(v): v for v in range(n)}.__getitem__ if k > 1 else None), glued
+def _prefix_ranks(n: int, k: int) -> dict:
+    """The colex rank of each `_prefixes` string of the (k-1)-subsets of
+    [0, n - 1), or at k = 1 of the whole lines of [0, n).  Only what the
+    format allows is a key: leading zeros, signs and n itself all miss."""
+    m, j = (n - 1, k - 1) if k > 1 else (n, 1)
+    return dict(zip(_prefixes(m, j, comb(m, j)), count()))
 
 
-# Orders whose label maps the parse keeps, at most 8 of them, about 1 MB
-# each at the bound.  Below it a call reuses them (5.5 us of a 33 us parse
-# at n = 6); above it they are built per call, so that a huge k = 1 order
-# does not hold its map.
-_CACHED_LABELS = 1 << 12
-_cached_label_maps = lru_cache(maxsize=8)(_label_maps)
+# The parse keeps 8 prefix maps of up to _CACHED_PREFIXES keys (0.2 MB): a
+# cached n = 102 map (5050 keys) raised a `certify` run's peak by 0.5 MB.  It
+# builds a map once the text after the header holds 2k + 2 bytes, a shortest
+# edge line, per key, so the keys' labels are under half the bytes read.  Then
+# (random colex files, fresh processes, 2 vCPUs, Python 3.11) it beat the
+# strict loop, 0.17-0.28 against 0.32-0.49 s at (n, k) = (466, 3) and 1.4-1.7
+# against 1.9-2.0 s at (2^20, 1); half of all edges at (22, 11) took 1.1-1.3 s
+# and 110 MB, against 4.3 s and 177 MB (the column split: 0.9 s, 26 MB).
+_CACHED_PREFIXES = 1 << 11
+_cached_prefix_ranks = lru_cache(maxsize=8)(_prefix_ranks)
 
 
 def _fast_parse(chunks):
-    """The hypergraph of a document given as `_line_chunks`, if all its edge
-    lines are on the fast route and no edge repeats, else None.
+    """The hypergraph of a document given as `_line_chunks`, or None for
+    the strict loop: on any document it would refuse, and on short ones.
 
-    The fast route takes exactly the lines the strict loop accepts without
-    complaint: "e" and k vertex labels joined by single spaces, strictly
-    increasing.  Past its leading "e ", each chunk is split once on spaces
-    into k fields per line, the last glued to the newline and the next
-    "e" (`_label_maps`); they are looked up by column and ranked through
-    the cached binomial table into the indicator.  A looked-up label lies
-    in [0, n), so only the order of each edge's vertices is checked, and a
-    repeated edge shows as fewer set bytes than edge lines.
-
-    A label map costs about 105 bytes and 0.9 us per vertex.  At k = 1 and
-    n = 4e6 (one process per point) the strict loop took 1.0-1.3 s on n / 10
-    lines and 2.3-3.6 s on n / 4, against 3.5-4.4 and 5.0-5.4 s here, and
-    both took 4.5-4.9 s on n / 2, so the chunks are read ahead until they
-    hold n vertex tokens, or go strict.
+    In colex order the lines of a top vertex c are contiguous and end in
+    " c\\n", so each run reads c from its first line and splits a window of
+    whole lines, twice the last run's length, once on that tail.  Each
+    piece but the last is a prefix (`_prefix_ranks`) whose rank is set in a
+    memoryview of c's block, which refuses a prefix not below c; at k = 1
+    each line is one.  Any miss, disorder or repeated edge gives None.
     """
     header, newline, rest = next(chunks, "").partition("\n")
     try:
         n, k = _header(header)
     except ValueError:
         return None
+    positions = _capped_comb(n, k, MAX_POSITIONS) if 1 <= k <= n else None
+    if positions is None:
+        return None
+    keys = comb(n - 1, k - 1) if k > 1 else n
     ahead = [rest] if newline else []
-    lines = rest.count("\n") + 1 if newline else 0
-    while 1 <= k <= n and k * lines < n:
+    size = len(rest) + 1 if newline else 0  # each chunk and its newline
+    while size < keys * (2 * k + 2):
         chunk = next(chunks, None)
         if chunk is None:
             return None
         ahead.append(chunk)
-        lines += chunk.count("\n") + 1
-    positions = _capped_comb(n, k, MAX_POSITIONS) if 1 <= k <= n else None
-    if positions is None:
-        return None
-    rows = _binomial_table(n, k)
-    labels = _cached_label_maps if n <= _CACHED_LABELS else _label_maps
-    plain, glued = labels(n, k)
+        size += len(chunk) + 1
+    ranks_of = _cached_prefix_ranks if keys <= _CACHED_PREFIXES else _prefix_ranks
+    prefix_rank = ranks_of(n, k).__getitem__
     bits = bytearray(positions)
-    edges = 0
+    view = memoryview(bits)
+    last, edges, width = -1, 0, 0
     for chunk in chain(ahead, chunks):
         if not chunk.isascii():
             return None
-        # Only a chunk with a line opening in "c" is split into lines, to
-        # drop its comments.
-        if chunk.startswith("c") or "\nc" in chunk:
-            block = [
-                line
-                for line in chunk.split("\n")
-                if not (line.startswith("c ") or line == "c")
-            ]
-            if not block:
-                continue
-            chunk = "\n".join(block)
-        if not chunk.startswith("e "):
-            return None
-        # "e a b\ne c d" gives a, b\ne, c, d: k fields per line.  Only a
-        # glued field holds a newline, one each, so with k fields a line
-        # and every lookup a hit, each line is "e" and k labels.
-        fields = chunk[2:].split(" ")
-        lines = len(fields) // k
-        if len(fields) != k * lines:
-            return None
-        fields[-1] += "\ne"
+        text = chunk + "\n"
+        if text.startswith("c") or "\nc" in text:
+            text = re.sub(r"(?m)^c(?: .*)?\n", "", text)
+        pos = 0
         try:
-            columns = [list(map(plain, fields[i::k])) for i in range(k - 1)]
-            columns.append(list(map(glued, fields[k - 1 :: k])))
-        except KeyError:
+            while pos < len(text):
+                if k > 1:
+                    eol = text.index("\n", pos)
+                    label = text[text.rfind(" ", pos, eol) + 1 : eol]
+                    c = int(label) if label.isdigit() else -1
+                    if str(c) != label or c >= n:
+                        return None
+                    low, high, tail = comb(c, k), comb(c + 1, k), f" {label}\n"
+                    stop = max(text.rfind("\n", eol, pos + width), eol) + 1
+                else:
+                    low, high, tail, stop = 0, n, "\n", len(text)
+                pieces = text[pos:stop].split(tail)
+                after = stop - len(pieces.pop())
+                ranks = list(map(prefix_rank, pieces))
+                if low + ranks[0] <= last or ranks != sorted(ranks):
+                    return None
+                _set_ranks(view[low:high], ranks)
+                last = low + ranks[-1]
+                edges += len(ranks)
+                width = 2 * (after - pos)
+                pos = after
+        except (KeyError, IndexError, ValueError):
             return None
-        if not all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:])):
-            return None
-        _set_ranks(bits, _column_ranks(rows, columns))
-        edges += lines
     if bits.count(1) != edges:
         return None
     return Hypergraph._from_indicator(n, k, bits, edges)
 
 
 def from_edge_list_text(text: str) -> Hypergraph:
-    """Parse the edge-list text format; strict about shape and duplicates."""
+    """Parse the edge-list text format; strict about shape, duplicates and
+    the colex order of the edges."""
     pieces = (text[i : i + _PARSE_CHUNK] for i in range(0, len(text), _PARSE_CHUNK))
     h = _fast_parse(_line_chunks(pieces))
     if h is not None:
         return h
     # Any other document takes the strict loop, which reports the first bad
-    # line or the first repeated edge.
+    # line, the first repeated edge or the first edge out of order.
     if not text:
         raise ValueError("empty edge-list document")
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
     n, k = _header(lines[0])
-    edges = []
+    edges, at = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if line.startswith("c ") or line == "c":
             continue
@@ -545,7 +537,14 @@ def from_edge_list_text(text: str) -> Hypergraph:
         if len(parts) != k + 1:
             raise ValueError(f"line {lineno}: edge needs exactly {k} vertices")
         edges.append(tuple(_parse_uint(p, f"line {lineno}") for p in parts[1:]))
-    return Hypergraph(n, k, edges)
+        at.append(lineno)
+    h = Hypergraph(n, k, edges)
+    # Colex order compares the largest differing vertices first.
+    backward = [e[::-1] for e in edges]
+    for lineno, before, edge in zip(at[1:], backward, backward[1:]):
+        if edge < before:
+            raise ValueError(f"line {lineno}: edge {edge[::-1]} is out of colex order")
+    return h
 
 
 def write_edge_list(h: Hypergraph, path) -> None:
@@ -555,9 +554,9 @@ def write_edge_list(h: Hypergraph, path) -> None:
 
 
 def read_edge_list(path) -> Hypergraph:
-    """Parse an edge-list file.  The fast route reads it in chunks; any
-    other document is read again whole for `from_edge_list_text`, so that
-    its messages and line numbers are the same."""
+    """Parse an edge-list file, edges in colex order.  The fast route reads
+    it in chunks, a split per run of a top vertex's lines; any other file is
+    read again whole for `from_edge_list_text`, for the same messages."""
     with open(Path(path), "rb") as f:
         h = None
         # A pipe cannot be read again, so it is read whole.  Latin-1 maps

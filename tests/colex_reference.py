@@ -349,7 +349,9 @@ def antimorphism(h: Hypergraph, tau) -> AntimorphismCheck:
 
 
 def parse(text: str) -> Hypergraph:
-    """The strict line-by-line edge-list parser, ranking with `subset_rank`."""
+    """The strict line-by-line edge-list parser, ranking with `subset_rank`:
+    after the checks of every line and edge, the first edge whose rank is
+    below the previous edge's is refused with its line number."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -361,6 +363,7 @@ def parse(text: str) -> Hypergraph:
     n = _parse_uint(head[2], "header order")
     k = _parse_uint(head[3], "header uniformity")
     edges = []
+    at = []
     for lineno, line in enumerate(lines[1:], start=2):
         if line.startswith("c ") or line == "c":
             continue
@@ -370,7 +373,13 @@ def parse(text: str) -> Hypergraph:
         if len(parts) != k + 1:
             raise ValueError(f"line {lineno}: edge needs exactly {k} vertices")
         edges.append(tuple(_parse_uint(p, f"line {lineno}") for p in parts[1:]))
-    return Hypergraph.from_ranks(n, k, build_ranks(n, k, edges))
+        at.append(lineno)
+    h = Hypergraph.from_ranks(n, k, build_ranks(n, k, edges))
+    ranks = [subset_rank(e) for e in edges]
+    for i in range(1, len(ranks)):
+        if ranks[i] < ranks[i - 1]:
+            raise ValueError(f"line {at[i]}: edge {edges[i]} is out of colex order")
+    return h
 
 
 def vertex_k4_by_scan(h: Hypergraph, v: int) -> int:
@@ -465,8 +474,9 @@ def permute_by_rank_list(h: Hypergraph, sigma: Permutation) -> Hypergraph:
 
 
 def _whole_document_ranks(lines, n: int, k: int):
-    """Colex ranks of edge lines that are all on the fast route, else None;
-    every line of the document is held at once."""
+    """Colex ranks of edge lines that are all on the fast route and in
+    increasing colex order, else None; every line of the document is held
+    at once."""
     rows = _binomial_table(n, k)
     vertex = {str(v): v for v in range(n)}.__getitem__
     width = k + 1
@@ -488,7 +498,7 @@ def _whole_document_ranks(lines, n: int, k: int):
         if not all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:])):
             return None
         ranks.extend(_column_ranks(rows, columns))
-    return ranks
+    return ranks if all(map(lt, ranks, ranks[1:])) else None
 
 
 def parse_whole_document(text: str) -> Hypergraph:

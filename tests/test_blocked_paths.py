@@ -200,13 +200,14 @@ def test_reader_matches_the_whole_document_parse(tmp_path, monkeypatch, fast_rea
         text.replace("e 0 1 2\n", "e 0\t1 2\n"),
         text.replace("e 0 1 2\n", "e 0  1 2\n"),
         text.replace("e 0 1 2\n", "e 0 1 2 \n"),
+        text.replace("e 0 1 2\n", "e 0 1 " + "9" * 60 + "\n"),
         text + "\n",
         text + lines[5] + "\n",
         text[:-1] + "\n" + lines[30],
     ):
         assert read(bad) == (None, False)
     # Short documents, bad headers and an order the fast route leaves to
-    # the strict loop (fewer vertex tokens than vertices).
+    # the strict loop (fewer than 2k + 2 bytes per prefix key).
     sparse = Hypergraph.from_ranks(100, 1, [5, 7])
     for doc in (
         "",
@@ -221,6 +222,28 @@ def test_reader_matches_the_whole_document_parse(tmp_path, monkeypatch, fast_rea
         result, fast = read(doc)
         assert not fast
         assert result in (None, ref.empty(10, 3), sparse)
+
+
+def test_a_wide_header_over_comments_builds_no_prefix_map(tmp_path, monkeypatch):
+    # The map would hold comb(99999, 99998) prefixes of 99998 labels each,
+    # about 10^10 labels, against 100 KB of comment lines.  No map is built:
+    # the strict loop reads the empty hypergraph.
+    path = tmp_path / "wide.hsc"
+    path.write_text("p hsc 100000 99999\n" + "c\n" * 50000)
+
+    def built(n, k):
+        raise AssertionError(f"prefix map built for ({n}, {k})")
+
+    monkeypatch.setattr(hypercore, "_prefix_ranks", built)
+    monkeypatch.setattr(hypercore, "_cached_prefix_ranks", built)
+    tracemalloc.start()
+    try:
+        h = read_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h == Hypergraph(100000, 99999)
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("case", sorted(BAD_LINES))

@@ -229,6 +229,26 @@ def test_residues_unstable_scan(capsys):
     assert "unstable" in stderr
 
 
+def test_parity_and_residues_refuse_a_t_past_the_bound(capsys, monkeypatch):
+    # Both are refused before any parity is computed.  Unbounded, the
+    # residue scan took 0.82 s at t = 100000, linear in t.
+    def computed(a, b):
+        raise AssertionError(f"parity of comb({a}, {b}) computed")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(hsc.parity, "binom_parity", computed)
+        for argv in (
+            ("residues", "--k", "100001", "--t", "100000", "--mod", "4"),
+            ("residues", "--k", "66", "--t", "65"),
+            ("parity", "--n", "10000002", "--k", "10000001", "--t", "10000000"),
+        ):
+            t = argv[argv.index("--t") + 1]
+            message = f"error: t={t} exceeds the bound of 64\n"
+            assert run(capsys, *argv) == (2, "", message)
+    # The bound itself is accepted.
+    assert run(capsys, "parity", "--n", "66", "--k", "65", "--t", "64")[0] == 0
+
+
 def test_residues_refuses_a_modulus_past_the_bound(capsys):
     # Twice the bound is refused before any order is scanned.
     assert run(capsys, "residues", "--mod", "131072") == (
@@ -529,6 +549,44 @@ def test_construct_refuses_past_the_position_bound(capsys):
         f"error: comb(470,3)={comb(470, 3)} subset positions exceed the "
         f"supported bound of {hsc.hypercore.MAX_POSITIONS}\n"
     )
+
+
+def test_verify_refuses_coverage_lanes_past_the_bound(capsys, tmp_path, monkeypatch):
+    # comb(40, 20) = 137846528820 lanes: unbounded, this died of a
+    # MemoryError (exit 1) under a 2 GB address-space limit.  The refusal
+    # comes before any lane is summed.
+    path = tmp_path / "wide.hsc"
+    path.write_text("p hsc 40 39\ne " + " ".join(map(str, range(39))) + "\n")
+
+    def summed(*args):
+        raise AssertionError("coverage lanes summed")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(hsc.hypercore, "_lane_sums", summed)
+        patched.setattr(hsc.hypercore, "_coverage_table", summed)
+        assert run(capsys, "verify", "--in", str(path), "--t", "20") == (
+            2,
+            "",
+            "error: comb(40,20) 20-subsets exceed the bound of 1048576\n",
+        )
+    # comb(40, 5) = 658008 lanes, under the bound, are counted.
+    code, stdout, _ = run(capsys, "verify", "--in", str(path), "--t", "5")
+    assert code == 1
+    assert stdout.split()[:5] == ["n=40", "k=39", "t=5", "edges=1", "balance=false"]
+
+
+def test_verify_refuses_edges_out_of_colex_order(capsys, tmp_path):
+    lines = to_edge_list_text(build_gamma(10)).split("\n")
+    path = tmp_path / "swapped.hsc"
+    for at in (2, 30, len(lines) - 2):
+        edited = lines[: at - 1] + [lines[at], lines[at - 1]] + lines[at + 1 :]
+        path.write_text("\n".join(edited))
+        edge = tuple(map(int, lines[at - 1].split()[1:]))
+        assert run(capsys, "verify", "--in", str(path)) == (
+            2,
+            "",
+            f"error: line {at + 1}: edge {edge} is out of colex order\n",
+        )
 
 
 def test_verify_refuses_a_huge_header_without_its_binomial(capsys, tmp_path):

@@ -114,6 +114,18 @@ GOLDEN = {
         G6.replace("e 0 3 4\n", "e 0 1 2\n"),
         "duplicate edge at rank 0",
     ),
+    "edge out of colex order": (
+        G6.replace("e 0 3 4\n", "e 0 1 3\n"),
+        "line 5: edge (0, 1, 3) is out of colex order",
+    ),
+    "swapped lines": (
+        G6.replace("e 0 2 4\ne 0 3 4\n", "e 0 3 4\ne 0 2 4\n"),
+        "line 5: edge (0, 2, 4) is out of colex order",
+    ),
+    "swapped tops": (
+        G6.replace("e 1 3 4\ne 0 1 5\n", "e 0 1 5\ne 1 3 4\n"),
+        "line 7: edge (1, 3, 4) is out of colex order",
+    ),
     "no final newline": (G6[:-1], None),
     "comment lines": (
         HEADER + "\nc\n" + BODY.replace("e 0 3 4\n", "e 0 3 4\nc one\nc\n") + "c z",
@@ -153,6 +165,16 @@ def fast_route(text: str, size: int):
     return hypercore._fast_parse(hypercore._line_chunks(pieces))
 
 
+def short_of_the_read_ahead(text: str) -> bool:
+    """True iff the text after a valid header line, its last line counted
+    with a newline, holds fewer than 2k + 2 bytes per prefix key: the fast
+    route then leaves it to the strict loop without building its map."""
+    header, _, body = text.partition("\n")
+    n, k = map(int, header.split(" ")[2:])
+    keys = comb(n - 1, k - 1) if k > 1 else n
+    return len(body) + (body != "" and not body.endswith("\n")) < keys * (2 * k + 2)
+
+
 def test_chunks_that_end_on_a_line_boundary():
     # Each chunk holds whole lines: one, two or three edge lines of 8 bytes.
     assert G6.index("\n") == 9 and len(G6) == 10 + 10 * 8
@@ -164,29 +186,36 @@ def test_chunks_that_end_on_a_line_boundary():
     assert fast_route(commented, 26) == build_gamma(6)
 
 
-def test_the_two_label_maps_stay_apart():
-    # The plain labels and the glued ones ("v\ne") each miss the other.
-    plain, glued = hypercore._label_maps(7, 3)
-    assert plain("4") == 4 and glued("6\ne") == 6
-    with pytest.raises(KeyError):
-        plain("4\ne")
-    with pytest.raises(KeyError):
-        glued("3")
-    assert hypercore._label_maps(7, 1)[0] is None
+def test_prefix_keys_are_the_writers_prefixes():
+    # The keys are the writer's line prefixes, each with its colex rank; a
+    # line is a key and its top's tail " c\n".
+    ranks = hypercore._prefix_ranks(7, 3)
+    assert list(ranks) == list(hypercore._prefixes(6, 2, comb(6, 2)))
+    assert ranks["e 0 1"] == 0 and ranks["e 4 5"] == comb(5, 2) + 4
+    assert list(ranks.values()) == list(range(comb(6, 2)))
+    for miss in ("e 0 6", "e 1 0", "e 01 2", "e 0 1 ", "e 0", "e 0 1 2", "0 1"):
+        assert miss not in ranks
+    # At k = 1 each whole line is a key.
+    assert hypercore._prefix_ranks(7, 1) == {f"e {v}": v for v in range(7)}
+    heads = hypercore._prefix_ranks(10, 3)
+    for line in to_edge_list_text(build_gamma(10)).split("\n")[1:-1]:
+        head, top = line.rsplit(" ", 1)
+        assert head in heads and int(top) > int(head.rsplit(" ", 1)[1])
     assert fast_route(GOLDEN["five vertices then two"][0], 1 << 14) is None
 
 
-def test_parse_reuses_small_label_maps_only(monkeypatch):
+def test_parse_reuses_small_prefix_maps_only(monkeypatch):
     built = []
-    real = hypercore._label_maps
+    real = hypercore._prefix_ranks
 
     def spy(n, k):
         built.append(n)
         return real(n, k)
 
-    monkeypatch.setattr(hypercore, "_label_maps", spy)
-    monkeypatch.setattr(hypercore, "_cached_label_maps", functools.lru_cache(8)(spy))
-    monkeypatch.setattr(hypercore, "_CACHED_LABELS", 9)
+    monkeypatch.setattr(hypercore, "_prefix_ranks", spy)
+    monkeypatch.setattr(hypercore, "_cached_prefix_ranks", functools.lru_cache(8)(spy))
+    # comb(5, 2) = 10 keys at n = 6 are cached, comb(9, 2) = 36 at n = 10 not.
+    monkeypatch.setattr(hypercore, "_CACHED_PREFIXES", 10)
     g6, g10 = build_gamma(6), build_gamma(10)
     for h in (g6, g10, g6, g10):
         assert from_edge_list_text(to_edge_list_text(h)) == h

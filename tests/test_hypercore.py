@@ -106,7 +106,7 @@ def test_every_route_builds_the_same_hypergraph():
     ordered = sorted(edges, key=lambda s: tuple(reversed(s)))
     ranks = [subset_rank(e) for e in ordered]
     shuffled = ranks[::-1]
-    text = "p hsc 6 3\n" + "".join(f"e {a} {b} {c}\n" for a, b, c in edges)
+    text = "p hsc 6 3\n" + "".join(f"e {a} {b} {c}\n" for a, b, c in ordered)
     h = Hypergraph(6, 3, edges)
     routes = [
         h,
@@ -123,6 +123,11 @@ def test_every_route_builds_the_same_hypergraph():
         assert g.indicator.tobytes() == bytes(r in ranks for r in range(comb(6, 3)))
         assert g == h and hash(g) == hash(h)
     assert h != Hypergraph(6, 3, edges[1:])
+    # The edge-list format lists edges in colex order only.
+    shuffled = "p hsc 6 3\n" + "".join(f"e {a} {b} {c}\n" for a, b, c in edges)
+    message = r"line 3: edge \(0, 1, 2\) is out of colex order"
+    with pytest.raises(ValueError, match=message):
+        from_edge_list_text(shuffled)
     # Equal indicator bytes (four ones) with a different k.
     assert ref.complete(4, 1) != ref.complete(4, 3)
 

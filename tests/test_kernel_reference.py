@@ -423,8 +423,10 @@ def test_parser_accepts_what_the_reference_accepts():
     assert parse_both(text.replace("e 0 1 2\n", "e 000 01 2\n")) == g
     shuffled = list(g.edges())
     random.Random(1).shuffle(shuffled)
-    assert parse_both(text_of(10, 3, shuffled)) == g
-    assert parse_both(text_of(10, 3, shuffled[:5]) + "c\nc trailing\n").edge_count == 5
+    # Edges out of colex order are refused, with the first one's line.
+    assert parse_both(text_of(10, 3, shuffled)) is None
+    five = sorted(shuffled[:5], key=lambda e: e[::-1])
+    assert parse_both(text_of(10, 3, five) + "c\nc trailing\n").edge_count == 5
     assert parse_both("p hsc 5 3\n") == ref.empty(5, 3)
     for k in (1, 2, 4):
         h = random_hypergraph(random.Random(k), 9, k)
@@ -448,6 +450,7 @@ BAD_LINES = {
     "non-increasing": ("e 0 3 4", "e 0 4 3"),
     "repeated vertex": ("e 0 3 4", "e 0 3 3"),
     "duplicate edge": ("e 0 3 4", "e 0 1 2"),
+    "out of colex order": ("e 0 3 4", "e 0 1 3"),
     "too few vertices": ("e 0 3 4", "e 0 3"),
     "too many vertices": ("e 0 3 4", "e 0 3 4 5"),
     "bare e": ("e 0 3 4", "e"),

@@ -1,16 +1,18 @@
 """Property tests over small random hypergraphs: the K4 vertex profile, the
 rank/unrank bijection, the permute/complement algebra, the edge-list round
-trip, a parser fuzz against the strict reference loop and single-character
-edits read on the parse's fast route."""
+trip, a parser fuzz against the strict reference loop, single-character
+edits read on the parse's fast route, line-level edits of colex documents
+read from a file at every chunk size, and the bytes the parse scans."""
 
 import re
+from itertools import islice
 from math import comb
 from unittest import mock
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import colex_reference as ref
 from colex_reference import rank_colex, relabel, unrank_colex
@@ -22,7 +24,8 @@ from hsc.hypercore import (
     to_edge_list_text,
 )
 from hsc.verify import vertex_invariant_k4
-from test_edge_list_format import fast_route
+from test_blocked_paths import fast_reads, read_at_every_chunk  # noqa: F401
+from test_edge_list_format import fast_route, short_of_the_read_ahead
 
 
 @st.composite
@@ -187,16 +190,16 @@ EDIT_CHARACTERS = "0123456789 \nepc\r\tx"
 
 @st.composite
 def edited_documents(draw):
-    """A valid document of a random hypergraph with enough edge lines that
-    one edit cannot leave the fast route short of n vertex tokens, and one
-    random single-character edit: half the time a vertex digit of an edge
-    line replaced by a digit, which often keeps the line's shape but breaks
-    the order of its vertices, else an insertion, deletion or replacement
-    anywhere."""
+    """A valid document of a random hypergraph with a line per prefix key
+    and one more, so that one edit cannot leave the fast route short of its
+    read-ahead, and one random single-character edit: half the time a
+    vertex digit of an edge line replaced by a digit, which often keeps the
+    line's shape but breaks the order of its vertices, else an insertion,
+    deletion or replacement anywhere."""
     k = draw(st.integers(1, 4))
     n = draw(st.integers(max(k, 3), 9))
     positions = comb(n, k)
-    low = min(positions, -(-n // k) + 2)
+    low = min(positions, (comb(n - 1, k - 1) if k > 1 else n) + 1)
     ranks = draw(st.sets(st.integers(0, positions - 1), min_size=low))
     text = to_edge_list_text(Hypergraph.from_ranks(n, k, ranks))
     if draw(st.booleans()):
@@ -223,13 +226,11 @@ def test_fast_route_agrees_with_the_strict_loop(text, size):
         assert fast == strict
     else:
         # The fast route leaves to the strict loop only a refusal, a vertex
-        # written with a leading zero, or (an edit of the header's order)
-        # fewer lines than n / k, which a final newline does not open.
-        lines = text.count("\n") - text.endswith("\n")
+        # written with a leading zero, or a document short of its read-ahead.
         assert (
             strict is None
             or re.search(" 0[0-9]", text)
-            or strict.k * lines < strict.n
+            or short_of_the_read_ahead(text)
         )
     with mock.patch.object(hypercore, "_PARSE_CHUNK", size):
         try:
@@ -237,3 +238,120 @@ def test_fast_route_agrees_with_the_strict_loop(text, size):
         except ValueError:
             got = None
     assert got == strict
+
+
+# Edits of a colex document; each keeps or breaks the strict loop's format.
+RUN_EDITS = (
+    "none",
+    "swapped lines",
+    "repeated line",
+    "missing label",
+    "extra label",
+    "label equal to n",
+    "oversized top label",
+    "leading zero",
+    "prefix reaching the top",
+    "blank line",
+    "comments between runs",
+)
+
+
+@st.composite
+def edited_colex_documents(draw):
+    """A colex document at k = 1..4, sparse to complete, with one edit
+    from RUN_EDITS; the chunk sizes of READ_CHUNKS split its runs of one
+    top vertex over several chunks and put edits at chunk edges."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, (40, 16, 10, 9)[k - 1]))
+    positions = comb(n, k)
+    keep = draw(st.sampled_from((0.2, 0.6, 1.0)))
+    rng = draw(st.randoms(use_true_random=False))
+    ranks = [r for r in range(positions) if rng.random() < keep]
+    text = to_edge_list_text(Hypergraph.from_ranks(n, k, ranks))
+    header, *lines = text.split("\n")[:-1]
+    edit = draw(st.sampled_from(RUN_EDITS)) if lines else "none"
+    at = draw(st.integers(0, len(lines) - 1)) if lines else 0
+    words = lines[at].split(" ") if lines else []
+    label = draw(st.integers(1, k))
+    if edit == "swapped lines":
+        other = draw(st.integers(0, len(lines) - 1))
+        lines[at], lines[other] = lines[other], lines[at]
+    elif edit == "repeated line":
+        lines.insert(draw(st.integers(at + 1, len(lines))), lines[at])
+    elif edit == "missing label":
+        lines[at] = " ".join(words[:label] + words[label + 1 :])
+    elif edit == "extra label":
+        lines[at] = " ".join(words[:label] + [str(rng.randrange(n))] + words[label:])
+    elif edit == "label equal to n":
+        lines[at] = " ".join(words[:label] + [str(n)] + words[label + 1 :])
+    elif edit == "oversized top label":
+        lines[at] = " ".join(words[:-1] + ["9" * 60])
+    elif edit == "leading zero":
+        lines[at] = " ".join(words[:label] + ["0" + words[label]] + words[label + 1 :])
+    elif edit == "prefix reaching the top" and k > 1:
+        lines[at] = " ".join(words[:-2] + [words[-1], words[-1]])
+    elif edit == "blank line":
+        lines.insert(at, "")
+    elif edit == "comments between runs":
+        tops = [line.rsplit(" ", 1)[1] for line in lines]
+        bounds = [i for i in range(1, len(lines)) if tops[i] != tops[i - 1]]
+        for i in reversed([0, *bounds, len(lines)]):
+            lines.insert(i, rng.choice(("c", "c x", "c " + "y" * 40)))
+    return "\n".join([header, *lines, ""])
+
+
+@settings(
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=edited_colex_documents())
+def test_reader_runs_match_the_whole_document_parse(
+    tmp_path, monkeypatch, fast_reads, text
+):
+    # The same hypergraph or message at every chunk size, and the fast
+    # route builds exactly the accepted documents with no leading zero and
+    # enough bytes for their read-ahead.
+    expected, fast = read_at_every_chunk(
+        tmp_path, monkeypatch, fast_reads, text.encode("ascii")
+    )
+    assert fast == (
+        expected is not None
+        and not re.search(" 0[0-9]", text)
+        and not short_of_the_read_ahead(text)
+    )
+
+
+class Scanned(str):
+    """A chunk that records the length of every slice taken of it, and
+    stays one when the parse appends its newline."""
+
+    lengths: list = []
+
+    def __add__(self, other):
+        return Scanned(str.__add__(self, other))
+
+    def __getitem__(self, key):
+        piece = str.__getitem__(self, key)
+        if isinstance(key, slice):
+            Scanned.lengths.append(len(piece))
+        return piece
+
+
+@pytest.mark.parametrize("layout", ["one line per top", "colex-first edges"])
+def test_parse_scans_each_byte_a_few_times(monkeypatch, layout):
+    # One line per top vertex is the most runs a document can hold.  Each
+    # run slices its top label and a window of at most twice the last run;
+    # a window of the whole rest per run would slice about 22 KB a line
+    # here, about 2000 times the document in all.
+    n = 5000
+    if layout == "one line per top":
+        edges = ((0, c) for c in range(1, n))
+    else:
+        edges = islice(((a, c) for c in range(n) for a in range(c)), n - 1)
+    body = "".join(f"e {a} {c}\n" for a, c in edges)
+    monkeypatch.setattr(Scanned, "lengths", [])
+    h = hypercore._fast_parse(iter([f"p hsc {n} 2", Scanned(body[:-1])]))
+    assert h == from_edge_list_text(f"p hsc {n} 2\n{body}")
+    assert h.edge_count == n - 1
+    assert sum(Scanned.lengths) < 4 * len(body)
