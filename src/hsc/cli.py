@@ -97,9 +97,8 @@ def _resolve_tau(h, args):
     if selector == "swap":
         return swap_antimorphism(h.n), "swap", False
     if selector == "search":
-        budget = args.budget
         try:
-            tau = find_antimorphism(h, budget, allow_large=budget is not None)
+            tau = find_antimorphism(h, args.budget)
         except SearchBudgetExceeded:
             return None, "search", True
         return tau, "search", False
@@ -178,9 +177,7 @@ def _cmd_invariants(args) -> int:
         k4 = tuple(vertex_invariant_k4(h, v) for v in range(h.n))
         fields += [("k4", k4), ("k4_distinct", len(set(k4)))]
     try:
-        orbits = automorphism_vertex_orbits(
-            h, allow_large=args.budget is not None, node_budget=args.budget
-        )
+        orbits = automorphism_vertex_orbits(h, node_budget=args.budget)
     except (SearchOrderError, SearchBudgetExceeded):
         fields.append(("orbit_count", "inconclusive"))
     else:

@@ -1,15 +1,16 @@
 """The combinatorial number system on k-subsets of [0, n) in colex order.
 
 A k-subset is a strictly increasing tuple of vertices, and its colex rank
-(Knuth, TAOCP 4A 7.2.1.3) is the sum of comb(s[i], i + 1).  The hot paths
-of `hsc.hypercore` work on vertex columns (column i holds the i-th vertex
-of every subset): they look the binomials up in a table whose rows are
-indexed by vertex, cached per (n, k), and rank, check or relabel a whole
-column at a time in C-level `map`/`zip` passes, with no Python code run per
-subset.  The columns of all k-subsets in colex order are replayed from
-those of the (k-1)-subsets, cached per (n, k), so nothing is ever unranked:
-the subset of colex rank r is read as entry r of each cached column
-(`_subset_columns`).
+(Knuth, TAOCP 4A 7.2.1.3) is the sum of comb(s[i], i + 1).  One check,
+`validate_ksubset`, tells a valid subset from an invalid one, a subset at a
+time.  The hot paths of `hsc.hypercore` work on vertex columns (column i
+holds the i-th vertex of every subset): they look the binomials up in a
+table whose rows are indexed by vertex, cached per (n, k), and rank or
+relabel a whole column at a time in C-level `map`/`zip` passes, with no
+Python code run per subset.  The columns of all k-subsets in colex order
+are replayed from those of the (k-1)-subsets, cached per (n, k), so nothing
+is ever unranked: the subset of colex rank r is read as entry r of each
+cached column (`_subset_columns`).
 
 Coverage, the antimorphism check and the writer list no edges at all.
 The k-subsets with top vertex c hold the colex ranks [comb(c, k),
@@ -23,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, islice, repeat
 from math import comb
-from operator import add, lt
+from operator import add
 
 __all__ = ["validate_ksubset"]
 
@@ -136,15 +137,3 @@ def _colex_columns(n: int, k: int) -> list:
     columns.append(chain.from_iterable(map(repeat, range(k - 1, n), counts)))
     return columns
 
-
-def _valid_columns(columns, n: int) -> bool:
-    """True iff the subsets whose i-th vertices run down columns[i] are
-    strictly increasing tuples inside [0, n): the first column is at least
-    0, the last is below n and each column lies strictly below the next."""
-    if not (columns and columns[0]):
-        return True
-    return (
-        min(columns[0]) >= 0
-        and max(columns[-1]) < n
-        and all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:]))
-    )

@@ -12,6 +12,9 @@ with the tail " c\\n", and the parser splits each run of c's lines once on
 that tail and looks each piece up as one prefix, in colex order.  Coverage
 sums the blocks, or on small shapes the rows of a cached table.  Only the K4
 profile and `Hypergraph.edges()` replay the edges' vertex columns.
+
+Every shape passes `_positions`, whose bounds keep the kernels' recursions
+shallow; the constructors check each subset or rank in input order.
 """
 
 from __future__ import annotations
@@ -28,12 +31,12 @@ from .colex import (
     _colex_columns,
     _column_ranks,
     _subset_columns,
-    _valid_columns,
     validate_ksubset,
 )
 
 __all__ = [
     "MAX_POSITIONS",
+    "MAX_UNIFORMITY",
     "Hypergraph",
     "Permutation",
     "coverage",
@@ -54,6 +57,12 @@ _PARSE_CHUNK = _WRITE_SPAN = 1 << 14
 # 0.6-0.9 s at 40 MB and `verify` 4.8-6.9 s at 47 MB: the 16.7 MB indicator,
 # a bounded block, and the writer's 7.2 MB of prefixes or the parser's map.
 MAX_POSITIONS = 1 << 24
+
+# Refuse a larger uniformity k, 2.5x below the first failure of a kernel that
+# recurses about k deep.  Under pytest (Python 3.11) the colex-head replay of
+# the writer, parser and antimorphism check raised RecursionError from k = 321,
+# coverage from k = 960; `_column_ranks` segfaulted the CLI at k = 99 999.
+MAX_UNIFORMITY = 128
 
 # Most lane bytes, comb(n, k) * comb(n, t) * w, for which `coverage` sums a
 # cached table.  A one-shot call pays the whole build.  At k = 3, t = 2 (one
@@ -85,8 +94,9 @@ def _capped_comb(n: int, k: int, cap: int) -> int | None:
 
 
 def _positions(n: int, k: int) -> int:
-    """comb(n, k), after checking that the shape is supported; a refusal
-    names a count of up to 100 digits and never computes a larger one."""
+    """comb(n, k), after checking 1 <= k <= n, MAX_POSITIONS, then
+    MAX_UNIFORMITY; a refusal names a count of up to 100 digits and never
+    computes a larger one."""
     if not 1 <= k <= n:
         raise ValueError(f"uniformity k={k} must satisfy 1 <= k <= n={n}")
     positions = _capped_comb(n, k, 10**100)
@@ -95,6 +105,10 @@ def _positions(n: int, k: int) -> int:
         raise ValueError(
             f"comb({n},{k}){count} subset positions exceed the "
             f"supported bound of {MAX_POSITIONS}"
+        )
+    if k > MAX_UNIFORMITY:
+        raise ValueError(
+            f"uniformity k={k} exceeds the supported bound of {MAX_UNIFORMITY}"
         )
     return positions
 
@@ -150,18 +164,10 @@ class Hypergraph:
 
     def __init__(self, n: int, k: int, edges=()):
         subsets = list(map(tuple, edges))
-        if not subsets:
-            # Nothing to validate: refuse an oversized shape before building
-            # k empty columns.
-            self._setup(n, k, _positions(n, k), [])
-            return
-        shaped = all(map(k.__eq__, map(len, subsets)))
-        columns = [list(map(itemgetter(i), subsets)) for i in range(k)] if shaped else []
-        if not (shaped and _valid_columns(columns, n)):
-            # Rerun the per-subset checks only for the first bad one's message.
-            for s in subsets:
-                validate_ksubset(s, n, k)
+        for s in subsets:
+            validate_ksubset(s, n, k)
         positions = _positions(n, k)
+        columns = [list(map(itemgetter(i), subsets)) for i in range(k)]
         ranks = list(_column_ranks(_binomial_table(n, k), columns))
         self._setup(n, k, positions, ranks)
 
@@ -180,20 +186,15 @@ class Hypergraph:
         return obj
 
     def _setup(self, n, k, positions, ranks):
-        """Fill the instance from a list of edge ranks in any order."""
+        """Fill the instance from a list of edge ranks in any order, refusing
+        the first one out of range or repeated."""
         bits = bytearray(positions)
-        if ranks and 0 <= min(ranks) and max(ranks) < positions:
-            _set_ranks(bits, ranks)
-        # Fewer set bytes than ranks means a duplicate.
-        if bits.count(1) != len(ranks):
-            # Find the first bad rank, in input order, for its message.
-            bits = bytearray(positions)
-            for r in ranks:
-                if not 0 <= r < positions:
-                    raise ValueError(f"edge rank {r} out of range [0, {positions})")
-                if bits[r]:
-                    raise ValueError(f"duplicate edge at rank {r}")
-                bits[r] = 1
+        for r in ranks:
+            if not 0 <= r < positions:
+                raise ValueError(f"edge rank {r} out of range [0, {positions})")
+            if bits[r]:
+                raise ValueError(f"duplicate edge at rank {r}")
+            bits[r] = 1
         self._fill(n, k, bits, len(ranks))
 
     def _fill(self, n, k, bits, edge_count):
@@ -457,10 +458,8 @@ def _fast_parse(chunks):
     header, newline, rest = next(chunks, "").partition("\n")
     try:
         n, k = _header(header)
+        positions = _positions(n, k)
     except ValueError:
-        return None
-    positions = _capped_comb(n, k, MAX_POSITIONS) if 1 <= k <= n else None
-    if positions is None:
         return None
     keys = comb(n - 1, k - 1) if k > 1 else n
     ahead = [rest] if newline else []
@@ -517,10 +516,13 @@ def from_edge_list_text(text: str) -> Hypergraph:
     the colex order of the edges."""
     pieces = (text[i : i + _PARSE_CHUNK] for i in range(0, len(text), _PARSE_CHUNK))
     h = _fast_parse(_line_chunks(pieces))
-    if h is not None:
-        return h
-    # Any other document takes the strict loop, which reports the first bad
-    # line, the first repeated edge or the first edge out of order.
+    return _strict_parse(text) if h is None else h
+
+
+def _strict_parse(text: str) -> Hypergraph:
+    """The line loop that parses any document the fast route hands over: it
+    reports the first bad line, the first repeated edge or the first edge
+    out of order."""
     if not text:
         raise ValueError("empty edge-list document")
     lines = text.split("\n")
@@ -556,13 +558,15 @@ def write_edge_list(h: Hypergraph, path) -> None:
 def read_edge_list(path) -> Hypergraph:
     """Parse an edge-list file, edges in colex order.  The fast route reads
     it in chunks, a split per run of a top vertex's lines; any other file is
-    read again whole for `from_edge_list_text`, for the same messages."""
+    read again whole for the strict loop, for the same messages."""
     with open(Path(path), "rb") as f:
-        h = None
         # A pipe cannot be read again, so it is read whole.  Latin-1 maps
         # every byte to a character, and the fast route refuses non-ASCII.
-        if f.seekable():
-            reads = iter(partial(f.read, _PARSE_CHUNK), b"")
-            h = _fast_parse(_line_chunks(map(bytes.decode, reads, repeat("latin-1"))))
-            f.seek(0)
-        return from_edge_list_text(f.read().decode("ascii")) if h is None else h
+        if not f.seekable():
+            return from_edge_list_text(f.read().decode("ascii"))
+        reads = iter(partial(f.read, _PARSE_CHUNK), b"")
+        h = _fast_parse(_line_chunks(map(bytes.decode, reads, repeat("latin-1"))))
+        if h is not None:
+            return h
+        f.seek(0)
+        return _strict_parse(f.read().decode("ascii"))

@@ -306,11 +306,11 @@ def _relabel_masks(masks, images):
         yield from moved
 
 
-def _require_search_order(n: int, allow_large: bool) -> None:
+def _require_search_order(n: int, node_budget: int | None) -> None:
     if n <= FREE_SEARCH_ORDER:
         return
     if n <= MAX_SEARCH_ORDER:
-        if allow_large:
+        if node_budget is not None:
             return
         raise SearchOrderError(
             f"exhaustive search at order {n} needs an explicit opt-in "
@@ -378,18 +378,19 @@ def _backtrack_images(h, *, want_equal, node_budget, first_only):
 
 
 def find_antimorphism(
-    h: Hypergraph, node_budget: int | None = None, *, allow_large: bool = False
+    h: Hypergraph, node_budget: int | None = None
 ) -> Permutation | None:
     """First permutation (deterministic search order) exchanging edges and
     non-edges, or None when none exists.
 
     The counting obstruction 2*|E| == comb(n,k) is checked before any
-    search.  Raises SearchBudgetExceeded when the node budget runs out
+    search.  A node budget opts in to the orders past FREE_SEARCH_ORDER.
+    Raises SearchBudgetExceeded when the node budget runs out
     (inconclusive, as opposed to a definite None).
     """
     if 2 * h.edge_count != comb(h.n, h.k):
         return None
-    _require_search_order(h.n, allow_large)
+    _require_search_order(h.n, node_budget)
     found = _backtrack_images(
         h, want_equal=False, node_budget=node_budget, first_only=True
     )
@@ -397,11 +398,12 @@ def find_antimorphism(
 
 
 def automorphism_vertex_orbits(
-    h: Hypergraph, *, allow_large: bool = False, node_budget: int | None = None
+    h: Hypergraph, *, node_budget: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of the vertices under the full automorphism group,
-    found by exhaustive backtracking; a single orbit means vertex-transitive."""
-    _require_search_order(h.n, allow_large)
+    found by exhaustive backtracking; a single orbit means vertex-transitive.
+    A node budget opts in to the orders past FREE_SEARCH_ORDER."""
+    _require_search_order(h.n, node_budget)
     autos = _backtrack_images(
         h, want_equal=True, node_budget=node_budget, first_only=False
     )

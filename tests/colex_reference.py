@@ -52,7 +52,6 @@ from hsc.colex import (
     _colex_columns,
     _column_ranks,
     _image_ranks,
-    _valid_columns,
     validate_ksubset,
 )
 from hsc.construct import half, side_modulus
@@ -581,6 +580,19 @@ class Triples:
 
     def __getitem__(self, index: slice) -> "Triples":
         return Triples(column[index] for column in self.columns)
+
+
+def _valid_columns(columns, n: int) -> bool:
+    """True iff the subsets whose i-th vertices run down columns[i] are
+    strictly increasing tuples inside [0, n): the first column is at least
+    0, the last is below n and each column lies strictly below the next."""
+    if not (columns and columns[0]):
+        return True
+    return (
+        min(columns[0]) >= 0
+        and max(columns[-1]) < n
+        and all(all(map(lt, low, high)) for low, high in zip(columns, columns[1:]))
+    )
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*args, timeout):
+    """`python ARGS` in a fresh process that imports this checkout's hsc."""
+    src = str(Path(hsc.__file__).resolve().parent.parent)
+    path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
+    command = [sys.executable, *args]
+    return subprocess.run(command, capture_output=True, text=True, env=env, timeout=timeout)
+
+
 def test_construct_writes_file_and_summary(capsys, tmp_path):
     out = tmp_path / "g6.hsc"
     code, stdout, _ = run(capsys, "construct", "--n", "6", "--out", str(out))
@@ -384,16 +393,7 @@ def test_verify_checks_survive_python_O(capsys, tmp_path):
     write_edge_list(hsc.Hypergraph.from_ranks(10, 3, ranks), path)
     code, expected, _ = run(capsys, "verify", "--in", str(path))
     assert code == 1
-    src = str(Path(hsc.__file__).resolve().parent.parent)
-    path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "hsc.cli", "verify", "--in", str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = run_process("-O", "-m", "hsc.cli", "verify", "--in", str(path), timeout=120)
     assert proc.returncode == 1
     assert proc.stdout == expected
     assert "regular=false" in proc.stdout
@@ -603,18 +603,41 @@ def test_verify_refuses_a_huge_header_without_its_binomial(capsys, tmp_path):
     # compute it, and the message carries no count.
     path = tmp_path / "huge.hsc"
     path.write_text("p hsc 4000000 2000000\n")
-    src = str(Path(hsc.__file__).resolve().parent.parent)
-    path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hsc.cli", "verify", "--in", str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=10,
-    )
+    proc = run_process("-m", "hsc.cli", "verify", "--in", str(path), timeout=10)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
         "error: comb(4000000,2000000) subset positions exceed the "
         f"supported bound of {hsc.hypercore.MAX_POSITIONS}\n"
     )
+
+
+def test_verify_refuses_a_uniformity_past_the_bound(capsys, tmp_path):
+    # A 16-byte header: the coverage recursion, about k deep, raised an
+    # uncaught RecursionError here (exit 1 and a traceback).
+    bound = hsc.hypercore.MAX_UNIFORMITY
+    path = tmp_path / "deep.hsc"
+    path.write_text("p hsc 1002 1001\n")
+    assert run(capsys, "verify", "--in", str(path), "--t", "1") == (
+        2,
+        "",
+        f"error: uniformity k=1001 exceeds the supported bound of {bound}\n",
+    )
+    # One edge at k = 99999 (589 KB): the k nested maps of the column
+    # ranking segfaulted (exit 139), so it runs in a process of its own.
+    path = tmp_path / "wide.hsc"
+    path.write_text("p hsc 100000 99999\ne " + " ".join(map(str, range(99999))) + "\n")
+    proc = run_process("-m", "hsc.cli", "verify", "--in", str(path), timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: uniformity k=99999 exceeds the supported bound of {bound}\n"
+    )
+    # At the bound the shape is read and its coverage counted.
+    path = tmp_path / "bound.hsc"
+    edge = " ".join(map(str, range(bound)))
+    path.write_text(f"p hsc {bound + 1} {bound}\ne {edge}\n")
+    argv = ["verify", "--in", str(path), "--t", "1", "--tau", "search"]
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stderr) == (1, "")
+    fields = dict(line.split("=") for line in stdout.split())
+    assert fields["k"] == fields["witness"] == str(bound) and fields["edges"] == "1"
+    assert (fields["antimorphism_ok"], fields["result"]) == ("none", "fail")

@@ -212,17 +212,22 @@ def test_capped_comb_stops_past_the_cap():
 
 
 def test_empty_edge_set_is_refused_before_any_column(monkeypatch):
-    # Each vertex column is built with one itemgetter; with no edges there
-    # is nothing to validate, so an oversized shape must be refused before
-    # the 2 000 000 empty columns of comb(4000000,2000000).
+    # Each vertex column is built with one itemgetter.  An unsupported shape
+    # must be refused before the first, so comb(4000000,2000000) never builds
+    # its 2 000 000 empty columns; a supported one builds at most
+    # MAX_UNIFORMITY of them.
     def no_columns(i):
         pytest.fail(f"built vertex column {i} of an empty edge set")
 
-    monkeypatch.setattr(hypercore, "itemgetter", no_columns)
-    with pytest.raises(ValueError, match=r"^comb\(4000000,2000000\) subset positions exceed"):
-        Hypergraph(4_000_000, 2_000_000, [])
-    with pytest.raises(ValueError, match=r"^uniformity k=5 must satisfy 1 <= k <= n=4$"):
-        Hypergraph(4, 5, [])
+    with monkeypatch.context() as patched:
+        patched.setattr(hypercore, "itemgetter", no_columns)
+        with pytest.raises(ValueError, match=r"^comb\(4000000,2000000\) subset positions exceed"):
+            Hypergraph(4_000_000, 2_000_000, [])
+        with pytest.raises(ValueError, match=r"^uniformity k=5 must satisfy 1 <= k <= n=4$"):
+            Hypergraph(4, 5, [])
+        k = hypercore.MAX_UNIFORMITY + 1
+        with pytest.raises(ValueError, match=rf"^uniformity k={k} exceeds the supported bound"):
+            Hypergraph(k + 1, k, [])
     empty = Hypergraph(6, 3, iter(()))
     assert empty == ref.empty(6, 3) and empty.edge_count == 0 and empty.positions == 20
 

@@ -569,7 +569,7 @@ def test_automorphism_search_matches_reference():
         h = ref.relabel(build_gamma(n), sigma)
         autos, nodes = assert_search_matches(h, want_equal=True, first_only=False)
         assert all((p == ref.identity(n)) is (i == 0) for i, p in enumerate(autos))
-        orbits = automorphism_vertex_orbits(h, allow_large=True, node_budget=nodes)
+        orbits = automorphism_vertex_orbits(h, node_budget=nodes)
         sides = [range(n)] if n == 6 else [range(n // 2), range(n // 2, n)]
         assert orbits == tuple(sorted(ref.subset_image(sigma, s) for s in sides))
 
@@ -597,7 +597,7 @@ def test_antimorphism_search_matches_reference():
     for n in (6, 10):
         h = ref.relabel(build_gamma(n), random_permutation(rng, n))
         (tau,), nodes = assert_search_matches(h, want_equal=False, first_only=True)
-        assert find_antimorphism(h, nodes, allow_large=True) == tau
+        assert find_antimorphism(h, nodes) == tau
         assert verify_antimorphism(h, tau).ok
     for h, _ in exchanged_hypergraphs():
         if h.n <= 8:
@@ -740,6 +740,8 @@ BAD_SUBSETS = {
     "vertex above n": [(3, 4, 5), (0, 1, 60)],
     "duplicate edge": [(0, 1, 2), (3, 4, 5), (0, 1, 2)],
     "first bad subset wins": [(0, 1, 2), (0, 3, 1), (0, 1), (-1, 2, 3)],
+    "bad subset after a duplicate": [(0, 1, 2), (0, 1, 2), (0, 1, 9)],
+    "first duplicate wins": [(1, 2, 3), (0, 1, 2), (1, 2, 3), (0, 1, 2)],
     "range before length": [(0, 1, 9), (0, 1)],
     "lists and tuples": [[0, 1, 2], (0, 1, 2)],
 }
@@ -757,6 +759,7 @@ def test_constructor_matches_reference():
         rng.shuffle(edges)
         assert build_both(h.n, h.k, list(map(list, edges))) == h
     assert build_both(6, 3, [[0, 1, 5], (2, 3, 4)]).edge_count == 2
+    # Bad shapes; where a subset is bad too, its fault is the one reported.
     for n, k, edges in (
         (4, 0, []),
         (4, 0, [()]),
@@ -764,17 +767,24 @@ def test_constructor_matches_reference():
         (0, 1, []),
         (3, 4, [(0, 1, 2, 3)]),
         (4, 2, [(0, 1, 2)]),
+        (4_000_000, 2_000_000, [(0, 1)]),
+        (1002, 1001, []),
+        (1002, 1001, [(0, 1)]),
     ):
         assert build_both(n, k, edges) is None
 
 
 def test_from_ranks_reports_the_first_bad_rank():
-    # comb(6, 3) = 20 positions.
-    for ranks in ([5, 3, 5, -1], [5, -1, 5], [3, -2], [0, 20], [19, 19], [3, 1, 2, 3]):
+    # comb(6, 3) = 20 positions; a bad shape is reported before any rank.
+    cases = [(6, 3, ranks) for ranks in (
+        [5, 3, 5, -1], [5, -1, 5], [3, -2], [0, 20], [19, 19], [3, 1, 2, 3],
+        [25, -1], [7, 2, 7, 2],
+    )] + [(4, 5, [-1]), (1002, 1001, [5000])]
+    for n, k, ranks in cases:
         with pytest.raises(ValueError) as expected:
-            ref.setup_ranks(20, ranks)
+            ref.setup_ranks(ref.empty(n, k).positions, ranks)
         with pytest.raises(ValueError) as got:
-            Hypergraph.from_ranks(6, 3, ranks)
+            Hypergraph.from_ranks(n, k, ranks)
         assert str(got.value) == str(expected.value)
     assert ref.edge_ranks(Hypergraph.from_ranks(6, 3, [19, 0, 7])) == (0, 7, 19)
 

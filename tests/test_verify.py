@@ -24,6 +24,9 @@ from hsc.verify import (
 # automorphism group.
 GAMMA6_ANTIMORPHISM_COUNT = 60
 
+# Node budget that opts the order-10 searches in; each needs fewer nodes.
+ORDER10_BUDGET = 10**6
+
 
 def octahedron():
     """Three antipodal vertex pairs; faces pick one vertex from each pair."""
@@ -217,12 +220,13 @@ def test_find_antimorphism_budget_exhaustion():
 
 def test_search_order_policy():
     g = build_gamma(10)
+    # A node budget is the opt-in to orders 9 and 10, and to no order past.
     with pytest.raises(SearchOrderError):
         find_antimorphism(g)
-    assert find_antimorphism(g, allow_large=True) is not None
+    assert find_antimorphism(g, ORDER10_BUDGET) is not None
     big = build_gamma(14)
     with pytest.raises(SearchOrderError):
-        find_antimorphism(big, allow_large=True)
+        find_antimorphism(big, ORDER10_BUDGET)
 
 
 def test_antimorphism_census_order_6():
@@ -240,7 +244,7 @@ def test_orbits_of_construction_order_6():
 
 
 def test_orbits_of_construction_order_10():
-    orbits = automorphism_vertex_orbits(build_gamma(10), allow_large=True)
+    orbits = automorphism_vertex_orbits(build_gamma(10), node_budget=ORDER10_BUDGET)
     assert len(orbits) >= 2
     assert orbits == ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9))
 
