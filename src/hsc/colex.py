@@ -95,45 +95,43 @@ def _image_ranks(columns, images, rows):
     return chain.from_iterable(map(block, range(0, len(columns[0]), _PARSE_BLOCK)))
 
 
+def _replay(heads, n: int, k: int) -> list:
+    """The k vertex columns of every k-subset of [0, n) in colex order,
+    k >= 2, as lazy iterators, from `heads`, the k - 1 columns of the
+    (k-1)-subsets of [0, n - 1) in colex order.
+
+    The subsets whose largest vertex is `top` come right after all subsets
+    of [0, top), in the colex order of their first k - 1 vertices; those
+    are the first comb(top, k - 1) heads.  So each of the first k - 1
+    columns replays a prefix of one head column for every top in turn, and
+    the last column repeats each top comb(top, k - 1) times.
+    """
+    counts = [comb(top, k - 1) for top in range(k - 1, n)]
+    columns = [chain.from_iterable(map(islice, repeat(head), counts)) for head in heads]
+    columns.append(chain.from_iterable(map(repeat, range(k - 1, n), counts)))
+    return columns
+
+
 @lru_cache(maxsize=64)
-def _colex_heads(n: int, k: int) -> tuple:
-    """(heads, counts) for the replay of the k-subsets of [0, n), k >= 2:
-    the k - 1 columns of all (k-1)-subsets of [0, n - 1) in colex order,
-    and comb(top, k - 1) for each top in [k - 1, n), all as tuples so that
-    no caller can change the cached values.  At k = 3 and n = 466 the heads
-    are two columns of 107 880 entries, about 1.7 MB."""
-    heads = tuple(map(tuple, _colex_columns(n - 1, k - 1)))
-    counts = tuple(comb(top, k - 1) for top in range(k - 1, n))
-    return heads, counts
-
-
 def _subset_columns(n: int, k: int) -> tuple:
     """The vertex columns of every k-subset of [0, n) in colex order, k >= 1,
-    as the cached heads of the (k+1)-subsets of [0, n + 1): rank r is entry r."""
-    return _colex_heads(n + 1, k + 1)[0]
+    as tuples so that no caller can change the cached values: the subset of
+    rank r is entry r of each.  Each level j < k is replayed from the one
+    below it and dropped, so the cache holds only the (n, k) asked for.  At
+    (n, k) = (465, 2) they are two columns of 107 880 entries, about 1.7 MB."""
+    columns = (tuple(range(n - k + 1)),)
+    for j in range(2, k + 1):
+        columns = tuple(map(tuple, _replay(columns, n - k + j, j)))
+    return columns
 
 
 def _colex_columns(n: int, k: int) -> list:
     """The vertex columns of every k-subset of [0, n) in colex order, as k
     lazy iterators: column i runs through the i-th vertex of each subset.
-
-    The subsets whose largest vertex is `top` come right after all subsets
-    of [0, top), in the colex order of their first k - 1 vertices; those
-    are the first comb(top, k - 1) (k-1)-subsets of [0, n - 1).  So each
-    of the first k - 1 columns replays a prefix of one stored column of
-    those heads for every top in turn, and the last column repeats each top
-    comb(top, k - 1) times.  The comb(n - 1, k - 1) heads and the counts are
-    cached per (n, k) by `_colex_heads`, so a repeat call only replays; the
-    1-subsets are the vertex range itself and need no heads.
-    """
+    The heads are cached by `_subset_columns`, so a repeat call only
+    replays (`_replay`); the 1-subsets are the vertex range itself."""
     if k == 0:
         return []
     if k == 1:
         return [iter(range(n))]
-    heads, counts = _colex_heads(n, k)
-    columns = [
-        chain.from_iterable(map(islice, repeat(head), counts)) for head in heads
-    ]
-    columns.append(chain.from_iterable(map(repeat, range(k - 1, n), counts)))
-    return columns
-
+    return _replay(_subset_columns(n - 1, k - 1), n, k)

@@ -6,12 +6,18 @@ hypergraph stores its edge set once, as one indicator byte per colex rank.
 
 Ranks come from the combinatorial number system in `hsc.colex`.  The
 k-subsets with top vertex c hold the colex block [comb(c, k), comb(c + 1, k))
-of ranks, over the (k-1)-subsets of [0, c), so nothing is unranked: the
-writer joins each block's edge prefixes ("e" and the first k - 1 vertices)
-with the tail " c\\n", and the parser splits each run of c's lines once on
-that tail and looks each piece up as one prefix, in colex order.  Coverage
+of ranks, over the (k-1)-subsets of [0, c), so nothing is unranked.  Coverage
 sums the blocks, or on small shapes the rows of a cached table.  Only the K4
 profile and `Hypergraph.edges()` replay the edges' vertex columns.
+
+The edge-list text is "p hsc <n> <k>", then comment lines "c" or "c <text>"
+and a line "e <v1> ... <vk>" per edge, vertices ascending, edges in colex
+order, single spaces.  The writer joins each block's edge prefixes ("e" and
+the first k - 1 vertices) with the tail " c\\n"; the parser's fast route
+splits each run of c's lines once on that tail and looks each piece up as one
+prefix.  A document it refuses goes to the strict route, which names the
+first faulty line (the header's shape is line 1) and holds the indicator and
+one chunk of lines.
 
 Every shape passes `_positions`, whose bounds keep the kernels' recursions
 shallow; the constructors check each subset or rank in input order.
@@ -23,7 +29,7 @@ import re
 from functools import lru_cache, partial
 from itertools import chain, combinations, compress, count, islice, repeat
 from math import comb
-from operator import add, itemgetter, mul, setitem
+from operator import add, getitem, itemgetter, lt, mul, setitem
 from pathlib import Path
 
 from .colex import (
@@ -336,17 +342,6 @@ def _lane_sums(bits, n: int, k: int, t: int, lane: int, memo=None, start=0) -> i
     return total
 
 
-# ---------------------------------------------------------------------------
-# Edge-list text format
-#
-# Line 1:  "p hsc <n> <k>"
-# then     optional comment lines "c <text>"
-# then     one line per edge "e <v1> <v2> ..." with vertices ascending and
-#          edges in colex-rank order; single spaces, decimal integers,
-#          newline-terminated.
-# ---------------------------------------------------------------------------
-
-
 def _prefixes(m: int, j: int, size: int):
     """The edge-line prefixes, "e" and a space before each vertex, of the
     first `size` j-subsets of [0, m) in colex order, replayed lazily.  The
@@ -432,21 +427,10 @@ def _prefix_ranks(n: int, k: int) -> dict:
     return dict(zip(_prefixes(m, j, comb(m, j)), count()))
 
 
-# The parse keeps 8 prefix maps of up to _CACHED_PREFIXES keys (0.2 MB): a
-# cached n = 102 map (5050 keys) raised a `certify` run's peak by 0.5 MB.  It
-# builds a map once the text after the header holds 2k + 2 bytes, a shortest
-# edge line, per key, so the keys' labels are under half the bytes read.  Then
-# (random colex files, fresh processes, 2 vCPUs, Python 3.11) it beat the
-# strict loop, 0.17-0.28 against 0.32-0.49 s at (n, k) = (466, 3) and 1.4-1.7
-# against 1.9-2.0 s at (2^20, 1); half of all edges at (22, 11) took 1.1-1.3 s
-# and 110 MB, against 4.3 s and 177 MB (the column split: 0.9 s, 26 MB).
-_CACHED_PREFIXES = 1 << 11
-_cached_prefix_ranks = lru_cache(maxsize=8)(_prefix_ranks)
-
-
 def _fast_parse(chunks):
     """The hypergraph of a document given as `_line_chunks`, or None for
-    the strict loop: on any document it would refuse, and on short ones.
+    the strict loop: on any document it would refuse, and on one shorter
+    than a shortest edge line (2k + 2 bytes) per key of its prefix map.
 
     In colex order the lines of a top vertex c are contiguous and end in
     " c\\n", so each run reads c from its first line and splits a window of
@@ -470,8 +454,7 @@ def _fast_parse(chunks):
             return None
         ahead.append(chunk)
         size += len(chunk) + 1
-    ranks_of = _cached_prefix_ranks if keys <= _CACHED_PREFIXES else _prefix_ranks
-    prefix_rank = ranks_of(n, k).__getitem__
+    prefix_rank = _prefix_ranks(n, k).__getitem__
     bits = bytearray(positions)
     view = memoryview(bits)
     last, edges, width = -1, 0, 0
@@ -512,41 +495,55 @@ def _fast_parse(chunks):
 
 
 def from_edge_list_text(text: str) -> Hypergraph:
-    """Parse the edge-list text format; strict about shape, duplicates and
-    the colex order of the edges."""
-    pieces = (text[i : i + _PARSE_CHUNK] for i in range(0, len(text), _PARSE_CHUNK))
-    h = _fast_parse(_line_chunks(pieces))
-    return _strict_parse(text) if h is None else h
+    """Parse the edge-list text format (see the module docstring)."""
+    spans = [slice(i, i + _PARSE_CHUNK) for i in range(0, len(text), _PARSE_CHUNK)]
+    h = _fast_parse(_line_chunks(map(text.__getitem__, spans)))
+    return _strict_parse(_line_chunks(map(text.__getitem__, spans))) if h is None else h
 
 
-def _strict_parse(text: str) -> Hypergraph:
-    """The line loop that parses any document the fast route hands over: it
-    reports the first bad line, the first repeated edge or the first edge
-    out of order."""
-    if not text:
+def _strict_parse(chunks) -> Hypergraph:
+    """Parse a document given as `_line_chunks`, refusing its first faulty
+    line: the header, whose shape must pass `_positions`, then each line but
+    a comment, which must be "e" and k decimal integers, a valid subset, no
+    repeat and above the previous edge in colex order.  A chunk of edge lines
+    with vertices of one to nine digits is checked a column at a time and
+    set at once if valid and in order; any other is read line by line."""
+    first = next(chunks, None)
+    if first is None:
         raise ValueError("empty edge-list document")
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    n, k = _header(lines[0])
-    edges, at = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.startswith("c ") or line == "c":
-            continue
-        parts = line.split(" ")
-        if parts[0] != "e":
-            raise ValueError(f"line {lineno}: unrecognized line {line!r}")
-        if len(parts) != k + 1:
-            raise ValueError(f"line {lineno}: edge needs exactly {k} vertices")
-        edges.append(tuple(_parse_uint(p, f"line {lineno}") for p in parts[1:]))
-        at.append(lineno)
-    h = Hypergraph(n, k, edges)
-    # Colex order compares the largest differing vertices first.
-    backward = [e[::-1] for e in edges]
-    for lineno, before, edge in zip(at[1:], backward, backward[1:]):
-        if edge < before:
-            raise ValueError(f"line {lineno}: edge {edge[::-1]} is out of colex order")
-    return h
+    header, newline, rest = first.partition("\n")
+    n, k = _header(header)
+    bits = bytearray(_positions(n, k))
+    rows = _binomial_table(n, k)
+    lineno, last = 1, -1
+    for chunk in chain([rest] if newline else [], chunks):
+        if re.fullmatch(f"(?:e(?: [0-9]{{1,9}}){{{k}}}\n)*", chunk + "\n"):
+            fields = chunk.replace("\n", " ").split(" ")
+            columns = [list(map(int, fields[i :: k + 1])) for i in range(1, k + 1)]
+            pairs = zip(columns, columns[1:])
+            if max(columns[-1]) < n and all(all(map(lt, *pair)) for pair in pairs):
+                ranks = list(_column_ranks(rows, columns))
+                if all(map(lt, chain([last], ranks), ranks)):
+                    _set_ranks(bits, ranks)
+                    last, lineno = ranks[-1], lineno + len(ranks)
+                    continue
+        for lineno, line in enumerate(chunk.split("\n"), lineno + 1):
+            if line.startswith("c ") or line == "c":
+                continue
+            parts = line.split(" ")
+            if parts[0] != "e":
+                raise ValueError(f"line {lineno}: unrecognized line {line!r}")
+            if len(parts) != k + 1:
+                raise ValueError(f"line {lineno}: edge needs exactly {k} vertices")
+            edge = tuple(_parse_uint(p, f"line {lineno}") for p in parts[1:])
+            validate_ksubset(edge, n, k)
+            rank = sum(map(getitem, rows, edge))
+            if bits[rank]:
+                raise ValueError(f"duplicate edge at rank {rank}")
+            if rank < last:
+                raise ValueError(f"line {lineno}: edge {edge} is out of colex order")
+            bits[rank], last = 1, rank
+    return Hypergraph._from_indicator(n, k, bits, bits.count(1))
 
 
 def write_edge_list(h: Hypergraph, path) -> None:
@@ -555,18 +552,23 @@ def write_edge_list(h: Hypergraph, path) -> None:
         f.writelines(map(str.encode, _edge_list_blocks(h)))
 
 
+def _file_chunks(f, encoding: str):
+    """The `_line_chunks` of an open file from its start, in _PARSE_CHUNK reads."""
+    f.seek(0)
+    reads = iter(partial(f.read, _PARSE_CHUNK), b"")
+    return _line_chunks(map(bytes.decode, reads, repeat(encoding)))
+
+
 def read_edge_list(path) -> Hypergraph:
-    """Parse an edge-list file, edges in colex order.  The fast route reads
-    it in chunks, a split per run of a top vertex's lines; any other file is
-    read again whole for the strict loop, for the same messages."""
+    """Parse an edge-list file in chunks: by the fast route, or for a file it
+    refuses, once every byte is found to be ASCII, by the strict route."""
     with open(Path(path), "rb") as f:
         # A pipe cannot be read again, so it is read whole.  Latin-1 maps
         # every byte to a character, and the fast route refuses non-ASCII.
         if not f.seekable():
             return from_edge_list_text(f.read().decode("ascii"))
-        reads = iter(partial(f.read, _PARSE_CHUNK), b"")
-        h = _fast_parse(_line_chunks(map(bytes.decode, reads, repeat("latin-1"))))
-        if h is not None:
-            return h
-        f.seek(0)
-        return _strict_parse(f.read().decode("ascii"))
+        h = _fast_parse(_file_chunks(f, "latin-1"))
+        if h is None and not all(map(str.isascii, _file_chunks(f, "latin-1"))):
+            f.seek(0)
+            f.read().decode("ascii")  # names the first non-ASCII byte's offset
+        return _strict_parse(_file_chunks(f, "ascii")) if h is None else h

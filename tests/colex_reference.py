@@ -348,9 +348,10 @@ def antimorphism(h: Hypergraph, tau) -> AntimorphismCheck:
 
 
 def parse(text: str) -> Hypergraph:
-    """The strict line-by-line edge-list parser, ranking with `subset_rank`:
-    after the checks of every line and edge, the first edge whose rank is
-    below the previous edge's is refused with its line number."""
+    """The strict line-by-line edge-list parser, ranking with `subset_rank`;
+    the first faulty line wins.  The header's shape counts as line 1, and
+    each later line is checked for its format, its subset, a repeated edge
+    and then an edge below the previous one, before the next line is read."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -361,8 +362,8 @@ def parse(text: str) -> Hypergraph:
         raise ValueError(f"bad header line: {lines[0]!r}")
     n = _parse_uint(head[2], "header order")
     k = _parse_uint(head[3], "header uniformity")
-    edges = []
-    at = []
+    _positions(n, k)
+    ranks, seen = [], set()
     for lineno, line in enumerate(lines[1:], start=2):
         if line.startswith("c ") or line == "c":
             continue
@@ -371,14 +372,16 @@ def parse(text: str) -> Hypergraph:
             raise ValueError(f"line {lineno}: unrecognized line {line!r}")
         if len(parts) != k + 1:
             raise ValueError(f"line {lineno}: edge needs exactly {k} vertices")
-        edges.append(tuple(_parse_uint(p, f"line {lineno}") for p in parts[1:]))
-        at.append(lineno)
-    h = Hypergraph.from_ranks(n, k, build_ranks(n, k, edges))
-    ranks = [subset_rank(e) for e in edges]
-    for i in range(1, len(ranks)):
-        if ranks[i] < ranks[i - 1]:
-            raise ValueError(f"line {at[i]}: edge {edges[i]} is out of colex order")
-    return h
+        edge = tuple(_parse_uint(p, f"line {lineno}") for p in parts[1:])
+        validate_ksubset(edge, n, k)
+        rank = subset_rank(edge)
+        if rank in seen:
+            raise ValueError(f"duplicate edge at rank {rank}")
+        if ranks and rank < ranks[-1]:
+            raise ValueError(f"line {lineno}: edge {edge} is out of colex order")
+        seen.add(rank)
+        ranks.append(rank)
+    return Hypergraph.from_ranks(n, k, ranks)
 
 
 def vertex_k4_by_scan(h: Hypergraph, v: int) -> int:

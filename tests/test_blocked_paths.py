@@ -237,7 +237,6 @@ def test_a_wide_header_over_comments_builds_no_prefix_map(tmp_path, monkeypatch)
         raise AssertionError(f"prefix map built for ({n}, {k})")
 
     monkeypatch.setattr(hypercore, "_prefix_ranks", built)
-    monkeypatch.setattr(hypercore, "_cached_prefix_ranks", built)
     tracemalloc.start()
     try:
         h = read_edge_list(path)
@@ -245,6 +244,25 @@ def test_a_wide_header_over_comments_builds_no_prefix_map(tmp_path, monkeypatch)
     finally:
         tracemalloc.stop()
     assert h == Hypergraph(22, 11)
+    assert peak < 4 << 20
+
+
+def test_a_refused_document_is_read_in_bounded_memory(tmp_path):
+    # The 107 910 edge lines of the order-110 construction, the last one
+    # repeated: the strict loop holds the 215 820-byte indicator and one
+    # chunk, not lists of the lines and edges (28 MB when it did).
+    text = to_edge_list_text(build_gamma(110))
+    last = text[text.rindex("e", 0, len(text) - 1) :]
+    path = tmp_path / "repeated.hsc"
+    path.write_text(text + last)
+    rank = ref.subset_rank(map(int, last.split()[1:]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^duplicate edge at rank {rank}$"):
+            read_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 4 << 20
 
 

@@ -3,7 +3,6 @@ per-edge reference serializer and pinned digests, and the parse's fast
 route (`_fast_parse`) against the strict line loop on golden documents
 (`test_properties.py` adds random single-character edits)."""
 
-import functools
 import hashlib
 import random
 from math import comb
@@ -204,7 +203,7 @@ def test_prefix_keys_are_the_writers_prefixes():
     assert fast_route(GOLDEN["five vertices then two"][0], 1 << 14) is None
 
 
-def test_parse_reuses_small_prefix_maps_only(monkeypatch):
+def test_parse_builds_one_prefix_map_per_read(monkeypatch):
     built = []
     real = hypercore._prefix_ranks
 
@@ -213,10 +212,7 @@ def test_parse_reuses_small_prefix_maps_only(monkeypatch):
         return real(n, k)
 
     monkeypatch.setattr(hypercore, "_prefix_ranks", spy)
-    monkeypatch.setattr(hypercore, "_cached_prefix_ranks", functools.lru_cache(8)(spy))
-    # comb(5, 2) = 10 keys at n = 6 are cached, comb(9, 2) = 36 at n = 10 not.
-    monkeypatch.setattr(hypercore, "_CACHED_PREFIXES", 10)
     g6, g10 = build_gamma(6), build_gamma(10)
     for h in (g6, g10, g6, g10):
         assert from_edge_list_text(to_edge_list_text(h)) == h
-    assert built == [6, 10, 10]
+    assert built == [6, 10, 6, 10]

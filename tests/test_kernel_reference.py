@@ -6,6 +6,7 @@ the slow reference implementations in `colex_reference`."""
 
 import dataclasses
 import random
+import tracemalloc
 from itertools import chain, combinations, islice
 from math import comb
 
@@ -113,7 +114,7 @@ def test_colex_walk_is_colex_order():
 
 
 def test_cached_colex_columns_match_the_uncached_replay():
-    colex._colex_heads.cache_clear()
+    colex._subset_columns.cache_clear()
     for n in range(13):
         for k in range(n + 2):
             expected = ref.colex_columns_replayed(n, k)
@@ -121,9 +122,23 @@ def test_cached_colex_columns_match_the_uncached_replay():
             for _ in range(2):
                 assert list(map(list, colex._colex_columns(n, k))) == expected
             if k >= 2:
-                heads, counts = colex._colex_heads(n, k)
-                assert type(heads) is tuple and type(counts) is tuple
+                heads = colex._subset_columns(n - 1, k - 1)
+                assert type(heads) is tuple
                 assert all(type(head) is tuple for head in heads)
+
+
+def test_subset_columns_cache_only_the_shape_asked_for():
+    # The columns of (66, 63) are replayed through 62 lower levels, which
+    # would hold 295 MB if each stayed cached; the top one holds 22 MB.
+    colex._subset_columns.cache_clear()
+    tracemalloc.start()
+    try:
+        colex._subset_columns(66, 63)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert colex._subset_columns.cache_info().currsize == 1
+    assert retained < 40 << 20
 
 
 def test_subset_columns_match_unranking():
@@ -479,26 +494,82 @@ def test_parser_errors_beyond_the_first_block():
     h = ref.complete(32, 3)
     lines = to_edge_list_text(h).split("\n")
     for lineno in (4500, len(lines) - 2):
-        for bad in ("e 0 1", lines[lineno] + " ", "e 1 0 2", "e 0 1 32"):
+        for bad in ("e 0 1", lines[lineno] + " ", "e 0  2", "e 1 0 2", "e 0 1 32"):
             edited = lines[:lineno] + [bad] + lines[lineno + 1 :]
             assert parse_both("\n".join(edited)) is None
     # An error near the top still wins over a later one in another block.
     edited = list(lines)
     edited[3] = "e 0 2 1"
     edited[4700] = "e 0 x 1"
-    assert parse_both("\n".join(edited)) is None
+    assert refusal("\n".join(edited)) == "subset (0, 2, 1) is not strictly increasing"
     assert parse_both("\n".join(lines)) == h
+
+
+def refusal(text):
+    """The message that both the kernel and the reference refuse text with."""
+    assert parse_both(text) is None
+    with pytest.raises(ValueError) as got:
+        from_edge_list_text(text)
+    return str(got.value)
 
 
 def test_parser_headers_outside_the_fast_route():
     for text in (
         "p hsc 4 0\ne\n",
-        "p hsc 3 5\ne 0 1 2 3 4\n",
         "p hsc 3 5\n",
         f"p hsc {MAX_POSITIONS} 2\ne 0 1\n",
         "p hsc 0 1\n",
     ):
         assert parse_both(text) is None
+    # The header's shape is line 1, so it wins over the vertex 4 >= n.
+    shape = "uniformity k=5 must satisfy 1 <= k <= n=3"
+    assert refusal("p hsc 3 5\ne 0 1 2 3 4\n") == shape
+
+
+def test_parser_names_the_first_of_two_faults():
+    lines = to_edge_list_text(build_gamma(10)).split("\n")
+
+    def edge(at):
+        """The edge on line `at` of the unedited document."""
+        return tuple(map(int, lines[at - 1].split()[1:]))
+
+    def fault(text, name, at):
+        """Put fault `name` on line `at` of text (a list of lines) and
+        return the message a document with that fault alone gets."""
+        if name == "format":
+            text[at - 1] = "e 0 x 1"
+            return f"line {at}: expected a decimal integer, got 'x'"
+        if name == "subset":
+            text[at - 1] = "e 0 2 1"
+            return "subset (0, 2, 1) is not strictly increasing"
+        if name == "duplicate":
+            text[at - 1] = lines[at - 2]
+            return f"duplicate edge at rank {ref.subset_rank(edge(at - 1))}"
+        # Out of order: lines at - 1 and at swapped.
+        text[at - 2], text[at - 1] = lines[at - 1], lines[at - 2]
+        return f"line {at}: edge {edge(at - 1)} is out of colex order"
+
+    for pair in (
+        ("format", "subset"),
+        ("subset", "duplicate"),
+        ("out of order", "duplicate"),
+    ):
+        for first, second in (pair, pair[::-1]):
+            text = list(lines)
+            expected = fault(text, first, 6)
+            fault(text, second, 40)
+            assert refusal("\n".join(text)) == expected, (first, second)
+    # A subset fault wins over a later vertex past int()'s digit limit.
+    padded = "e 0 1 " + "0" * 5000 + "3"
+    text = f"p hsc 10 3\ne 0 2 1\n{padded}\n"
+    assert refusal(text) == "subset (0, 2, 1) is not strictly increasing"
+    # The header's shape is line 1 and wins over any edge line.
+    for header in ("p hsc 4 0", "p hsc 3 5", f"p hsc {MAX_POSITIONS} 2"):
+        n, k = map(int, header.split()[2:])
+        with pytest.raises(ValueError) as shape:
+            hypercore._positions(n, k)
+        for bad in ("e 0 x 1", "e 0 2 1", "e 1 2", "f 0 1 2"):
+            assert refusal(f"{header}\n{bad}\n") == str(shape.value)
 
 
 def k4_samples():
