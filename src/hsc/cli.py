@@ -58,14 +58,18 @@ def _subset_words(s, n: int) -> str:
 
 
 def _read_permutation(path) -> Permutation:
-    tokens: list[str] = []
-    for line in Path(path).read_text().split("\n"):
-        if line.startswith("c ") or line in ("c", ""):
+    """The images in a permutation file: ASCII digits separated by ASCII
+    white space, with comment lines "c" and "c <text>".  A non-ASCII byte is
+    refused at its offset, as by the edge-list reader."""
+    data = Path(path).read_bytes()
+    data.decode("ascii")  # names the first non-ASCII byte's offset
+    tokens: list[bytes] = []
+    for line in data.splitlines():
+        if line.startswith(b"c ") or line in (b"c", b""):
             continue
         tokens.extend(line.split())
-    # Plain ASCII digits only: int() would also take "0_2", "+3" and
-    # non-ASCII digits.
-    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+    # Digits only: int() would also take "0_2" and "+3".
+    if not all(map(bytes.isdigit, tokens)):
         raise ValueError(f"permutation file {path} holds a non-integer token")
     return Permutation(map(int, tokens))
 

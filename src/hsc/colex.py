@@ -8,9 +8,11 @@ holds the i-th vertex of every subset): they look the binomials up in a
 table whose rows are indexed by vertex, cached per (n, k), and rank or
 relabel a whole column at a time in C-level `map`/`zip` passes, with no
 Python code run per subset.  The columns of all k-subsets in colex order
-are replayed from those of the (k-1)-subsets, cached per (n, k), so nothing
-is ever unranked: the subset of colex rank r is read as entry r of each
-cached column (`_subset_columns`).
+are replayed from those of the (k-1)-subsets, cached per (n, k), so no hot
+path unranks: the subset of colex rank r is read as entry r of each cached
+column (`_subset_columns`).  A lone witness, one subset of a shape whose
+columns can take tens of MB, is unranked instead, by walking its colex
+blocks (`_subset_at`).
 
 Coverage, the antimorphism check and the writer list no edges at all.
 The k-subsets with top vertex c hold the colex ranks [comb(c, k),
@@ -123,6 +125,21 @@ def _subset_columns(n: int, k: int) -> tuple:
     for j in range(2, k + 1):
         columns = tuple(map(tuple, _replay(columns, n - k + j, j)))
     return columns
+
+
+def _subset_at(r: int, n: int, k: int) -> tuple[int, ...]:
+    """The k-subset of [0, n) of colex rank r, for one witness, where
+    `_subset_columns` would cache k * comb(n, k) entries: its top vertex c
+    has the colex block [comb(c, k), comb(c + 1, k)) that holds r, and the
+    rest is the (k-1)-subset of rank r - comb(c, k).  The blocks are walked
+    down from the top, so a call costs at most n + k binomials."""
+    subset = []
+    for i in range(k, 0, -1):
+        while comb(n, i) > r:
+            n -= 1
+        subset.append(n)
+        r -= comb(n, i)
+    return tuple(reversed(subset))
 
 
 def _colex_columns(n: int, k: int) -> list:

@@ -13,11 +13,12 @@ profile and `Hypergraph.edges()` replay the edges' vertex columns.
 The edge-list text is "p hsc <n> <k>", then comment lines "c" or "c <text>"
 and a line "e <v1> ... <vk>" per edge, vertices ascending, edges in colex
 order, single spaces.  The writer joins each block's edge prefixes ("e" and
-the first k - 1 vertices) with the tail " c\\n"; the parser's fast route
-splits each run of c's lines once on that tail and looks each piece up as one
-prefix.  A document it refuses goes to the strict route, which names the
-first faulty line (the header's shape is line 1) and holds the indicator and
-one chunk of lines.
+the first k - 1 vertices) with the tail " c\\n".  The parser reads a document
+once, in chunks of whole lines.  It splits each run of c's lines once on that
+tail and looks each piece up as one prefix; a chunk where that fails, and
+every chunk of a document too short to repay the prefix map, is read line by
+line, which accepts the chunk or names its first faulty line (the header's
+shape is line 1).
 
 Every shape passes `_positions`, whose bounds keep the kernels' recursions
 shallow; the constructors check each subset or rank in input order.
@@ -29,7 +30,7 @@ import re
 from functools import lru_cache, partial
 from itertools import chain, combinations, compress, count, islice, repeat
 from math import comb
-from operator import add, getitem, itemgetter, lt, mul, setitem
+from operator import add, getitem, itemgetter, mul, setitem
 from pathlib import Path
 
 from .colex import (
@@ -258,14 +259,16 @@ def coverage(h: Hypergraph, t: int) -> list[int]:
     per t-subset, w the least power of two holding comb(n - t, k - t), the
     most edges a t-subset lies in, so no lane carries into the next.
 
-    Small shapes, t < k with comb(n, k) * comb(n, t) * w at most
+    Small shapes, t < k < n with comb(n, k) * comb(n, t) * w at most
     _TABLE_BYTES, sum the edges' rows of a cached table (`_coverage_table`)
     in one C-level pass: at k = 3, t = 2, 3.0-3.6 us at n = 6 and 7.5-8.0 us
     at n = 10, against 15.5-16.3 and 56-70 us on the blocks.  Other shapes
     sum the colex blocks in one recursion (`_lane_sums`), a Python call per
     block and t: against a Counter of every edge's t-subset ranks, 13x
-    faster at (n, k, t) = (202, 3, 2) and 0.95-4.6x for t < k - 1.  More
-    than MAX_LANES t-subsets are refused.
+    faster at (n, k, t) = (202, 3, 2) and 0.95-4.6x for t < k - 1.  At k = n
+    the one block is a closed form, where the table's comb(k, t) picks of t
+    columns took 1.8 s at (25, 25, 21).  More than MAX_LANES t-subsets are
+    refused.
     """
     if not 1 <= t <= h.k:
         raise ValueError(f"need 1 <= t <= k={h.k}, got t={t}")
@@ -276,7 +279,7 @@ def coverage(h: Hypergraph, t: int) -> list[int]:
     width = 1
     while comb(n - t, k - t) >> 8 * width:
         width *= 2
-    if t < k and h.positions * subsets * width <= _TABLE_BYTES:
+    if t < k < n and h.positions * subsets * width <= _TABLE_BYTES:
         lanes = sum(compress(_coverage_table(n, k, t, 8 * width), h._bits))
     else:
         memo = {} if 2 <= t <= k - 2 else None
@@ -427,123 +430,116 @@ def _prefix_ranks(n: int, k: int) -> dict:
     return dict(zip(_prefixes(m, j, comb(m, j)), count()))
 
 
-def _fast_parse(chunks):
-    """The hypergraph of a document given as `_line_chunks`, or None for
-    the strict loop: on any document it would refuse, and on one shorter
-    than a shortest edge line (2k + 2 bytes) per key of its prefix map.
-
-    In colex order the lines of a top vertex c are contiguous and end in
-    " c\\n", so each run reads c from its first line and splits a window of
-    whole lines, twice the last run's length, once on that tail.  Each
-    piece but the last is a prefix (`_prefix_ranks`) whose rank is set in a
-    memoryview of c's block, which refuses a prefix not below c; at k = 1
-    each line is one.  Any miss, disorder or repeated edge gives None.
-    """
-    header, newline, rest = next(chunks, "").partition("\n")
-    try:
-        n, k = _header(header)
-        positions = _positions(n, k)
-    except ValueError:
-        return None
-    keys = comb(n - 1, k - 1) if k > 1 else n
-    ahead = [rest] if newline else []
-    size = len(rest) + 1 if newline else 0  # each chunk and its newline
-    while size < keys * (2 * k + 2):
-        chunk = next(chunks, None)
-        if chunk is None:
-            return None
-        ahead.append(chunk)
-        size += len(chunk) + 1
-    prefix_rank = _prefix_ranks(n, k).__getitem__
-    bits = bytearray(positions)
-    view = memoryview(bits)
-    last, edges, width = -1, 0, 0
-    for chunk in chain(ahead, chunks):
-        if not chunk.isascii():
-            return None
-        text = chunk + "\n"
-        if text.startswith("c") or "\nc" in text:
-            text = re.sub(r"(?m)^c(?: .*)?\n", "", text)
-        pos = 0
-        try:
-            while pos < len(text):
-                if k > 1:
-                    eol = text.index("\n", pos)
-                    label = text[text.rfind(" ", pos, eol) + 1 : eol]
-                    c = int(label) if label.isdigit() else -1
-                    if str(c) != label or c >= n:
-                        return None
-                    low, high, tail = comb(c, k), comb(c + 1, k), f" {label}\n"
-                    stop = max(text.rfind("\n", eol, pos + width), eol) + 1
-                else:
-                    low, high, tail, stop = 0, n, "\n", len(text)
-                pieces = text[pos:stop].split(tail)
-                after = stop - len(pieces.pop())
-                ranks = list(map(prefix_rank, pieces))
-                if low + ranks[0] <= last or ranks != sorted(ranks):
-                    return None
-                _set_ranks(view[low:high], ranks)
-                last = low + ranks[-1]
-                edges += len(ranks)
-                width = 2 * (after - pos)
-                pos = after
-        except (KeyError, IndexError, ValueError):
-            return None
-    if bits.count(1) != edges:
-        return None
-    return Hypergraph._from_indicator(n, k, bits, edges)
-
-
-def from_edge_list_text(text: str) -> Hypergraph:
-    """Parse the edge-list text format (see the module docstring)."""
-    spans = [slice(i, i + _PARSE_CHUNK) for i in range(0, len(text), _PARSE_CHUNK)]
-    h = _fast_parse(_line_chunks(map(text.__getitem__, spans)))
-    return _strict_parse(_line_chunks(map(text.__getitem__, spans))) if h is None else h
-
-
-def _strict_parse(chunks) -> Hypergraph:
+def _parse(chunks) -> Hypergraph:
     """Parse a document given as `_line_chunks`, refusing its first faulty
-    line: the header, whose shape must pass `_positions`, then each line but
-    a comment, which must be "e" and k decimal integers, a valid subset, no
-    repeat and above the previous edge in colex order.  A chunk of edge lines
-    with vertices of one to nine digits is checked a column at a time and
-    set at once if valid and in order; any other is read line by line."""
+    line; the header's shape, checked by `_positions`, is line 1.  Each chunk
+    is tried whole by `_set_runs`, and one it does not take is read by
+    `_set_lines`.  A document shorter than a shortest edge line (2k + 2
+    bytes) per key of the prefix map builds none: `_set_lines` reads it all.
+    """
     first = next(chunks, None)
     if first is None:
         raise ValueError("empty edge-list document")
     header, newline, rest = first.partition("\n")
     n, k = _header(header)
-    bits = bytearray(_positions(n, k))
-    rows = _binomial_table(n, k)
-    lineno, last = 1, -1
-    for chunk in chain([rest] if newline else [], chunks):
-        if re.fullmatch(f"(?:e(?: [0-9]{{1,9}}){{{k}}}\n)*", chunk + "\n"):
-            fields = chunk.replace("\n", " ").split(" ")
-            columns = [list(map(int, fields[i :: k + 1])) for i in range(1, k + 1)]
-            pairs = zip(columns, columns[1:])
-            if max(columns[-1]) < n and all(all(map(lt, *pair)) for pair in pairs):
-                ranks = list(_column_ranks(rows, columns))
-                if all(map(lt, chain([last], ranks), ranks)):
-                    _set_ranks(bits, ranks)
-                    last, lineno = ranks[-1], lineno + len(ranks)
-                    continue
-        for lineno, line in enumerate(chunk.split("\n"), lineno + 1):
-            if line.startswith("c ") or line == "c":
+    positions = _positions(n, k)
+    gate = (comb(n - 1, k - 1) if k > 1 else n) * (2 * k + 2)
+    ahead = [rest] if newline else []
+    size = len(rest) + 1 if newline else 0  # each chunk and its newline
+    while size < gate and (chunk := next(chunks, None)) is not None:
+        ahead.append(chunk)
+        size += len(chunk) + 1
+    prefix_rank = _prefix_ranks(n, k).__getitem__ if size >= gate else None
+    # Made after the map, so that the indicator and the map's build never
+    # peak together.
+    bits = bytearray(positions)
+    lineno, last, width = 1, -1, 0
+    for chunk in chain(ahead, chunks):
+        if prefix_rank:
+            runs = _set_runs(bits, chunk, n, k, prefix_rank, last, width)
+            if runs:
+                last, width = runs
+                lineno += chunk.count("\n") + 1
                 continue
-            parts = line.split(" ")
-            if parts[0] != "e":
-                raise ValueError(f"line {lineno}: unrecognized line {line!r}")
-            if len(parts) != k + 1:
-                raise ValueError(f"line {lineno}: edge needs exactly {k} vertices")
-            edge = tuple(_parse_uint(p, f"line {lineno}") for p in parts[1:])
-            validate_ksubset(edge, n, k)
-            rank = sum(map(getitem, rows, edge))
-            if bits[rank]:
-                raise ValueError(f"duplicate edge at rank {rank}")
-            if rank < last:
-                raise ValueError(f"line {lineno}: edge {edge} is out of colex order")
-            bits[rank], last = 1, rank
+        lineno, last = _set_lines(bits, chunk, n, k, lineno, last)
     return Hypergraph._from_indicator(n, k, bits, bits.count(1))
+
+
+def _set_runs(bits, chunk, n, k, prefix_rank, last, width):
+    """Set the edges of a chunk of lines by top-vertex runs and return the
+    last rank set and the next window, or set nothing and return None unless
+    every line but a comment is a canonical edge above rank `last`.
+    In colex order the lines of a top vertex c are contiguous and end in
+    " c\\n", so each run reads c from its first line and splits a window of
+    whole lines, twice the last run's length, once on that tail.  Each piece
+    but the last is a prefix whose rank is set in c's block; at k = 1 each
+    line is one."""
+    text = chunk + "\n"
+    if text.startswith("c") or "\nc" in text:
+        text = re.sub(r"(?m)^c(?: .*)?\n", "", text)
+    view, start, pos, taken = memoryview(bits), last + 1, 0, 0
+    try:
+        while pos < len(text):
+            if k > 1:
+                eol = text.index("\n", pos)
+                label = text[text.rfind(" ", pos, eol) + 1 : eol]
+                c = int(label) if label.isdigit() else -1
+                if str(c) != label or c >= n:
+                    break
+                low, high, tail = comb(c, k), comb(c + 1, k), f" {label}\n"
+                stop = max(text.rfind("\n", eol, pos + width), eol) + 1
+            else:
+                low, high, tail, stop = 0, n, "\n", len(text)
+            pieces = text[pos:stop].split(tail)
+            after = stop - len(pieces.pop())
+            ranks = list(map(prefix_rank, pieces))
+            in_block = last < low + ranks[0] and ranks[-1] < high - low
+            if not in_block or ranks != sorted(ranks):
+                break
+            _set_ranks(view[low:high], ranks)
+            last = low + ranks[-1]
+            taken += len(ranks)
+            width = 2 * (after - pos)
+            pos = after
+    except (KeyError, IndexError, ValueError):
+        pass
+    # The ranks rose run by run, so a repeat within a run sets fewer bytes.
+    if pos == len(text) and bits.count(1, start, last + 1) == taken:
+        return last, width
+    bits[start : last + 1] = bytes(last + 1 - start)
+    return None
+
+
+def _set_lines(bits, chunk, n, k, lineno, last):
+    """Set the edges of a chunk whose lines are numbered from lineno + 1 one
+    line at a time, and return its last line number and the last rank set.
+    Each line but a comment must be "e" and k decimal integers, a valid
+    subset, no repeat and above the previous edge in colex order; the first
+    that is not is named in a ValueError."""
+    rows = _binomial_table(n, k)
+    for lineno, line in enumerate(chunk.split("\n"), lineno + 1):
+        if line.startswith("c ") or line == "c":
+            continue
+        parts = line.split(" ")
+        if parts[0] != "e":
+            raise ValueError(f"line {lineno}: unrecognized line {line!r}")
+        if len(parts) != k + 1:
+            raise ValueError(f"line {lineno}: edge needs exactly {k} vertices")
+        edge = tuple(_parse_uint(p, f"line {lineno}") for p in parts[1:])
+        validate_ksubset(edge, n, k)
+        rank = sum(map(getitem, rows, edge))
+        if bits[rank]:
+            raise ValueError(f"duplicate edge at rank {rank}")
+        if rank < last:
+            raise ValueError(f"line {lineno}: edge {edge} is out of colex order")
+        bits[rank], last = 1, rank
+    return lineno, last
+
+
+def from_edge_list_text(text: str) -> Hypergraph:
+    """Parse the edge-list text format (see the module docstring)."""
+    pieces = (text[i : i + _PARSE_CHUNK] for i in range(0, len(text), _PARSE_CHUNK))
+    return _parse(_line_chunks(pieces))
 
 
 def write_edge_list(h: Hypergraph, path) -> None:
@@ -552,23 +548,27 @@ def write_edge_list(h: Hypergraph, path) -> None:
         f.writelines(map(str.encode, _edge_list_blocks(h)))
 
 
-def _file_chunks(f, encoding: str):
-    """The `_line_chunks` of an open file from its start, in _PARSE_CHUNK reads."""
-    f.seek(0)
-    reads = iter(partial(f.read, _PARSE_CHUNK), b"")
-    return _line_chunks(map(bytes.decode, reads, repeat(encoding)))
+def _ascii_reads(f):
+    """The _PARSE_CHUNK reads of an open binary file, decoded as ASCII; a
+    non-ASCII byte raises UnicodeDecodeError at its offset in the file (the
+    bytes before it, all ASCII, stand in as zeros)."""
+    offset = 0
+    for data in iter(partial(f.read, _PARSE_CHUNK), b""):
+        if not data.isascii():
+            (bytes(offset) + data).decode("ascii")
+        offset += len(data)
+        yield data.decode("ascii")
 
 
 def read_edge_list(path) -> Hypergraph:
-    """Parse an edge-list file in chunks: by the fast route, or for a file it
-    refuses, once every byte is found to be ASCII, by the strict route."""
+    """Parse an edge-list file in one pass of _PARSE_CHUNK reads.  A refused
+    file is read on to its end, so that a non-ASCII byte anywhere is named,
+    at its offset, before its first faulty line."""
     with open(Path(path), "rb") as f:
-        # A pipe cannot be read again, so it is read whole.  Latin-1 maps
-        # every byte to a character, and the fast route refuses non-ASCII.
-        if not f.seekable():
-            return from_edge_list_text(f.read().decode("ascii"))
-        h = _fast_parse(_file_chunks(f, "latin-1"))
-        if h is None and not all(map(str.isascii, _file_chunks(f, "latin-1"))):
-            f.seek(0)
-            f.read().decode("ascii")  # names the first non-ASCII byte's offset
-        return _strict_parse(_file_chunks(f, "ascii")) if h is None else h
+        reads = _ascii_reads(f)
+        try:
+            return _parse(_line_chunks(reads))
+        except ValueError:
+            for _ in reads:
+                pass
+            raise

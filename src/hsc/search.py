@@ -98,20 +98,24 @@ def _feasible_orbits(
     """Decompose tau's action on the k-subsets, then refuse, in this order:
     an odd orbit (a finding about tau, whatever t is), a t outside [1, k)
     when t is given, and more than `cap` candidates.  A uniformity outside
-    [1, n] or past the position bound is refused before the decomposition,
-    and so are t and the cap when tau is an involution fixing no k-subset,
-    whose comb(n, k) / 2 orbits all have length 2.
+    [1, n] or past the position bound is refused before the decomposition.
+    An involution is judged without one: its odd orbits are the k-subsets
+    it fixes, the colex-least first, and if it fixes none its comb(n, k) / 2
+    orbits have length 2.
     """
     _positions(n, k)
     dec = None
-    if _involution_fixed_ksubsets(n, k, tau) != 0:
+    fixed = _involution_fixed_ksubsets(n, k, tau)
+    if fixed is None:
         dec = tau_orbits_on_ksubsets(n, k, tau)
-        for o in dec.orbits:
-            if len(o) % 2:
-                raise InfeasibleAntimorphismError(
-                    f"orbit of odd length {len(o)} starting at rank {o[0]} "
-                    f"admits no alternating edge assignment"
-                )
+        odd = next((o for o in dec.orbits if len(o) % 2), None)
+    else:
+        odd = (_least_fixed_rank(tau.images, k),) if fixed else None
+    if odd:
+        raise InfeasibleAntimorphismError(
+            f"orbit of odd length {len(odd)} starting at rank {odd[0]} "
+            f"admits no alternating edge assignment"
+        )
     if t is not None and not 1 <= t < k:
         raise ValueError(f"need 1 <= t < k={k}, got t={t}")
     orbit_count = comb(n, k) // 2 if dec is None else dec.orbit_count
@@ -134,6 +138,23 @@ def _involution_fixed_ksubsets(n: int, k: int, tau: Permutation) -> int | None:
     f = sum(map(eq, images, range(n)))
     p = (n - f) // 2
     return sum(comb(p, j) * comb(f, k - 2 * j) for j in range(k // 2 + 1))
+
+
+def _least_fixed_rank(images, k: int) -> int:
+    """The colex rank of the least k-subset that the involution `images`
+    fixes, one being known to exist.  Such a subset is a union of cycles,
+    and in colex order a k-subset is as large as its bitmask, so adding
+    the cycles by their larger vertex keeps the least union of each size:
+    one found first is below any that takes a later cycle."""
+    least = {0: 0}
+    for v, w in enumerate(images):
+        if w <= v:
+            size, mask = 1 + (w < v), 1 << v | 1 << w
+            for s, union in list(least.items()):
+                least.setdefault(s + size, union | mask)
+    union = least[k]
+    vertices = [v for v in range(len(images)) if union >> v & 1]
+    return sum(comb(v, i + 1) for i, v in enumerate(vertices))
 
 
 def _candidates(dec: OrbitDecomposition):

@@ -29,6 +29,7 @@ from .colex import (
     _PARSE_BLOCK,
     _binomial_table,
     _image_ranks,
+    _subset_at,
     _subset_columns,
 )
 from .construct import EdgeFamilies
@@ -114,7 +115,7 @@ def t_subset_regularity(h: Hypergraph, t: int) -> RegularityReport:
         return RegularityReport(
             t=t,
             valence=None,
-            witness=tuple(column[r] for column in _subset_columns(h.n, t)),
+            witness=_subset_at(r, h.n, t),
             witness_count=counts[r],
             first_count=first,
         )
@@ -474,7 +475,7 @@ def euler_characteristic_triangulation(h: Hypergraph) -> int:
     counts = coverage(h, 2)
     for r, c in enumerate(counts):
         if c != 2:
-            pair = tuple(column[r] for column in _subset_columns(h.n, 2))
+            pair = _subset_at(r, h.n, 2)
             raise ValueError(
                 f"not a triangulation candidate: pair {pair}"
                 f" lies in {c} edges, need exactly 2"

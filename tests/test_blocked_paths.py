@@ -5,6 +5,7 @@ open file in chunks and the antimorphism check that builds the link rows of
 one block at a time.  A spy checks that `construct` and `verify` never
 replay the edges' vertex columns."""
 
+import io
 import os
 import random
 import threading
@@ -20,11 +21,13 @@ from hsc.cli import main
 from hsc.construct import build_gamma, swap_antimorphism
 from hsc.hypercore import Hypergraph, read_edge_list, to_edge_list_text
 from hsc.verify import verify_antimorphism
-from test_kernel_reference import (
+from test_kernel_reference import (  # noqa: F401
     BAD_LINES,
     exchanged_hypergraphs,
+    line_reads,
     random_permutation,
     sample_hypergraphs,
+    taken_by_runs,
 )
 
 # Every admissible order up to 150, then two larger ones: the family-column
@@ -127,56 +130,40 @@ def test_construct_and_verify_never_replay_the_columns(tmp_path, monkeypatch, ca
 READ_CHUNKS = (1, 2, 3, 5, 8, 9, 13, 16, 31, 64)
 
 
-@pytest.fixture
-def fast_reads(monkeypatch):
-    """The outcome of every fast-route parse: True when it built the
-    hypergraph, False when it handed the document to the strict loop."""
-    seen = []
-    real = hypercore._fast_parse
-
-    def spy(*args):
-        h = real(*args)
-        seen.append(h is not None)
-        return h
-
-    monkeypatch.setattr(hypercore, "_fast_parse", spy)
-    return seen
-
-
-def read_at_every_chunk(tmp_path, monkeypatch, fast_reads, data: bytes):
+def read_at_every_chunk(tmp_path, monkeypatch, line_reads, data: bytes):
     """read_edge_list at every chunk size in READ_CHUNKS against the parse
-    of the whole document: the same hypergraph, or the same message.
-    Returns the hypergraph (None on an error) and whether every read took
-    the fast route.  Each read takes exactly one fast-route pass: a refused
-    document goes from it straight to the strict loop."""
+    of the whole document: the same hypergraph, or the same message, and
+    the reads that `taken_by_runs` allows.  Returns the hypergraph (None on
+    an error) and whether the run step set every edge, the same at every
+    size."""
     path = tmp_path / "doc.hsc"
     path.write_bytes(data)
     try:
-        expected = ref.read_whole_document(path)
+        expected, message = ref.read_whole_document(path), None
     except ValueError as exc:
         expected, message = None, str(exc)
-    fast = []
+    runs = []
     for size in READ_CHUNKS:
         monkeypatch.setattr(hypercore, "_PARSE_CHUNK", size)
-        fast_reads.clear()
+        line_reads.lines.clear()
+        line_reads.maps.clear()
         if expected is None:
             with pytest.raises(ValueError) as got:
                 read_edge_list(path)
             assert str(got.value) == message
         else:
             assert read_edge_list(path) == expected
-        assert len(fast_reads) == 1, fast_reads
-        fast.append(fast_reads[0])
-    assert len(set(fast)) == 1
-    return expected, fast[0]
+        runs.append(taken_by_runs(line_reads, message))
+    assert len(set(runs)) == 1
+    return expected, runs[0]
 
 
-def test_reader_matches_the_whole_document_parse(tmp_path, monkeypatch, fast_reads):
+def test_reader_matches_the_whole_document_parse(tmp_path, monkeypatch, line_reads):
     g = build_gamma(10)
     text = to_edge_list_text(g)
 
     def read(doc):
-        return read_at_every_chunk(tmp_path, monkeypatch, fast_reads, doc.encode())
+        return read_at_every_chunk(tmp_path, monkeypatch, line_reads, doc.encode())
 
     assert read(text) == (g, True)
     # No final newline.
@@ -192,7 +179,7 @@ def test_reader_matches_the_whole_document_parse(tmp_path, monkeypatch, fast_rea
         ref.complete(3, 3),
         True,
     )
-    # Line endings, white space, a blank line, a repeated edge: the strict
+    # Line endings, white space, a blank line, a repeated edge: the line
     # loop's messages, with their line numbers.
     head, body = text.split("\n", 1)
     for bad in (
@@ -208,8 +195,8 @@ def test_reader_matches_the_whole_document_parse(tmp_path, monkeypatch, fast_rea
         text[:-1] + "\n" + lines[30],
     ):
         assert read(bad) == (None, False)
-    # Short documents, bad headers and an order the fast route leaves to
-    # the strict loop (fewer than 2k + 2 bytes per prefix key).
+    # Short documents, bad headers and an order read line by line with no
+    # prefix map (fewer than 2k + 2 bytes per prefix key).
     sparse = Hypergraph.from_ranks(100, 1, [5, 7])
     for doc in (
         "",
@@ -221,15 +208,15 @@ def test_reader_matches_the_whole_document_parse(tmp_path, monkeypatch, fast_rea
         "p hsc 10 x\n",
         "p hsc 100 1\ne 5\ne 7\n",
     ):
-        result, fast = read(doc)
-        assert not fast
+        result, runs = read(doc)
+        assert not runs and not line_reads.maps
         assert result in (None, ref.empty(10, 3), sparse)
 
 
 def test_a_wide_header_over_comments_builds_no_prefix_map(tmp_path, monkeypatch):
     # The map would hold comb(21, 10) = 352 716 prefixes of 10 labels each,
     # about 110 MB, against 100 KB of comment lines.  No map is built: the
-    # strict loop reads the empty hypergraph.
+    # line loop reads the empty hypergraph.
     path = tmp_path / "wide.hsc"
     path.write_text("p hsc 22 11\n" + "c\n" * 50000)
 
@@ -249,8 +236,8 @@ def test_a_wide_header_over_comments_builds_no_prefix_map(tmp_path, monkeypatch)
 
 def test_a_refused_document_is_read_in_bounded_memory(tmp_path):
     # The 107 910 edge lines of the order-110 construction, the last one
-    # repeated: the strict loop holds the 215 820-byte indicator and one
-    # chunk, not lists of the lines and edges (28 MB when it did).
+    # repeated: the parse holds the 215 820-byte indicator, its prefix map
+    # and one chunk, not lists of the lines and edges (28 MB when it did).
     text = to_edge_list_text(build_gamma(110))
     last = text[text.rindex("e", 0, len(text) - 1) :]
     path = tmp_path / "repeated.hsc"
@@ -268,16 +255,16 @@ def test_a_refused_document_is_read_in_bounded_memory(tmp_path):
 
 @pytest.mark.parametrize("case", sorted(BAD_LINES))
 def test_reader_rejects_with_the_whole_document_message(
-    tmp_path, monkeypatch, fast_reads, case
+    tmp_path, monkeypatch, line_reads, case
 ):
     old, new = BAD_LINES[case]
     text = to_edge_list_text(build_gamma(6))
     doc = text.replace(f"\n{old}\n", f"\n{new}\n", 1).encode("utf-8")
-    assert read_at_every_chunk(tmp_path, monkeypatch, fast_reads, doc) == (None, False)
+    assert read_at_every_chunk(tmp_path, monkeypatch, line_reads, doc) == (None, False)
 
 
 def test_reader_reports_a_non_ascii_byte_at_its_offset(
-    tmp_path, monkeypatch, fast_reads
+    tmp_path, monkeypatch, line_reads
 ):
     text = to_edge_list_text(build_gamma(10)).encode("ascii")
     # The byte in the header, in a comment line and in two edge lines.
@@ -286,10 +273,48 @@ def test_reader_reports_a_non_ascii_byte_at_its_offset(
     for at in (3, len(text) // 2, len(text) - 2):
         docs.append((at, text[:at] + b"\xe9" + text[at:]))
     for at, doc in docs:
-        result = read_at_every_chunk(tmp_path, monkeypatch, fast_reads, doc)
+        result = read_at_every_chunk(tmp_path, monkeypatch, line_reads, doc)
         assert result == (None, False)
         with pytest.raises(UnicodeDecodeError, match=f"position {at}:"):
             read_edge_list(tmp_path / "doc.hsc")
+
+
+def test_a_file_is_read_once(tmp_path, monkeypatch):
+    # Each byte of an accepted or a refused file is taken from the open file
+    # once: a refusal reads on from its fault only to look for a non-ASCII
+    # byte, and a non-ASCII byte ends the reads.  A fast pass, an ASCII scan
+    # and a strict pass took three times a refused file's size.
+    taken = []
+
+    class Counted(io.BufferedReader):
+        def read(self, size=-1):
+            data = super().read(size)
+            taken.append(len(data))
+            return data
+
+    def counted_open(path, mode):
+        return Counted(io.FileIO(path, mode))
+
+    monkeypatch.setattr(hypercore, "open", counted_open, raising=False)
+    text = to_edge_list_text(build_gamma(50))
+    lines = text.split("\n")
+    path = tmp_path / "doc.hsc"
+    commented = text.replace("e 0 1 2\n", "e 0 1 2\nc caf\xe9\n")
+    for doc, refusal in (
+        (text, None),
+        (text + lines[-2] + "\n", "duplicate edge at rank"),
+        ("\n".join(lines[:99] + ["e 0 1"] + lines[100:]), "line 100: edge needs"),
+        (commented, f"position {commented.index(chr(0xE9))}:"),
+        (text[:-9] + "\xe9" + text[-9:], f"position {len(text) - 9}:"),
+    ):
+        path.write_bytes(doc.encode("latin-1"))
+        taken.clear()
+        if refusal is None:
+            assert read_edge_list(path) == build_gamma(50)
+        else:
+            with pytest.raises(ValueError, match=refusal):
+                read_edge_list(path)
+        assert sum(taken) == len(doc) if doc.isascii() else sum(taken) <= len(doc)
 
 
 def test_reader_takes_a_pipe_like_a_file(tmp_path):

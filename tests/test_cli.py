@@ -119,7 +119,8 @@ def test_verify_rejects_lax_permutation_tokens(capsys, tmp_path, images):
     code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--tau", str(perm))
     assert code == 2
     assert stdout == ""
-    assert "non-integer token" in stderr
+    # A non-ASCII digit is refused as a non-ASCII byte, at its offset.
+    assert ("non-integer token" if images.isascii() else "in position 10:") in stderr
 
 
 def test_verify_with_search_tau(capsys, tmp_path):
@@ -518,6 +519,36 @@ def test_invariants_golden_output(capsys, golden_dir, path):
     argv = ["invariants", "--in", path]
     assert run(capsys, *argv, "--format", "kv") == (0, kv_out, "")
     assert run(capsys, *argv, "--format", "text") == (0, text_out, "")
+
+
+# Exact stderr for the swap of order 6 with its images separated by white
+# space that is not ASCII (U+3000, U+0085) or by ASCII control characters
+# that str.split() takes as white space (0x1C-0x1F); both files passed.
+GOLDEN_PERMUTATION_ERRORS = {
+    "non-ASCII separators": (
+        "3 4 5\u30000 1\u00852\n",
+        "error: 'ascii' codec can't decode byte 0xe3 in position 5: "
+        "ordinal not in range(128)\n",
+    ),
+    "control-character separators": (
+        "3\x1c4\x1d5\x1e0\x1f1 2\n",
+        "error: permutation file swap.perm holds a non-integer token\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_PERMUTATION_ERRORS))
+def test_verify_refuses_permutation_separators(capsys, golden_dir, case):
+    images, stderr = GOLDEN_PERMUTATION_ERRORS[case]
+    Path("swap.perm").write_text(images, encoding="utf-8")
+    assert run(capsys, "verify", "--in", "g6.hsc", "--tau", "swap.perm") == (
+        2,
+        "",
+        stderr,
+    )
+    # The same images separated by ASCII white space pass.
+    Path("swap.perm").write_text("3 4\t5\r\n0\x0b1\x0c2\n")
+    assert run(capsys, "verify", "--in", "g6.hsc", "--tau", "swap.perm")[0] == 0
 
 
 def test_parser_is_built_once_and_survives_usage_errors(capsys, tmp_path):

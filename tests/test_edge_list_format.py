@@ -1,6 +1,6 @@
 """Both ends of the edge-list format: the writer's bytes against the
-per-edge reference serializer and pinned digests, and the parse's fast
-route (`_fast_parse`) against the strict line loop on golden documents
+per-edge reference serializer and pinned digests, and the parse's run step
+(`_set_runs`) against its line loop (`_set_lines`) on golden documents
 (`test_properties.py` adds random single-character edits)."""
 
 import hashlib
@@ -64,7 +64,7 @@ def test_construct_file_digests(tmp_path, capsys, n):
 G6 = to_edge_list_text(build_gamma(6))
 HEADER, BODY = G6.split("\n", 1)
 
-# (document, the strict loop's message, or None where it accepts).  Each
+# (document, the line loop's message, or None where it accepts).  Each
 # case is read whole and in chunks of every size in PARSE_CHUNKS.
 GOLDEN = {
     # One merged label map would read this as the edges 1 2 3, 4 5 6 and
@@ -158,16 +158,26 @@ def test_parse_golden_documents(tmp_path, case):
             assert str(err.value) == message, size
 
 
-def fast_route(text: str, size: int):
-    """The fast route's hypergraph for text read in pieces of size, or None."""
+class LineRead(Exception):
+    """Raised in place of reading a chunk line by line."""
+
+
+def runs_only(text: str, size: int):
+    """The hypergraph that the run step alone sets from text read in pieces
+    of size, or None if the parse reads a chunk line by line or refuses the
+    header."""
     pieces = (text[i : i + size] for i in range(0, len(text), size))
-    return hypercore._fast_parse(hypercore._line_chunks(pieces))
+    with mock.patch.object(hypercore, "_set_lines", side_effect=LineRead):
+        try:
+            return hypercore._parse(hypercore._line_chunks(pieces))
+        except (LineRead, ValueError):
+            return None
 
 
 def short_of_the_read_ahead(text: str) -> bool:
     """True iff the text after a valid header line, its last line counted
-    with a newline, holds fewer than 2k + 2 bytes per prefix key: the fast
-    route then leaves it to the strict loop without building its map."""
+    with a newline, holds fewer than 2k + 2 bytes per prefix key: the parse
+    then reads it line by line without building its map."""
     header, _, body = text.partition("\n")
     n, k = map(int, header.split(" ")[2:])
     keys = comb(n - 1, k - 1) if k > 1 else n
@@ -178,11 +188,11 @@ def test_chunks_that_end_on_a_line_boundary():
     # Each chunk holds whole lines: one, two or three edge lines of 8 bytes.
     assert G6.index("\n") == 9 and len(G6) == 10 + 10 * 8
     for size in (10, 18, 26, 34):
-        assert fast_route(G6, size) == build_gamma(6)
+        assert runs_only(G6, size) == build_gamma(6)
     # A chunk that opens with a comment line.
     commented = HEADER + "\n" + BODY.replace("e 0 2 4\n", "c x\ne 0 2 4\n")
     assert commented[26:30] == "c x\n"
-    assert fast_route(commented, 26) == build_gamma(6)
+    assert runs_only(commented, 26) == build_gamma(6)
 
 
 def test_prefix_keys_are_the_writers_prefixes():
@@ -200,7 +210,7 @@ def test_prefix_keys_are_the_writers_prefixes():
     for line in to_edge_list_text(build_gamma(10)).split("\n")[1:-1]:
         head, top = line.rsplit(" ", 1)
         assert head in heads and int(top) > int(head.rsplit(" ", 1)[1])
-    assert fast_route(GOLDEN["five vertices then two"][0], 1 << 14) is None
+    assert runs_only(GOLDEN["five vertices then two"][0], 1 << 14) is None
 
 
 def test_parse_builds_one_prefix_map_per_read(monkeypatch):

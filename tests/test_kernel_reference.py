@@ -7,6 +7,7 @@ the slow reference implementations in `colex_reference`."""
 import dataclasses
 import random
 import tracemalloc
+from types import SimpleNamespace
 from itertools import chain, combinations, islice
 from math import comb
 
@@ -148,7 +149,7 @@ def test_subset_columns_match_unranking():
             assert len(columns) == k
             for r in range(comb(n, k)):
                 subset = tuple(column[r] for column in columns)
-                assert subset == ref.unrank_colex(r, n, k)
+                assert subset == ref.unrank_colex(r, n, k) == colex._subset_at(r, n, k)
 
 
 def test_edges_match_unranking():
@@ -244,7 +245,7 @@ def straddling_shapes():
 
 def test_table_and_block_coverage_match_counter_reference(monkeypatch):
     # Force each path on every sample shape: a bound of 0 sends all of them
-    # to the block sums, a huge one every t < k to the table.  The complete
+    # to the block sums, a huge one every t < k < n to the table.  The complete
     # 4-uniform hypergraph on 14 vertices has 286 edges at a vertex, so its
     # t = 1 table needs two-byte lanes.
     rng = random.Random(13)
@@ -289,6 +290,15 @@ def test_regularity_matches_reference_on_both_sides_of_the_bound():
             h = Hypergraph.from_ranks(n, 3, ranks[:rng.randrange(len(ranks))])
             for t in (1, 2):
                 assert t_subset_regularity(h, t) == ref.regularity(h, t)
+
+
+def test_coverage_at_k_equal_n_builds_no_table():
+    # The one k-subset covers each t-subset once.  A table would rank
+    # comb(k, t) picks of t columns: 1.8 s at (25, 25, 21).
+    hypercore._coverage_table.cache_clear()
+    assert coverage(ref.complete(25, 25), 21) == [1] * comb(25, 21)
+    assert coverage(ref.empty(25, 25), 21) == [0] * comb(25, 21)
+    assert hypercore._coverage_table.cache_info().misses == 0
 
 
 def test_small_orders_build_their_table_once(monkeypatch):
@@ -490,7 +500,7 @@ def test_parser_crlf_document():
 
 
 def test_parser_errors_beyond_the_first_block():
-    # comb(32, 3) = 4960 edge lines: more than one block on the fast route.
+    # comb(32, 3) = 4960 edge lines: more than one chunk of the parse.
     h = ref.complete(32, 3)
     lines = to_edge_list_text(h).split("\n")
     for lineno in (4500, len(lines) - 2):
@@ -777,11 +787,11 @@ def test_parser_matches_reference_at_block_boundaries():
                 assert parse_both("\n".join(edited + lines[lineno + 1 :])) is None
     sparse = Hypergraph(50, 1, [(3,), (17,), (49,)])
     assert parse_both(to_edge_list_text(sparse)) == sparse
-    # Just below and at n vertex tokens, where the fast route starts.
+    # Below and at the prefix map's read-ahead of 2k + 2 bytes per key.
     for n, k, lines in ((6, 2, 2), (6, 2, 3), (7, 1, 6), (7, 1, 7)):
         h = Hypergraph.from_ranks(n, k, range(lines))
         assert parse_both(to_edge_list_text(h)) == h
-    # Leading zeros miss the label map; the strict loop still takes them.
+    # Leading zeros miss the prefix map; the line loop still takes them.
     assert parse_both("p hsc 50 1\ne 03\ne 17\n") == Hypergraph(50, 1, [(3,), (17,)])
 
 
@@ -908,40 +918,73 @@ def test_indicator_candidates_equal_rank_built_ones():
             assert ref.edge_ranks(h) == ref.edge_ranks(built)
 
 
-# Chunk sizes for the parse's fast route: from one line per chunk to the
-# whole document in one.
+# Chunk sizes for the parse: from one line per chunk to the whole document
+# in one.
 CHUNKS = (1, 2, 5, 11, 16, 40, 1 << 16)
 
 
 @pytest.fixture
-def fast_route(monkeypatch):
-    """The outcome of every chunked fast-route parse: True when it built the
-    hypergraph, False when it handed the document to the strict loop."""
-    seen = []
-    real = hypercore._fast_parse
+def line_reads(monkeypatch):
+    """What the parse reads line by line: `lines` holds the range of line
+    numbers of each chunk given to `_set_lines`, and `maps` the shape of each
+    prefix map built.  A chunk that the run step takes leaves no entry."""
+    seen = SimpleNamespace(lines=[], maps=[])
+    set_lines, prefix_ranks = hypercore._set_lines, hypercore._prefix_ranks
 
-    def spy(*args):
-        h = real(*args)
-        seen.append(h is not None)
-        return h
+    def lines_spy(bits, chunk, n, k, lineno, last):
+        seen.lines.append(range(lineno + 1, lineno + 2 + chunk.count("\n")))
+        return set_lines(bits, chunk, n, k, lineno, last)
 
-    monkeypatch.setattr(hypercore, "_fast_parse", spy)
+    def maps_spy(n, k):
+        seen.maps.append((n, k))
+        return prefix_ranks(n, k)
+
+    monkeypatch.setattr(hypercore, "_set_lines", lines_spy)
+    monkeypatch.setattr(hypercore, "_prefix_ranks", maps_spy)
     return seen
 
 
-def parse_in_chunks(monkeypatch, fast_route, text):
+def taken_by_runs(line_reads, message) -> bool:
+    """Check what one parse of a document with at most one edit read line by
+    line, given its refusal message (None if it was accepted), and return
+    whether it was accepted with a prefix map and every edge set by the run
+    step.  At most one prefix map is built.
+    With a map, the line loop reads at most one chunk, the edited one; with
+    none, it reads every chunk in turn.  A refusal that names a line names
+    one in the last chunk read line by line."""
+    lines = line_reads.lines
+    assert len(line_reads.maps) <= 1
+    if line_reads.maps:
+        assert len(lines) <= 1, lines
+    elif lines:
+        assert lines[0].start == 2
+        assert [r.start for r in lines[1:]] == [r.stop for r in lines[:-1]]
+    if message is not None and message.startswith("line "):
+        assert int(message[5 : message.index(":")]) in lines[-1], (message, lines)
+    return message is None and bool(line_reads.maps) and not lines
+
+
+def parse_in_chunks(monkeypatch, line_reads, text):
     """parse_both at every chunk size in CHUNKS; returns the parsed
-    hypergraph (None on an error) and whether the fast route took it."""
+    hypergraph (None on an error) and whether the run step set every edge,
+    the same at every size."""
+    try:
+        ref.parse(text)
+        message = None
+    except ValueError as exc:
+        message = str(exc)
     results = []
     for size in CHUNKS:
         monkeypatch.setattr(hypercore, "_PARSE_CHUNK", size)
-        fast_route.clear()
-        results.append((parse_both(text), fast_route == [True]))
+        line_reads.lines.clear()
+        line_reads.maps.clear()
+        result = parse_both(text)
+        results.append((result, taken_by_runs(line_reads, message)))
     assert len(set(results)) == 1
     return results[0]
 
 
-def test_parser_comments_at_chunk_edges(monkeypatch, fast_route):
+def test_parser_comments_at_chunk_edges(monkeypatch, line_reads):
     g = build_gamma(10)
     lines = to_edge_list_text(g).split("\n")
     for every in (1, 2, 3, 7):
@@ -951,89 +994,89 @@ def test_parser_comments_at_chunk_edges(monkeypatch, fast_route):
             if i % every == 0:
                 edited.append(("c", "c x", "c a longer comment line")[i % 3])
         text = "\n".join(edited + [""])
-        assert parse_in_chunks(monkeypatch, fast_route, text) == (g, True)
+        assert parse_in_chunks(monkeypatch, line_reads, text) == (g, True)
     # A document of comments and a single edge line.
     text = "p hsc 3 3\n" + "c\n" * 30 + "e 0 1 2\n" + "c z\n" * 30
-    assert parse_in_chunks(monkeypatch, fast_route, text) == (
+    assert parse_in_chunks(monkeypatch, line_reads, text) == (
         ref.complete(3, 3),
         True,
     )
 
 
-def test_parser_bad_line_in_the_last_chunk(monkeypatch, fast_route):
+def test_parser_bad_line_in_the_last_chunk(monkeypatch, line_reads):
     lines = to_edge_list_text(build_gamma(10)).split("\n")
     for bad in ("e 0 1", "e 0 1 2 ", "e 2 1 0", "e 0 1 10", "", "cx"):
         text = "\n".join(lines[:-2] + [bad, ""])
-        assert parse_in_chunks(monkeypatch, fast_route, text) == (None, False)
+        assert parse_in_chunks(monkeypatch, line_reads, text) == (None, False)
     # An empty last line before the final newline is a line too.
     text = "\n".join(lines) + "\n"
-    assert parse_in_chunks(monkeypatch, fast_route, text) == (None, False)
-    assert parse_in_chunks(monkeypatch, fast_route, "p hsc 3 3\n\n") == (None, False)
+    assert parse_in_chunks(monkeypatch, line_reads, text) == (None, False)
+    assert parse_in_chunks(monkeypatch, line_reads, "p hsc 3 3\n\n") == (None, False)
 
 
-def test_parser_duplicate_split_across_chunks(monkeypatch, fast_route):
+def test_parser_duplicate_split_across_chunks(monkeypatch, line_reads):
     lines = to_edge_list_text(build_gamma(10)).split("\n")
     for first in (1, 2, 30):
         text = "\n".join(lines[:-1] + [lines[first], ""])
-        assert parse_in_chunks(monkeypatch, fast_route, text) == (None, False)
+        assert parse_in_chunks(monkeypatch, line_reads, text) == (None, False)
         with pytest.raises(ValueError, match="duplicate edge at rank"):
             from_edge_list_text(text)
 
 
-def test_parser_line_endings_and_short_documents(monkeypatch, fast_route):
+def test_parser_line_endings_and_short_documents(monkeypatch, line_reads):
     g = build_gamma(10)
     text = to_edge_list_text(g)
-    # No final newline: the same hypergraph, still on the fast route.
-    assert parse_in_chunks(monkeypatch, fast_route, text[:-1]) == (g, True)
+    # No final newline: the same hypergraph, still set by the run step.
+    assert parse_in_chunks(monkeypatch, line_reads, text[:-1]) == (g, True)
     head, body = text.split("\n", 1)
     for crlf in (
         text.replace("\n", "\r\n"),
         head + "\n" + body.replace("\n", "\r\n"),
         text[:-1] + "\r\n",
     ):
-        assert parse_in_chunks(monkeypatch, fast_route, crlf) == (None, False)
+        assert parse_in_chunks(monkeypatch, line_reads, crlf) == (None, False)
     for short in ("p hsc 10 3\n", "p hsc 10 3", "", "\n", "p hsc 10 3\nc\n"):
-        result, fast = parse_in_chunks(monkeypatch, fast_route, short)
-        assert not fast
+        result, runs = parse_in_chunks(monkeypatch, line_reads, short)
+        assert not runs and not line_reads.maps
         assert result in (None, ref.empty(10, 3))
 
 
-def test_parser_chunk_edges_at_the_default_chunk_size(fast_route):
+def test_parser_chunk_edges_at_the_default_chunk_size(line_reads):
     # At n = 50 the edge lines take several chunks of the default size.
     g = build_gamma(50)
     text = to_edge_list_text(g)
     cut = text.index("\n") + 1 + hypercore._PARSE_CHUNK
     edge = text.index("\n", cut)
     assert edge < len(text) - 1
-    fast_route.clear()
-    assert parse_both(text) == g and fast_route == [True]
+    assert parse_both(text) == g and not line_reads.lines
     # A comment line across the cut, which the first chunk ends with, and
     # one that opens the second chunk.
     comment = "c " + "x" * 20 + "\n"
     for at in (text.rindex("\n", 0, cut) + 1, edge + 1):
-        fast_route.clear()
         assert parse_both(text[:at] + comment + text[at:]) == g
-        assert fast_route == [True]
+        assert not line_reads.lines
     lines = text.split("\n")
-    # A duplicate of an edge from the first chunk, in the second.
-    assert parse_both("\n".join(lines[:-1] + [lines[5], ""])) is None
-    # A bad line in the last chunk.
-    assert parse_both("\n".join(lines[:-2] + ["e 0 1 50", ""])) is None
+    # A duplicate of an edge from the first chunk, and a bad line, in the
+    # last chunk: only that chunk is read line by line.
+    for bad in (lines[:-1] + [lines[5], ""], lines[:-2] + ["e 0 1 50", ""]):
+        line_reads.lines.clear()
+        assert parse_both("\n".join(bad)) is None
+        assert len(line_reads.lines) == 1 and line_reads.lines[0].start > 2
 
 
-def test_parser_line_starts_at_every_chunk_size(monkeypatch, fast_route):
+def test_parser_line_starts_at_every_chunk_size(monkeypatch, line_reads):
     # Twelve fields that would rank as three valid edges: only the check
     # that every line opens with "e " tells "e 1 2 3 e 4 5" and "6" apart
     # from two edge lines.
     text = "p hsc 7 3\ne 0 1 2\ne 1 2 3 e 4 5\n6\n"
-    assert parse_in_chunks(monkeypatch, fast_route, text) == (None, False)
+    assert parse_in_chunks(monkeypatch, line_reads, text) == (None, False)
     g = build_gamma(10)
     lines = to_edge_list_text(g).split("\n")
     for at in (1, 2, 31, len(lines) - 3):
         # Two edge lines re-cut into a long one and a bare vertex.
         head, last = lines[at + 1].rsplit(" ", 1)
         edited = lines[:at] + [f"{lines[at]} {head}", last] + lines[at + 2 :]
-        assert parse_in_chunks(monkeypatch, fast_route, "\n".join(edited)) == (
+        assert parse_in_chunks(monkeypatch, line_reads, "\n".join(edited)) == (
             None,
             False,
         )
@@ -1049,7 +1092,7 @@ def test_parser_line_starts_at_every_chunk_size(monkeypatch, fast_route):
         ):
             text = "\n".join(lines[:at] + [line] + lines[at:])
             result = (g, True) if ok else (None, False)
-            assert parse_in_chunks(monkeypatch, fast_route, text) == result
+            assert parse_in_chunks(monkeypatch, line_reads, text) == result
         # White space that only the single-space format rules out.
         for edit in (
             lines[at].replace(" ", "  ", 1),
@@ -1059,9 +1102,9 @@ def test_parser_line_starts_at_every_chunk_size(monkeypatch, fast_route):
             lines[at] + "\r",
         ):
             text = "\n".join(lines[:at] + [edit] + lines[at + 1 :])
-            assert parse_in_chunks(monkeypatch, fast_route, text) == (None, False)
+            assert parse_in_chunks(monkeypatch, line_reads, text) == (None, False)
     crlf = "\r\n".join(lines)
-    assert parse_in_chunks(monkeypatch, fast_route, crlf) == (None, False)
+    assert parse_in_chunks(monkeypatch, line_reads, crlf) == (None, False)
 
 
 def test_families_match_tuple_reference():

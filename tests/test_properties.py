@@ -1,12 +1,13 @@
 """Property tests over small random hypergraphs: the K4 vertex profile, the
 rank/unrank bijection, the permute/complement algebra, the edge-list round
 trip, a parser fuzz against the strict reference loop, single-character
-edits read on the parse's fast route, line-level edits of colex documents
+edits read by the parse's run step, line-level edits of colex documents
 read from a file at every chunk size, and the bytes the parse scans."""
 
 import re
 from itertools import islice
 from math import comb
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -24,8 +25,9 @@ from hsc.hypercore import (
     to_edge_list_text,
 )
 from hsc.verify import vertex_invariant_k4
-from test_blocked_paths import fast_reads, read_at_every_chunk  # noqa: F401
-from test_edge_list_format import fast_route, short_of_the_read_ahead
+from test_blocked_paths import read_at_every_chunk
+from test_edge_list_format import runs_only, short_of_the_read_ahead
+from test_kernel_reference import line_reads  # noqa: F401
 
 
 @st.composite
@@ -191,7 +193,7 @@ EDIT_CHARACTERS = "0123456789 \nepc\r\tx"
 @st.composite
 def edited_documents(draw):
     """A valid document of a random hypergraph with a line per prefix key
-    and one more, so that one edit cannot leave the fast route short of its
+    and one more, so that one edit cannot leave the parse short of its
     read-ahead, and one random single-character edit: half the time a
     vertex digit of an edge line replaced by a digit, which often keeps the
     line's shape but breaks the order of its vertices, else an insertion,
@@ -216,16 +218,16 @@ def edited_documents(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(edited_documents(), st.integers(1, 40))
-def test_fast_route_agrees_with_the_strict_loop(text, size):
+def test_run_step_agrees_with_the_line_loop(text, size):
     try:
         strict = ref.parse(text)
     except ValueError:
         strict = None
-    fast = fast_route(text, size)
-    if fast is not None:
-        assert fast == strict
+    runs = runs_only(text, size)
+    if runs is not None:
+        assert runs == strict
     else:
-        # The fast route leaves to the strict loop only a refusal, a vertex
+        # The run step leaves to the line loop only a refusal, a vertex
         # written with a leading zero, or a document short of its read-ahead.
         assert (
             strict is None
@@ -240,7 +242,7 @@ def test_fast_route_agrees_with_the_strict_loop(text, size):
     assert got == strict
 
 
-# Edits of a colex document; each keeps or breaks the strict loop's format.
+# Edits of a colex document; each keeps or breaks the line loop's format.
 RUN_EDITS = (
     "none",
     "swapped lines",
@@ -307,19 +309,18 @@ def edited_colex_documents(draw):
 )
 @given(text=edited_colex_documents())
 def test_reader_runs_match_the_whole_document_parse(
-    tmp_path, monkeypatch, fast_reads, text
+    tmp_path, monkeypatch, line_reads, text
 ):
-    # The same hypergraph or message at every chunk size, and the fast
-    # route builds exactly the accepted documents with no leading zero and
-    # enough bytes for their read-ahead.
-    expected, fast = read_at_every_chunk(
-        tmp_path, monkeypatch, fast_reads, text.encode("ascii")
+    # The same hypergraph or message at every chunk size, a prefix map
+    # exactly for the documents with enough bytes for their read-ahead, and
+    # the run step sets every edge of exactly the accepted ones of those
+    # with no leading zero.
+    expected, runs = read_at_every_chunk(
+        tmp_path, monkeypatch, line_reads, text.encode("ascii")
     )
-    assert fast == (
-        expected is not None
-        and not re.search(" 0[0-9]", text)
-        and not short_of_the_read_ahead(text)
-    )
+    mapped = not short_of_the_read_ahead(text)
+    assert bool(line_reads.maps) == mapped
+    assert runs == (expected is not None and not re.search(" 0[0-9]", text) and mapped)
 
 
 class Scanned(str):
@@ -338,20 +339,33 @@ class Scanned(str):
         return piece
 
 
-@pytest.mark.parametrize("layout", ["one line per top", "colex-first edges"])
+@pytest.mark.parametrize(
+    "layout", ["one line per top", "colex-first edges", "a comment every 10 lines"]
+)
 def test_parse_scans_each_byte_a_few_times(monkeypatch, layout):
     # One line per top vertex is the most runs a document can hold.  Each
     # run slices its top label and a window of at most twice the last run;
     # a window of the whole rest per run would slice about 22 KB a line
-    # here, about 2000 times the document in all.
+    # here, about 2000 times the document in all.  The run step takes every
+    # line, comment lines included: none is read by the line loop.
     n = 5000
-    if layout == "one line per top":
-        edges = ((0, c) for c in range(1, n))
-    else:
+    if layout == "colex-first edges":
         edges = islice(((a, c) for c in range(n) for a in range(c)), n - 1)
-    body = "".join(f"e {a} {c}\n" for a, c in edges)
-    monkeypatch.setattr(Scanned, "lengths", [])
-    h = hypercore._fast_parse(iter([f"p hsc {n} 2", Scanned(body[:-1])]))
+    else:
+        edges = ((0, c) for c in range(1, n))
+    lines = [f"e {a} {c}\n" for a, c in edges]
+    if layout == "a comment every 10 lines":
+        lines[::10] = [f"c {i}\n{line}" for i, line in enumerate(lines[::10])]
+    body = "".join(lines)
+    scanned = []
+    monkeypatch.setattr(Scanned, "lengths", scanned)
+    monkeypatch.setattr(hypercore, "_set_lines", mock.Mock(side_effect=AssertionError))
+    # The chunk with its comment lines dropped is scanned in turn.
+    sub = re.sub
+    scanning = SimpleNamespace(sub=lambda *args: Scanned(sub(*args)))
+    monkeypatch.setattr(hypercore, "re", scanning)
+    h = hypercore._parse(iter([f"p hsc {n} 2", Scanned(body[:-1])]))
+    monkeypatch.undo()
     assert h == from_edge_list_text(f"p hsc {n} 2\n{body}")
     assert h.edge_count == n - 1
-    assert sum(Scanned.lengths) < 4 * len(body)
+    assert sum(scanned) < 4 * len(body)

@@ -12,6 +12,7 @@ from hsc.search import (
     CandidateCapExceeded,
     InfeasibleAntimorphismError,
     _involution_fixed_ksubsets,
+    _least_fixed_rank,
     search_regular_sc,
     tau_orbits_on_ksubsets,
 )
@@ -164,7 +165,7 @@ def test_bad_parameters_are_refused(monkeypatch):
 
 def test_involution_orbit_count_matches_the_decomposition():
     # An involution's orbits on the k-subsets are its fixed k-subsets and
-    # 2-cycles.
+    # 2-cycles; the first fixed one starts the first odd orbit.
     involutions = [swap_antimorphism(n) for n in range(6, 31, 2)]
     involutions += [
         Permutation((1, 0, 2, 3, 4, 5, 6)),
@@ -176,6 +177,9 @@ def test_involution_orbit_count_matches_the_decomposition():
             dec = tau_orbits_on_ksubsets(tau.n, k, tau)
             assert (comb(tau.n, k) + fixed) // 2 == dec.orbit_count
             assert fixed == sum(len(o) == 1 for o in dec.orbits)
+            if fixed:
+                first = next(o for o in dec.orbits if len(o) % 2)
+                assert first == (_least_fixed_rank(tau.images, k),)
     assert _involution_fixed_ksubsets(6, 3, Permutation([1, 2, 0, 3, 4, 5])) is None
 
 
@@ -190,4 +194,21 @@ def test_over_cap_search_is_refused_before_the_decomposition(monkeypatch, capsys
     assert captured.err == (
         "error: 2^676700 candidates exceed the cap of 1048576; "
         "raise the cap with --cap\n"
+    )
+
+
+def test_infeasible_search_is_refused_before_the_decomposition(monkeypatch, capsys):
+    # comb(28, 10) = 13 123 110 subsets: decomposing them took minutes and
+    # gigabytes to name the side swap's first fixed 10-subset,
+    # {0, ..., 4, 14, ..., 18}.
+    def refuse(*args):
+        raise AssertionError("decomposed")
+
+    monkeypatch.setattr("hsc.search.tau_orbits_on_ksubsets", refuse)
+    assert main(["search", "--n", "28", "--k", "10"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "infeasible: orbit of odd length 1 starting at rank "
+        f"{ref.subset_rank([0, 1, 2, 3, 4, 14, 15, 16, 17, 18])} "
+        "admits no alternating edge assignment\n",
     )

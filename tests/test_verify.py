@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 from math import comb
 
 import pytest
 
 import colex_reference as ref
+from hsc import colex
 from hsc.construct import build_gamma, build_gamma_families, swap_antimorphism
 from hsc.hypercore import Hypergraph, Permutation, coverage
 from hsc.verify import (
@@ -55,19 +57,22 @@ def test_regularity_witness_after_edge_removal():
     assert rep.witness is not None and len(rep.witness) == 2
 
 
-def test_regularity_witness_is_read_not_unranked():
-    # Every subset is read off the cached colex columns, so no module of
-    # hsc defines or imports the per-subset unrank; the witness is still
-    # the reference's colex-first deviation.
-    import importlib
-    import pkgutil
-
-    import hsc
-
-    for info in pkgutil.iter_modules(hsc.__path__, "hsc."):
-        module = importlib.import_module(info.name)
-        assert not hasattr(module, "unrank_colex"), info.name
-    assert not hasattr(hsc, "unrank_colex")
+def test_regularity_witness_is_the_colex_first_deviation():
+    # The witness is the reference's colex-first deviation, unranked alone:
+    # at (n, k, t) = (22, 21, 10) the cached columns of all comb(22, 10)
+    # 10-subsets took 52 MB of a 78 MB peak (tracemalloc).
+    one_edge = Hypergraph(22, 21, [range(21)])
+    colex._subset_columns.cache_clear()
+    tracemalloc.start()
+    try:
+        rep = t_subset_regularity(one_edge, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep == ref.regularity(one_edge, 10)
+    assert rep.witness == (0, 1, 2, 3, 4, 5, 6, 7, 8, 21)
+    assert peak < 16 << 20
+    assert colex._subset_columns.cache_info().currsize == 0
     g = build_gamma(10)
     shapes = (
         Hypergraph(10, 3, list(g.edges())[3:]),
