@@ -18,7 +18,8 @@ every 2-subset of vertices lies in exactly (n-2)/2 edges.
 
 In colex ranks the families have a closed form, so `build_gamma` writes
 the indicator straight from it, one run of ranks per residue pair, and
-`build_gamma_families` reads the families back off the edges.
+`build_gamma_families` cuts that indicator into three colex-rank slices,
+one indicator per family; no edge is listed.
 """
 
 from __future__ import annotations
@@ -73,30 +74,36 @@ def vertex_label(v: int, m: int) -> str:
 
 @dataclass(frozen=True)
 class EdgeFamilies:
-    """The three disjoint edge families of a constructed hypergraph.
-
-    Edges are sorted vertex triples under the linear indexing, in colex
-    order; the families are distinguished by how many vertices they take
-    from side 0 (3, 2, 1).
+    """The three disjoint edge families of a constructed hypergraph, each a
+    `Hypergraph` on all n vertices; they are distinguished by how many
+    vertices their edges take from side 0 (3, 2, 1).
     """
 
     n: int
     m: int
-    side0_triples: tuple[tuple[int, ...], ...]
-    midpoint_triples: tuple[tuple[int, ...], ...]
-    off_midpoint_triples: tuple[tuple[int, ...], ...]
+    side0: Hypergraph
+    midpoint: Hypergraph
+    off_midpoint: Hypergraph
 
 
 def build_gamma_families(n: int) -> EdgeFamilies:
-    """The edges of the order-n construction, split into its families: in
-    colex order the first comb(m, 3) lie on side 0, and the midpoint
-    triples are the rest with their middle vertex on side 0."""
-    edges = build_gamma(n).edges()
+    """The order-n construction split into its families, as slices of its
+    indicator: side 0's triples hold the ranks [0, comb(m, 3)); the block of
+    each top vertex c on side 1 starts with the comb(m, 2) pairs of side 0,
+    its midpoint triples, and ends with its off-midpoint triples."""
+    bits = _gamma_indicator(n)
     m = n // 2
-    side0, rest = edges[: comb(m, 3)], edges[comb(m, 3) :]
-    midpoint = tuple(e for e in rest if e[1] < m)
-    off_midpoint = tuple(e for e in rest if e[1] >= m)
-    return EdgeFamilies(n, m, side0, midpoint, off_midpoint)
+    side0, midpoint, off_midpoint = (bytearray(len(bits)) for _ in range(3))
+    side0[: comb(m, 3)] = bits[: comb(m, 3)]
+    for c in range(m, n):
+        low, high = comb(c, 3), comb(c + 1, 3)
+        cut = low + comb(m, 2)
+        midpoint[low:cut] = bits[low:cut]
+        off_midpoint[cut:high] = bits[cut:high]
+    families = (side0, midpoint, off_midpoint)
+    return EdgeFamilies(
+        n, m, *(Hypergraph._from_indicator(n, 3, f, f.count(1)) for f in families)
+    )
 
 
 def _gamma_indicator(n: int) -> bytearray:

@@ -128,11 +128,17 @@ class Permutation:
     def __init__(self, images):
         images = tuple(images)
         n = len(images)
-        seen = [False] * n
-        for v in images:
-            if not 0 <= v < n or seen[v]:
-                raise ValueError(f"images {images} are not a permutation of 0..{n - 1}")
-            seen[v] = True
+        # source[w] is the position whose image is w, -1 while none is.
+        source = [-1] * n
+        for v, w in enumerate(images):
+            if not 0 <= w < n:
+                raise ValueError(f"image {w} at position {v} is out of range [0, {n})")
+            if source[w] >= 0:
+                raise ValueError(
+                    f"image {w} at position {v} repeats position {source[w]}:"
+                    f" not a permutation of 0..{n - 1}"
+                )
+            source[w] = v
         self.images = images
 
     @property

@@ -1,12 +1,14 @@
 """Mechanical checks for constructed hypergraphs: subset-regularity with
-its valence, antimorphism verification and backtracking search, per-pair
-coverage split by edge family, vertex-transitivity evidence, and the Euler
-characteristic of 2-valent triple systems.
+its valence, antimorphism verification and backtracking search, the pair
+coverage of the regularity proof's four cases split by edge family,
+vertex-transitivity evidence, and the Euler characteristic of 2-valent
+triple systems.
 
-All checks are pure functions of their inputs.  Regularity and the
-antimorphism check read the indicator's colex blocks and list no edge: the
-antimorphism check compares every (k-1)-subset's link mask with the image
-of another under tau.  The exhaustive searches
+All checks are pure functions of their inputs.  Regularity, the pair cases
+and the antimorphism check read the indicator's colex blocks and list no
+edge: the pair cases take one coverage pass per family's indicator, and
+the antimorphism check compares every (k-1)-subset's link mask with the
+image of another under tau.  The exhaustive searches
 (antimorphism and automorphism enumeration) are gated by order: orders up
 to 8 run freely, 9 and 10 need an explicit opt-in, anything larger is
 refused outright; they look each image subset up by its vertex bitmask in a
@@ -37,7 +39,6 @@ from .hypercore import Hypergraph, Permutation, coverage
 
 __all__ = [
     "AntimorphismCheck",
-    "PairCaseBreakdown",
     "RegularityReport",
     "SearchBudgetExceeded",
     "SearchOrderError",
@@ -133,58 +134,24 @@ def t_subset_regularity(h: Hypergraph, t: int) -> RegularityReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairCaseBreakdown:
-    """Coverage of one vertex pair, split across the three edge families.
-
-    The case letter classifies the pair: (a) both side 0, (b) both side 1,
-    (c) same residue on opposite sides, (d) different residues on opposite
-    sides.
-    """
-
-    case: str
-    side0_count: int
-    midpoint_count: int
-    off_midpoint_count: int
-
-    @property
-    def counts(self) -> tuple[int, int, int]:
-        return (self.side0_count, self.midpoint_count, self.off_midpoint_count)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-def pair_case_breakdown(families: EdgeFamilies, pair) -> PairCaseBreakdown:
-    """Classify a vertex pair and count its covering edges per family."""
-    u, v = pair
-    if u == v:
-        raise ValueError("pair vertices must be distinct")
-    for w in (u, v):
-        if not 0 <= w < families.n:
-            raise ValueError(f"vertex {w} out of range [0, {families.n})")
+def pair_case_breakdown(families: EdgeFamilies) -> dict[str, set[tuple[int, ...]]]:
+    """The (side0, midpoint, off-midpoint) counts of covering edges that the
+    pairs of each case show, as a set per case letter: (a) both on side 0,
+    (b) both on side 1, (c) the same residue on opposite sides, (d)
+    different residues on opposite sides.  One coverage pass per family
+    counts every pair at once; pair (u, v), u < v, is at colex rank
+    u + comb(v, 2)."""
     m = families.m
-    (u, v) = (min(u, v), max(u, v))
-    su, sv = u // m, v // m
-    if su == 0 and sv == 0:
-        case = "a"
-    elif su == 1 and sv == 1:
-        case = "b"
-    elif u % m == v % m:
-        case = "c"
-    else:
-        case = "d"
-
-    def cover(fam):
-        return sum(1 for e in fam if u in e and v in e)
-
-    return PairCaseBreakdown(
-        case=case,
-        side0_count=cover(families.side0_triples),
-        midpoint_count=cover(families.midpoint_triples),
-        off_midpoint_count=cover(families.off_midpoint_triples),
-    )
+    # Pairs in colex order: the comb(m, 2) on side 0, then for each v on
+    # side 1 the u on side 0, with u = v - m in case (c), and those on side 1.
+    letters = ["a" * comb(m, 2)]
+    for v in range(m, families.n):
+        letters.append("d" * (v - m) + "c" + "d" * (2 * m - 1 - v) + "b" * (v - m))
+    passes = (families.side0, families.midpoint, families.off_midpoint)
+    cases = {case: set() for case in "abcd"}
+    for case, counts in zip("".join(letters), zip(*(coverage(f, 2) for f in passes))):
+        cases[case].add(counts)
+    return cases
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,13 @@ code with the binomial table, the colex walk, the column ranking or the
 pair-link bitsets, and the differential tests compare the two routes on
 the same inputs.
 
-The last three are the whole-edge-set versions that the streamed paths
-replaced: the construction's families as tuples, the parse's fast route
-over the whole document at once, and a relabeling through the full list of
-image ranks.  `colex_columns_replayed` is the colex column replay as it was
+The next group holds the whole-edge-set versions that the streamed paths
+replaced: the construction's families as tuples; the regularity proof's
+four pair cases found by scanning those tuples once per pair, which one
+coverage pass per family's indicator replaced, beside the closed-form
+table, as a function of the side modulus m, that both routes must show;
+the parse's fast route over the whole document at once; and a relabeling
+through the full list of image ranks.  `colex_columns_replayed` is the colex column replay as it was
 before its heads were cached: it rebuilds them recursively on every call.
 
 `coverage_by_counter` and `antimorphism_by_permute` are the column-pass
@@ -466,6 +469,35 @@ def gamma_families(n: int):
             if a != banned:
                 off_midpoint.append((a, b + m, c + m))
     return side0, tuple(midpoint), tuple(off_midpoint)
+
+
+def pair_case_table(m: int) -> dict[str, set[tuple[int, int, int]]]:
+    """The regularity proof's four-case count in closed form, as
+    `pair_case_breakdown` reports it for side modulus m: each case's one
+    (side0, midpoint, off-midpoint) triple, summing to m - 1."""
+    return {
+        "a": {(m - 2, 1, 0)},
+        "b": {(0, 0, m - 1)},
+        "c": {(0, 0, m - 1)},
+        "d": {(0, 1, m - 2)},
+    }
+
+
+def pair_cases_by_scan(n: int) -> dict[str, set[tuple[int, int, int]]]:
+    """The four pair cases of `gamma_families(n)`, each pair classified and
+    its covering edges counted by a scan of every family's tuples."""
+    m, families = n // 2, gamma_families(n)
+    cases = {case: set() for case in "abcd"}
+    for u, v in itertools.combinations(range(n), 2):
+        if v < m:
+            case = "a"
+        elif u >= m:
+            case = "b"
+        else:
+            case = "c" if u == v - m else "d"
+        counts = (sum(1 for e in f if u in e and v in e) for f in families)
+        cases[case].add(tuple(counts))
+    return cases
 
 
 def permute_by_rank_list(h: Hypergraph, sigma: Permutation) -> Hypergraph:

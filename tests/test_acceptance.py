@@ -19,8 +19,10 @@ from hsc.hypercore import (
 from hsc.parity import admissible, binom_parity, residue_classes
 from hsc.search import search_regular_sc, tau_orbits_on_ksubsets
 from hsc.verify import (
+    _k4_profile,
     automorphism_vertex_orbits,
     euler_characteristic_triangulation,
+    pair_case_breakdown,
     t_subset_regularity,
     verify_antimorphism,
     vertex_invariant_k4,
@@ -59,25 +61,14 @@ def test_criterion_1_construction_sweep():
 
 
 def test_criterion_2_pair_case_analysis():
-    from hsc.verify import pair_case_breakdown
-
     start = time.perf_counter()
     problems = []
-    for n in (6, 10, 14):
-        kp = (n - 2) // 4
-        expected = {
-            "a": (2 * kp - 1, 1, 0),
-            "b": (0, 0, 2 * kp),
-            "c": (0, 0, 2 * kp),
-            "d": (0, 1, 2 * kp - 1),
-        }
-        fams = build_gamma_families(n)
-        for pair in itertools.combinations(range(n), 2):
-            b = pair_case_breakdown(fams, pair)
-            if b.counts != expected[b.case]:
-                problems.append(f"n={n} pair={pair}: case {b.case} counts {b.counts}")
+    for n in SWEEP_ORDERS:
+        cases = pair_case_breakdown(build_gamma_families(n))
+        if cases != ref.pair_case_table(n // 2):
+            problems.append(f"n={n}: pair cases {cases}")
     ok = not problems
-    _finish("criterion 2 (pair case analysis 6/10/14)", start, ok)
+    _finish("criterion 2 (pair case analysis 6..50)", start, ok)
     assert ok, problems
 
 
@@ -233,4 +224,17 @@ def test_criterion_8_serialization_round_trip(tmp_path):
             problems.append(f"n={n}: reread instance fails verification")
     ok = not problems
     _finish("criterion 8 (serialization round trip)", start, ok)
+    assert ok, problems
+
+
+def test_criterion_9_k4_closed_form():
+    start = time.perf_counter()
+    problems = []
+    for n in SWEEP_ORDERS:
+        m = n // 2
+        profile = _k4_profile(build_gamma(n))
+        if profile != (comb(m - 1, 3),) * m + (0,) * m:
+            problems.append(f"n={n}: K4 profile {profile}")
+    ok = not problems
+    _finish("criterion 9 (K4 closed form 6..50)", start, ok)
     assert ok, problems

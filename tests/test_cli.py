@@ -123,6 +123,21 @@ def test_verify_rejects_lax_permutation_tokens(capsys, tmp_path, images):
     assert ("non-integer token" if images.isascii() else "in position 10:") in stderr
 
 
+def test_verify_refuses_a_long_non_permutation_in_one_short_line(capsys, tmp_path):
+    # 200 000 zeros: the refusal names the first repeat, not every image.
+    path = tmp_path / "g6.hsc"
+    write_edge_list(build_gamma(6), path)
+    perm = tmp_path / "zeros.perm"
+    perm.write_text("0\n" * 200_000)
+    code, stdout, stderr = run(capsys, "verify", "--in", str(path), "--tau", str(perm))
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        "error: image 0 at position 1 repeats position 0:"
+        " not a permutation of 0..199999\n"
+    )
+    assert len(stderr.encode()) < 200
+
+
 def test_verify_with_search_tau(capsys, tmp_path):
     path = tmp_path / "g6.hsc"
     write_edge_list(build_gamma(6), path)

@@ -115,10 +115,13 @@ def test_build_gamma_rejects_inadmissible_orders():
             build_gamma(n)
 
 
+def family_edges(fams):
+    """The (side0, midpoint, off-midpoint) families' edge tuples."""
+    return tuple(f.edges() for f in (fams.side0, fams.midpoint, fams.off_midpoint))
+
+
 def family_sizes(fams):
-    return tuple(
-        map(len, (fams.side0_triples, fams.midpoint_triples, fams.off_midpoint_triples))
-    )
+    return tuple(map(len, family_edges(fams)))
 
 
 def edge_counts(n):
@@ -138,24 +141,24 @@ def test_edge_counts_closed_forms():
 def test_families_disjoint_and_sized():
     for n in ADMISSIBLE_ORDERS:
         fams = build_gamma_families(n)
-        assert family_sizes(fams) == edge_counts(n)
-        all_edges = fams.side0_triples + fams.midpoint_triples
-        all_edges += fams.off_midpoint_triples
+        side0, midpoint, off_midpoint = family_edges(fams)
+        assert tuple(map(len, (side0, midpoint, off_midpoint))) == edge_counts(n)
+        all_edges = side0 + midpoint + off_midpoint
         assert len(set(all_edges)) == len(all_edges)
         # families are separated by how many side-0 vertices an edge uses
         m = fams.m
-        assert all(sum(v < m for v in e) == 3 for e in fams.side0_triples)
-        assert all(sum(v < m for v in e) == 2 for e in fams.midpoint_triples)
-        assert all(sum(v < m for v in e) == 1 for e in fams.off_midpoint_triples)
+        assert all(sum(v < m for v in e) == 3 for e in side0)
+        assert all(sum(v < m for v in e) == 2 for e in midpoint)
+        assert all(sum(v < m for v in e) == 1 for e in off_midpoint)
 
 
 def test_family_arithmetic_invariants():
     for n in ADMISSIBLE_ORDERS:
         fams = build_gamma_families(n)
         m = fams.m
-        for a, b, c1 in fams.midpoint_triples:
+        for a, b, c1 in fams.midpoint.edges():
             assert 2 * (c1 - m) % m == (a + b) % m
-        for a, b1, c1 in fams.off_midpoint_triples:
+        for a, b1, c1 in fams.off_midpoint.edges():
             assert 2 * a % m != (b1 + c1 - 2 * m) % m
 
 

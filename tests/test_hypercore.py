@@ -86,9 +86,9 @@ def test_permutation_basics():
 
 
 def test_permutation_rejects_non_bijections():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^image 0 at position 1 repeats position 0:"):
         Permutation([0, 0, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^image 3 at position 2 is out of range"):
         Permutation([0, 1, 3])
 
 

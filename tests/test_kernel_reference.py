@@ -1111,10 +1111,10 @@ def test_families_match_tuple_reference():
     for n in range(6, 103, 4):
         fams = build_gamma_families(n)
         expected = ref.gamma_families(n)
-        got = (fams.side0_triples, fams.midpoint_triples, fams.off_midpoint_triples)
+        got = (fams.side0, fams.midpoint, fams.off_midpoint)
         for family, reference in zip(got, expected):
-            assert len(family) == len(reference)
-            assert set(family) == set(reference)
+            assert family == Hypergraph(n, 3, reference)
+            assert family.edge_count == len(reference)
         columns = ref.gamma_family_columns(n)
         for family, reference in zip(columns._families(), expected):
             assert set(family) == set(reference)

@@ -134,42 +134,33 @@ def test_expected_valence():
 
 
 def test_pair_case_examples_order_10():
-    fams = build_gamma_families(10)
-    checks = {
-        (0, 1): ("a", (3, 1, 0)),
-        (5, 6): ("b", (0, 0, 4)),
-        (0, 5): ("c", (0, 0, 4)),
-        (0, 6): ("d", (0, 1, 3)),
+    assert pair_case_breakdown(build_gamma_families(10)) == {
+        "a": {(3, 1, 0)},
+        "b": {(0, 0, 4)},
+        "c": {(0, 0, 4)},
+        "d": {(0, 1, 3)},
     }
-    for pair, (case, counts) in checks.items():
-        b = pair_case_breakdown(fams, pair)
-        assert b.case == case
-        assert b.counts == counts
-        assert b.total == 4
 
 
 def test_pair_cases_exhaustive():
+    # The coverage passes against a scan of the tuple families per pair.
     for n in (6, 10, 14):
-        kp = (n - 2) // 4
-        expected = {
-            "a": (2 * kp - 1, 1, 0),
-            "b": (0, 0, 2 * kp),
-            "c": (0, 0, 2 * kp),
-            "d": (0, 1, 2 * kp - 1),
-        }
-        fams = build_gamma_families(n)
-        for pair in itertools.combinations(range(n), 2):
-            b = pair_case_breakdown(fams, pair)
-            assert b.counts == expected[b.case]
-            assert b.total == (n - 2) // 2
+        cases = pair_case_breakdown(build_gamma_families(n))
+        assert cases == ref.pair_cases_by_scan(n) == ref.pair_case_table(n // 2)
 
 
-def test_pair_case_rejects_degenerate_pair():
-    fams = build_gamma_families(6)
-    with pytest.raises(ValueError):
-        pair_case_breakdown(fams, (2, 2))
-    with pytest.raises(ValueError):
-        pair_case_breakdown(fams, (0, 6))
+def test_pair_case_table_at_large_orders():
+    for n in (102, 202):
+        assert pair_case_breakdown(build_gamma_families(n)) == ref.pair_case_table(n // 2)
+
+
+def test_families_and_pair_cases_list_no_edges(monkeypatch):
+    def refuse(self):
+        raise AssertionError("an edge list was built")
+
+    monkeypatch.setattr(Hypergraph, "columns", refuse)
+    cases = pair_case_breakdown(build_gamma_families(50))
+    assert cases == ref.pair_case_table(25)
 
 
 def test_verify_antimorphism_swap():
