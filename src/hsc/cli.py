@@ -5,13 +5,11 @@ Exit codes: 0 all requested checks passed, 1 a mathematical check failed,
 2 usage or input errors.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
+import os
 import sys
 from math import comb
-from pathlib import Path
 
 from .construct import build_gamma, swap_antimorphism, vertex_label
 from .hypercore import Permutation, _edge_list_blocks, read_edge_list, write_edge_list
@@ -57,11 +55,21 @@ def _subset_words(s, n: int) -> str:
     return ", ".join(str(v) for v in s)
 
 
+def _spelled(path: str) -> str:
+    """path as pathlib spells it, so that an error message names a file as
+    before: no empty or "." parts, and two leading slashes kept, but one or
+    three or more cut to one."""
+    parts = [part for part in path.split("/") if part not in ("", ".")]
+    lead = len(path) - len(path.lstrip("/"))
+    return "/" * (1 + (lead == 2) if lead else 0) + "/".join(parts) or "."
+
+
 def _read_permutation(path) -> Permutation:
     """The images in a permutation file: ASCII digits separated by ASCII
     white space, with comment lines "c" and "c <text>".  A non-ASCII byte is
     refused at its offset, as by the edge-list reader."""
-    data = Path(path).read_bytes()
+    with open(_spelled(path), "rb") as f:
+        data = f.read()
     data.decode("ascii")  # names the first non-ASCII byte's offset
     tokens: list[bytes] = []
     for line in data.splitlines():
@@ -110,7 +118,7 @@ def _resolve_tau(h, args):
 
 
 def _cmd_verify(args) -> int:
-    h = read_edge_list(args.in_path)
+    h = read_edge_list(_spelled(args.in_path))
     reg = t_subset_regularity(h, args.t)
     tau, tau_label, inconclusive = _resolve_tau(h, args)
     anti = verify_antimorphism(h, tau) if tau is not None else None
@@ -175,7 +183,7 @@ def _verify_text(f) -> str:
 
 
 def _cmd_invariants(args) -> int:
-    h = read_edge_list(args.in_path)
+    h = read_edge_list(_spelled(args.in_path))
     fields = [("n", h.n), ("k", h.k), ("edges", h.edge_count)]
     if h.k == 3 and h.n >= 4:
         k4 = tuple(vertex_invariant_k4(h, v) for v in range(h.n))
@@ -236,11 +244,11 @@ def _cmd_search(args) -> int:
         return 1
     print(result.summary_line())
     if args.emit:
-        emit_dir = Path(args.emit)
-        emit_dir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(_spelled(args.emit), exist_ok=True)
         width = max(4, len(str(len(result.regular))))
         for i, h in enumerate(result.regular):
-            write_edge_list(h, emit_dir / f"survivor_{i:0{width}d}.hsc")
+            name = f"survivor_{i:0{width}d}.hsc"
+            write_edge_list(h, _spelled(os.path.join(args.emit, name)))
     return 0
 
 

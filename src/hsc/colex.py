@@ -21,8 +21,6 @@ block of an indicator over those ranks is itself an indicator over the
 (k-1)-subsets of [0, c); these kernels walk or recurse over the blocks.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import chain, islice, repeat
 from math import comb

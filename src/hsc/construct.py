@@ -22,9 +22,7 @@ the indicator straight from it, one run of ranks per residue pair, and
 one indicator per family; no edge is listed.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .hypercore import Hypergraph, Permutation, _positions
@@ -72,18 +70,13 @@ def vertex_label(v: int, m: int) -> str:
     return f"{v % m}_{v // m}"
 
 
-@dataclass(frozen=True)
-class EdgeFamilies:
+class EdgeFamilies(namedtuple("EdgeFamilies", "n m side0 midpoint off_midpoint")):
     """The three disjoint edge families of a constructed hypergraph, each a
     `Hypergraph` on all n vertices; they are distinguished by how many
     vertices their edges take from side 0 (3, 2, 1).
     """
 
-    n: int
-    m: int
-    side0: Hypergraph
-    midpoint: Hypergraph
-    off_midpoint: Hypergraph
+    __slots__ = ()
 
 
 def build_gamma_families(n: int) -> EdgeFamilies:

@@ -24,14 +24,11 @@ Every shape passes `_positions`, whose bounds keep the kernels' recursions
 shallow; the constructors check each subset or rank in input order.
 """
 
-from __future__ import annotations
-
 import re
 from functools import lru_cache, partial
 from itertools import chain, combinations, compress, count, islice, repeat
 from math import comb
 from operator import add, getitem, itemgetter, mul, setitem
-from pathlib import Path
 
 from .colex import (
     _binomial_table,
@@ -276,6 +273,19 @@ def coverage(h: Hypergraph, t: int) -> list[int]:
     columns took 1.8 s at (25, 25, 21).  More than MAX_LANES t-subsets are
     refused.
     """
+    lanes, subsets, width = _coverage_lanes(h, t)
+    raw = lanes.to_bytes(subsets * width, "little")
+    # Read each lane's little-endian bytes, most significant first.
+    counts = raw[width - 1 :: width]
+    for j in range(width - 2, -1, -1):
+        counts = map(add, map(mul, counts, repeat(256)), raw[j::width])
+    return list(counts)
+
+
+def _coverage_lanes(h: Hypergraph, t: int) -> tuple[int, int, int]:
+    """The coverage of `coverage` before unpacking: (lanes, subsets, width),
+    the int whose width-byte lane r counts the edges through the t-subset of
+    colex rank r, the number comb(n, t) of lanes and their width."""
     if not 1 <= t <= h.k:
         raise ValueError(f"need 1 <= t <= k={h.k}, got t={t}")
     n, k = h.n, h.k
@@ -290,12 +300,7 @@ def coverage(h: Hypergraph, t: int) -> list[int]:
     else:
         memo = {} if 2 <= t <= k - 2 else None
         lanes = _lane_sums(h._bits, n, k, t, 8 * width, memo)
-    raw = lanes.to_bytes(subsets * width, "little")
-    # Read each lane's little-endian bytes, most significant first.
-    counts = raw[width - 1 :: width]
-    for j in range(width - 2, -1, -1):
-        counts = map(add, map(mul, counts, repeat(256)), raw[j::width])
-    return list(counts)
+    return lanes, subsets, width
 
 
 @lru_cache(maxsize=16)
@@ -570,7 +575,7 @@ def read_edge_list(path) -> Hypergraph:
     """Parse an edge-list file in one pass of _PARSE_CHUNK reads.  A refused
     file is read on to its end, so that a non-ASCII byte anywhere is named,
     at its offset, before its first faulty line."""
-    with open(Path(path), "rb") as f:
+    with open(path, "rb") as f:
         reads = _ascii_reads(f)
         try:
             return _parse(_line_chunks(reads))

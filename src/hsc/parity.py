@@ -6,9 +6,7 @@ bit of b is also set in a), with the conventions comb(a, b) = 0 for b > a
 and comb(a, 0) = 1.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "AdmissibilityReport",
@@ -43,14 +41,10 @@ def binom_parity(a: int, b: int) -> int:
     return 1 if b & ~a == 0 else 0
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(namedtuple("AdmissibilityReport", "n k t parities")):
     """Parities of comb(n-i, k-i) for i = 0..t; admissible iff all even."""
 
-    n: int
-    k: int
-    t: int
-    parities: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def admissible(self) -> bool:

@@ -10,9 +10,7 @@ colex-least subset is an edge).  The candidate space is exactly
 orbit's bit most significant.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from math import comb
 from operator import eq
@@ -43,17 +41,14 @@ class CandidateCapExceeded(RuntimeError):
     """The assignment space is larger than the enumeration cap."""
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
+class OrbitDecomposition(namedtuple("OrbitDecomposition", "n k orbits")):
     """Cycles of a permutation acting on the colex ranks of k-subsets.
 
     Each orbit is listed as the cycle starting from its smallest rank;
     orbits are ordered by that smallest rank.
     """
 
-    n: int
-    k: int
-    orbits: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def orbit_count(self) -> int:
@@ -187,12 +182,11 @@ def _byte_mask(ranks) -> int:
     return sum(1 << (8 * r) for r in ranks)
 
 
-@dataclass(frozen=True)
-class SearchSummary:
-    """Result of an enumeration filtered by subset-regularity."""
+class SearchSummary(namedtuple("SearchSummary", "orbit_count regular")):
+    """Result of an enumeration filtered by subset-regularity: the orbit
+    count and the regular candidates, a tuple of `Hypergraph`s."""
 
-    orbit_count: int
-    regular: tuple[Hypergraph, ...]
+    __slots__ = ()
 
     @property
     def candidate_total(self) -> int:

@@ -20,9 +20,7 @@ third vertices of the edges through each pair) and intersects the three
 links of every edge.  No profile is kept between calls.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress, repeat, tee
 from math import comb
 from operator import ne, or_, xor
@@ -35,7 +33,7 @@ from .colex import (
     _subset_columns,
 )
 from .construct import EdgeFamilies
-from .hypercore import Hypergraph, Permutation, coverage
+from .hypercore import Hypergraph, Permutation, _coverage_lanes, coverage
 
 __all__ = [
     "AntimorphismCheck",
@@ -77,8 +75,13 @@ class SearchBudgetExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(
+    namedtuple(
+        "RegularityReport",
+        "t valence witness witness_count first_count",
+        defaults=(None, None, None),
+    )
+):
     """Outcome of a t-subset coverage check.
 
     On success `valence` holds the common coverage; on failure `witness` is
@@ -86,11 +89,7 @@ class RegularityReport:
     the colex-first t-subset, with both counts attached.
     """
 
-    t: int
-    valence: int | None
-    witness: tuple[int, ...] | None = None
-    witness_count: int | None = None
-    first_count: int | None = None
+    __slots__ = ()
 
     @property
     def regular(self) -> bool:
@@ -104,24 +103,30 @@ def t_subset_regularity(h: Hypergraph, t: int) -> RegularityReport:
     """Check whether every t-subset of vertices lies in the same number of edges.
 
     One coverage pass counts the edges through each of the comb(n,t)
-    t-subsets; a scan over those counts then either certifies the common
-    valence or produces a witness.
+    t-subsets as the lanes of one int, unpacked into no list: the counts are
+    all equal iff the int is its first lane repeated in every lane, and
+    otherwise the lowest bit where the two differ is in the witness's lane.
     """
     if not 1 <= t < h.k:
         raise ValueError(f"need 1 <= t < k={h.k}, got t={t}")
-    counts = coverage(h, t)
-    first = counts[0]
-    if counts.count(first) != len(counts):
-        r = next(compress(range(len(counts)), map(first.__ne__, counts)))
+    lanes, subsets, width = _coverage_lanes(h, t)
+    lane = 8 * width
+    mask = (1 << lane) - 1
+    first = lanes & mask
+    # A 1 in every lane: the all-ones int divided by one lane's all-ones.
+    ones = ((1 << lane * subsets) - 1) // mask
+    off = lanes ^ first * ones
+    if off:
+        r = ((off & -off).bit_length() - 1) // lane
         return RegularityReport(
             t=t,
             valence=None,
             witness=_subset_at(r, h.n, t),
-            witness_count=counts[r],
+            witness_count=lanes >> lane * r & mask,
             first_count=first,
         )
     # Double counting: valence * comb(n,t) == |E| * comb(k,t).
-    if first * len(counts) != h.edge_count * comb(h.k, t):
+    if first * subsets != h.edge_count * comb(h.k, t):
         raise RuntimeError(
             f"double counting fails: valence {first} * comb({h.n},{t}) != "
             f"{h.edge_count} edges * comb({h.k},{t})"
@@ -159,12 +164,12 @@ def pair_case_breakdown(families: EdgeFamilies) -> dict[str, set[tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AntimorphismCheck:
+class AntimorphismCheck(
+    namedtuple("AntimorphismCheck", "ok witness", defaults=(None,))
+):
     """Result of checking `e is an edge  xor  image of e is an edge` for all e."""
 
-    ok: bool
-    witness: tuple[int, ...] | None = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -370,8 +375,12 @@ def automorphism_vertex_orbits(
 ) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of the vertices under the full automorphism group,
     found by exhaustive backtracking; a single orbit means vertex-transitive.
-    A node budget opts in to the orders past FREE_SEARCH_ORDER."""
+    A node budget opts in to the orders past FREE_SEARCH_ORDER.  With no
+    edges, or every k-subset an edge, every permutation is an automorphism,
+    so the one orbit is given without a search."""
     _require_search_order(h.n, node_budget)
+    if h.edge_count in (0, h.positions):
+        return (tuple(range(h.n)),)
     autos = _backtrack_images(
         h, want_equal=True, node_budget=node_budget, first_only=False
     )

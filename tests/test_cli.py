@@ -9,7 +9,7 @@ import pytest
 
 import colex_reference as ref
 import hsc
-from hsc.cli import main
+from hsc.cli import _spelled, main
 from hsc.construct import build_gamma
 from hsc.hypercore import read_edge_list, to_edge_list_text, write_edge_list
 
@@ -27,6 +27,20 @@ def run_process(*args, timeout):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
     command = [sys.executable, *args]
     return subprocess.run(command, capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_cli_import_leaves_out_the_heavy_standard_modules():
+    # -S: no site hook preloads anything, so the import shows all it loads.
+    code = (
+        "import sys; import hsc.cli; "
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] != 'hsc')))"
+    )
+    proc = run_process("-S", "-c", code, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "argparse" in loaded
+    for heavy in ("dataclasses", "inspect", "ast", "dis", "tokenize", "pathlib"):
+        assert heavy not in loaded
 
 
 def test_construct_writes_file_and_summary(capsys, tmp_path):
@@ -211,6 +225,43 @@ def test_invariants_complete_hypergraph(capsys, tmp_path):
     code, stdout, _ = run(capsys, "invariants", "--in", str(path))
     assert code == 0
     assert "orbit_count=1" in stdout
+
+
+def test_invariants_budget_gives_the_one_orbit_of_an_empty_order_9(capsys, tmp_path):
+    # Every permutation is an automorphism, so no node of the budget is
+    # spent; without a budget order 9 is still refused.
+    path = tmp_path / "empty9.hsc"
+    path.write_text("p hsc 9 3\n")
+    head = "n=9\nk=3\nedges=0\nk4=0,0,0,0,0,0,0,0,0\nk4_distinct=1\n"
+    assert run(capsys, "invariants", "--in", str(path), "--budget", "0") == (
+        0,
+        head + "orbit=0,1,2,3,4,5,6,7,8\norbit_count=1\n",
+        "",
+    )
+    assert run(capsys, "invariants", "--in", str(path)) == (
+        0,
+        head + "orbit_count=inconclusive\n",
+        "",
+    )
+
+
+def test_paths_are_named_as_pathlib_spells_them(capsys, tmp_path, monkeypatch):
+    # The readers once opened pathlib paths, so error messages name a file
+    # as pathlib spells it; `_spelled` keeps that without pathlib.
+    parts = ["/", "//", ".", "..", "a", "b."]
+    for first in parts:
+        for second in parts:
+            for third in ("", "/", "/."):
+                path = first + second + third
+                assert _spelled(path) == str(Path(path)), path
+    monkeypatch.chdir(tmp_path)
+    missing = "error: [Errno 2] No such file or directory: 'gone/g.hsc'\n"
+    assert run(capsys, "verify", "--in", "./gone//g.hsc") == (2, "", missing)
+    assert run(capsys, "invariants", "--in", "gone/./g.hsc") == (2, "", missing)
+    write_edge_list(build_gamma(6), "g6.hsc")
+    code, _, stderr = run(capsys, "verify", "--in", "g6.hsc", "--tau", "./x//y.perm")
+    assert code == 2
+    assert stderr == "error: [Errno 2] No such file or directory: 'x/y.perm'\n"
 
 
 def test_parity_command(capsys):

@@ -7,7 +7,7 @@ import pytest
 import colex_reference as ref
 from hsc import colex
 from hsc.construct import build_gamma, build_gamma_families, swap_antimorphism
-from hsc.hypercore import Hypergraph, Permutation, coverage
+from hsc.hypercore import Hypergraph, Permutation, coverage, from_edge_list_text
 from hsc.verify import (
     SearchBudgetExceeded,
     SearchOrderError,
@@ -249,6 +249,26 @@ def test_orbits_complete_hypergraph():
     assert automorphism_vertex_orbits(ref.complete(5, 3)) == ((0, 1, 2, 3, 4),)
 
 
+def test_orbits_of_empty_and_complete_hypergraphs_need_no_search(monkeypatch):
+    # Every permutation is an automorphism of these, so the one orbit is
+    # given without walking n! permutations (about 1 s at `p hsc 8 7`).
+    def searched(*args, **kwargs):
+        raise AssertionError("_backtrack_images called")
+
+    monkeypatch.setattr("hsc.verify._backtrack_images", searched)
+    for text in ("p hsc 8 7\n", "p hsc 7 4\n"):
+        h = from_edge_list_text(text)
+        assert automorphism_vertex_orbits(h) == (tuple(range(h.n)),)
+    assert automorphism_vertex_orbits(ref.complete(8, 3)) == (tuple(range(8)),)
+    # Past the free order a budget still opts in, and no node is spent.
+    empty = ref.empty(10, 3)
+    assert automorphism_vertex_orbits(empty, node_budget=0) == (tuple(range(10)),)
+    with pytest.raises(SearchOrderError):
+        automorphism_vertex_orbits(empty)
+    with pytest.raises(SearchOrderError):
+        automorphism_vertex_orbits(ref.empty(11, 3), node_budget=10**6)
+
+
 def test_orbits_budget_exhaustion():
     with pytest.raises(SearchBudgetExceeded):
         automorphism_vertex_orbits(build_gamma(6), node_budget=5)
@@ -342,6 +362,10 @@ def test_euler_characteristic_rejects_non_triangulations():
 def test_regularity_double_counting_check_is_explicit(monkeypatch):
     # Coverage counts that cannot come from the edges must fail the double
     # counting check with an exception, not an assert that -O strips.
-    monkeypatch.setattr("hsc.verify.coverage", lambda h, t: [1] * comb(h.n, t))
+    # Every one-byte lane reads 1, though the hypergraph has no edge.
+    def lanes(h, t):
+        return int.from_bytes(b"\x01" * comb(h.n, t), "little"), comb(h.n, t), 1
+
+    monkeypatch.setattr("hsc.verify._coverage_lanes", lanes)
     with pytest.raises(RuntimeError, match="double counting"):
         t_subset_regularity(ref.empty(6, 3), 2)
