@@ -7,8 +7,8 @@ hypergraph stores its edge set once, as one indicator byte per colex rank.
 Ranks come from the combinatorial number system in `hsc.colex`.  The
 k-subsets with top vertex c hold the colex block [comb(c, k), comb(c + 1, k))
 of ranks, over the (k-1)-subsets of [0, c), so nothing is unranked.  Coverage
-sums the blocks, or on small shapes the rows of a cached table.  Only the K4
-profile and `Hypergraph.edges()` replay the edges' vertex columns.
+sums the blocks, or on small shapes the rows of a cached table.  Only
+`Hypergraph.edges()` replays the edges' vertex columns.
 
 The edge-list text is "p hsc <n> <k>", then comment lines "c" or "c <text>"
 and a line "e <v1> ... <vk>" per edge, vertices ascending, edges in colex
@@ -166,11 +166,11 @@ class Hypergraph:
     The edge set is stored once, as one indicator byte per colex rank, so
     membership is O(1) and iteration order is canonical.  Every other view
     is derived from the indicator: the edge tuples on each call, and the
-    edges' vertex columns on first use, kept for later calls.
+    closed pair masks of the K4 profile on first use, kept for later calls.
     Two hypergraphs are equal iff they have the same n, k, and edge set.
     """
 
-    __slots__ = ("n", "k", "positions", "edge_count", "_bits", "_column_memo")
+    __slots__ = ("n", "k", "positions", "edge_count", "_bits", "_pair_masks")
 
     def __init__(self, n: int, k: int, edges=()):
         subsets = list(map(tuple, edges))
@@ -214,7 +214,7 @@ class Hypergraph:
         self.positions = len(bits)
         self.edge_count = edge_count
         self._bits = bits
-        self._column_memo = None
+        self._pair_masks = None
 
     @property
     def indicator(self) -> memoryview:
@@ -223,18 +223,7 @@ class Hypergraph:
 
     def edges(self) -> tuple[tuple[int, ...], ...]:
         """Edge subsets in colex-rank order."""
-        return tuple(zip(*self.columns()))
-
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """The vertex columns of the edges in colex-rank order (memoized):
-        column i holds the i-th vertex of every edge, so edges() is their
-        zip.  Column passes read these instead of the edge tuples."""
-        if self._column_memo is None:
-            self._column_memo = tuple(
-                tuple(compress(column, self._bits))
-                for column in _colex_columns(self.n, self.k)
-            )
-        return self._column_memo
+        return tuple(compress(zip(*_colex_columns(self.n, self.k)), self._bits))
 
     def __eq__(self, other):
         if not isinstance(other, Hypergraph):

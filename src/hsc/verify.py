@@ -15,9 +15,9 @@ refused outright; they look each image subset up by its vertex bitmask in a
 dict of indicator bytes filled from the cached colex columns.
 
 The K4 vertex invariant is asked one vertex at a time but computed for all
-vertices at once: one pass over the edges fills pair-link bitsets (the
-third vertices of the edges through each pair) and intersects the three
-links of every edge.  No profile is kept between calls.
+vertices at once: it intersects the closed link masks of every edge's three
+pairs, the masks that the antimorphism check builds from the colex blocks.
+The masks are kept on the hypergraph; no profile is kept between calls.
 """
 
 from collections import namedtuple
@@ -188,13 +188,7 @@ def verify_antimorphism(h: Hypergraph, tau: Permutation) -> AntimorphismCheck:
     if tau.n != h.n:
         raise ValueError(f"permutation length {tau.n} != order {h.n}")
     n, k = h.n, h.k
-    closed = []
-    for rows in _link_blocks(h._bits, n, k):
-        # Reversed, the rows come last-first and each reads as a binary
-        # numeral with bit x = byte x.
-        digits = rows.translate(_BINARY_DIGITS)[::-1]
-        cuts = map(slice, range(len(digits) - n, -1, -n), range(len(digits), 0, -n))
-        closed += map(int, map(digits.__getitem__, cuts), repeat(2))
+    closed = _closed_masks(h._bits, n, k)
     # At k = 1 the only T is the empty set, its own image (rank 0).
     heads, image = (), [0]
     if k > 1:
@@ -217,6 +211,20 @@ def verify_antimorphism(h: Hypergraph, tau: Permutation) -> AntimorphismCheck:
         if witness is None or subset < witness:
             witness = subset
     return AntimorphismCheck(ok=False, witness=witness)
+
+
+def _closed_masks(bits, n: int, k: int) -> list[int]:
+    """closed(T) of every (k-1)-subset T of [0, n) in colex order: the n-bit
+    mask of T's vertices and of every x with T + {x} an edge, read from the
+    link rows one top vertex's block at a time."""
+    closed = []
+    for rows in _link_blocks(bits, n, k):
+        # Reversed, the rows come last-first and each reads as a binary
+        # numeral with bit x = byte x.
+        digits = rows.translate(_BINARY_DIGITS)[::-1]
+        cuts = map(slice, range(len(digits) - n, -1, -n), range(len(digits), 0, -n))
+        closed += map(int, map(digits.__getitem__, cuts), repeat(2))
+    return closed
 
 
 def _link_blocks(bits, n: int, k: int):
@@ -396,31 +404,29 @@ def automorphism_vertex_orbits(
 
 
 def _k4_profile(h: Hypergraph) -> tuple[int, ...]:
-    """K4 count of every vertex, from one pass over the edges.
+    """K4 count of every vertex, from the closed pair masks kept on h.
 
-    links[a][b] (a < b) is the bitset of the third vertices x with {a, b, x}
-    an edge.  For an edge {a, b, c}, the common bits of its three pair links
-    are the x completing it to a K4 {a, b, c, x}; each such K4 is seen from
-    its four edges, and a vertex lies in three of them, so the tallies
-    divided by 3 are the per-vertex counts.
+    For an edge {a, b, c} of c's colex block, closed(ab) & closed(ac) &
+    closed(bc) holds a, b, c and each x completing it to a K4; ac and bc are
+    entries a and b of c's slice of the masks.  Each K4 is seen from its
+    four edges, and a vertex lies in three of them, so the tallies divided
+    by 3 are the per-vertex counts.
     """
-    n = h.n
-    bit = [1 << v for v in range(n)]
-    links = [[0] * n for _ in range(n)]
-    columns = h.columns()
-    for a, b, c in zip(*columns):
-        row = links[a]
-        row[b] |= bit[c]
-        row[c] |= bit[b]
-        links[b][c] |= bit[a]
+    n, bits = h.n, h._bits
+    if h._pair_masks is None:
+        h._pair_masks = _closed_masks(bits, n, 3)
+    masks = h._pair_masks
+    firsts, seconds = _subset_columns(n, 2)
     totals = [0] * n
-    for a, b, c in zip(*columns):
-        row = links[a]
-        w = (row[b] & row[c] & links[b][c]).bit_count()
-        if w:
-            totals[a] += w
-            totals[b] += w
-            totals[c] += w
+    for c in range(2, n):
+        top = masks[comb(c, 2) : comb(c + 1, 2)]
+        block = bits[comb(c, 3) : comb(c + 1, 3)]
+        for a, b, ab in compress(zip(firsts, seconds, masks), block):
+            w = (ab & top[a] & top[b]).bit_count() - 3
+            if w:
+                totals[a] += w
+                totals[b] += w
+                totals[c] += w
     return tuple(t // 3 for t in totals)
 
 
@@ -430,8 +436,8 @@ def vertex_invariant_k4(h: Hypergraph, v: int) -> int:
     A cheap vertex invariant: any automorphism preserves it, so two vertices
     with different values certify that the hypergraph is not
     vertex-transitive.  Each call computes the whole profile in one pass
-    over the edges (O(|E|) operations on n-bit ints) and keeps nothing, so
-    asking for all n vertices costs O(n |E|).
+    over the edges (O(|E|) operations on n-bit ints) and keeps only the
+    pair masks on h, so asking for all n vertices costs O(n |E|).
     """
     if h.k != 3:
         raise ValueError("defined for 3-uniform hypergraphs only")

@@ -6,7 +6,7 @@ serialize) and the one-pass K4 profile, table-ranked backtracking, orbit
 map and candidate enumeration in `hsc.verify` and `hsc.search` replaced.  They rank with
 `subset_rank`'s comb sum and unrank with `unrank_colex`, so they share no
 code with the binomial table, the colex walk, the column ranking or the
-pair-link bitsets, and the differential tests compare the two routes on
+closed link masks, and the differential tests compare the two routes on
 the same inputs.
 
 The next group holds the whole-edge-set versions that the streamed paths
@@ -18,17 +18,18 @@ the parse's fast route over the whole document at once; and a relabeling
 through the full list of image ranks.  `colex_columns_replayed` is the colex column replay as it was
 before its heads were cached: it rebuilds them recursively on every call.
 
-`coverage_by_counter` and `antimorphism_by_permute` are the column-pass
-versions of coverage and the antimorphism check that the colex-block lane
-sums and the link masks replaced: they replay every edge's vertex columns,
-tally t-subset ranks in a Counter, and relabel the whole edge set.
+`coverage_by_counter`, `antimorphism_by_permute` and `k4_profile_by_columns`
+are the column-pass versions of coverage, the antimorphism check and the K4
+profile that the colex-block lane sums and the closed link masks replaced:
+they replay every edge's vertex columns, tally t-subset ranks in a Counter,
+relabel the whole edge set, and fill pair-link bitsets edge by edge.
 
 The last group holds the whole-edge-set versions that the indicator-built
 construction, the colex-block writer, the file-chunk reader and the
 blocked link rows replaced: the construction's families as three vertex
 columns each, ranked into one indicator; the serializer that prints the
-memoized `Hypergraph.columns()`; the parse of the whole document read and
-decoded at once; and the antimorphism check over every link row at once.
+edges' vertex columns (`edge_columns`); the parse of the whole document read
+and decoded at once; and the antimorphism check over every link row at once.
 
 The first group holds members that left `hsc` because only tests called
 them: the per-subset colex ranks `subset_rank` and `rank_colex`, the
@@ -93,6 +94,15 @@ def rank_colex(s, n: int, k: int) -> int:
     s = tuple(s)
     validate_ksubset(s, n, k)
     return subset_rank(s)
+
+
+def edge_columns(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """The vertex columns of h's edges in colex-rank order, each compressed
+    from the colex columns against the indicator: column i holds the i-th
+    vertex of every edge.  Nothing is kept on h."""
+    return tuple(
+        tuple(compress(column, h.indicator)) for column in _colex_columns(h.n, h.k)
+    )
 
 
 def colex_walk(n: int, k: int):
@@ -211,7 +221,7 @@ def relabel(h: Hypergraph, sigma: Permutation) -> Hypergraph:
         raise ValueError(f"permutation length {sigma.n} != order {h.n}")
     rows = _binomial_table(h.n, h.k)
     bits = bytearray(h.positions)
-    _set_ranks(bits, _image_ranks(h.columns(), sigma.images, rows))
+    _set_ranks(bits, _image_ranks(edge_columns(h), sigma.images, rows))
     # A bijection maps distinct edges to distinct images.
     count = bits.count(1)
     if count != h.edge_count:
@@ -400,6 +410,32 @@ def vertex_k4_by_scan(h: Hypergraph, v: int) -> int:
     return count
 
 
+def k4_profile_by_columns(h: Hypergraph) -> tuple[int, ...]:
+    """K4 count of every vertex from two passes over `h.edges()`: the first
+    fills links[a][b] (a < b), the bitset of the third vertices x with
+    {a, b, x} an edge; the second intersects the three pair links of every
+    edge, whose common bits are the x completing it to a K4.  Each K4 is
+    seen from its four edges and a vertex lies in three of them, so the
+    tallies divided by 3 are the per-vertex counts."""
+    n = h.n
+    bit = [1 << v for v in range(n)]
+    links = [[0] * n for _ in range(n)]
+    edges = h.edges()
+    for a, b, c in edges:
+        row = links[a]
+        row[b] |= bit[c]
+        row[c] |= bit[b]
+        links[b][c] |= bit[a]
+    totals = [0] * n
+    for a, b, c in edges:
+        row = links[a]
+        w = (row[b] & row[c] & links[b][c]).bit_count()
+        totals[a] += w
+        totals[b] += w
+        totals[c] += w
+    return tuple(t // 3 for t in totals)
+
+
 def k4_count(h: Hypergraph) -> int:
     """Number of 4-subsets whose four triples are all edges."""
     bits = h.indicator
@@ -503,7 +539,7 @@ def pair_cases_by_scan(n: int) -> dict[str, set[tuple[int, int, int]]]:
 def permute_by_rank_list(h: Hypergraph, sigma: Permutation) -> Hypergraph:
     """h relabeled through sigma via the full list of image ranks."""
     rows = _binomial_table(h.n, h.k)
-    ranks = list(_image_ranks(h.columns(), sigma.images, rows))
+    ranks = list(_image_ranks(edge_columns(h), sigma.images, rows))
     return Hypergraph.from_ranks(h.n, h.k, ranks)
 
 
@@ -581,7 +617,7 @@ def coverage_by_counter(h: Hypergraph, t: int) -> list[int]:
     choice of t columns the chosen t-subsets are ranked column-wise, and one
     Counter tallies the ranks of all choices."""
     rows = _binomial_table(h.n, t)
-    choices = itertools.combinations(h.columns(), t)
+    choices = itertools.combinations(edge_columns(h), t)
     tally = Counter(chain.from_iterable(map(_column_ranks, repeat(rows), choices)))
     return list(map(tally.get, range(comb(h.n, t)), repeat(0)))
 
@@ -686,9 +722,9 @@ def gamma_family_columns(n: int) -> ColumnFamilies:
 
 
 def serialize_by_columns(h: Hypergraph) -> str:
-    """The edge-list text printed from the memoized vertex columns, one
+    """The edge-list text printed from the edges' vertex columns, one
     block of _PARSE_BLOCK edges at a time."""
-    columns = h.columns()
+    columns = edge_columns(h)
     label = tuple(map(str, range(h.n))).__getitem__
     blocks = [f"p hsc {h.n} {h.k}\n"]
     for start in range(0, h.edge_count, _PARSE_BLOCK):

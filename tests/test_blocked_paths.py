@@ -115,9 +115,9 @@ def test_construct_stdout_streams_the_file_bytes(tmp_path, capsys):
 
 def test_construct_and_verify_never_replay_the_columns(tmp_path, monkeypatch, capsys):
     def spy(self):
-        raise AssertionError("Hypergraph.columns called")
+        raise AssertionError("Hypergraph.edges called")
 
-    monkeypatch.setattr(Hypergraph, "columns", spy)
+    monkeypatch.setattr(Hypergraph, "edges", spy)
     path = tmp_path / "g50.hsc"
     assert main(["construct", "--n", "50", "--out", str(path)]) == 0
     assert main(["construct", "--n", "50"]) == 0

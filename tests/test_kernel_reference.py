@@ -31,6 +31,7 @@ from hsc.search import tau_orbits_on_ksubsets
 from hsc.verify import (
     SearchBudgetExceeded,
     _backtrack_images,
+    _k4_profile,
     automorphism_vertex_orbits,
     euler_characteristic_triangulation,
     find_antimorphism,
@@ -155,7 +156,7 @@ def test_subset_columns_match_unranking():
 def test_edges_match_unranking():
     for h in sample_hypergraphs():
         assert h.edges() == ref.edges_by_unranking(h)
-        columns = h.columns()
+        columns = ref.edge_columns(h)
         assert len(columns) == h.k
         assert all(len(column) == h.edge_count for column in columns)
         assert tuple(zip(*columns)) == h.edges()
@@ -399,15 +400,33 @@ def test_verify_command_never_builds_the_columns(tmp_path, monkeypatch, capsys):
     write_edge_list(Hypergraph.from_ranks(50, 3, ranks), bad)
 
     def spy(self):
-        raise AssertionError("Hypergraph.columns called")
+        raise AssertionError("Hypergraph.edges called")
 
-    monkeypatch.setattr(Hypergraph, "columns", spy)
+    monkeypatch.setattr(Hypergraph, "edges", spy)
     for path, code in ((good, 0), (bad, 1)):
         for fmt in ("kv", "text"):
             assert main(["verify", "--in", str(path), "--format", fmt]) == code
     out = capsys.readouterr().out
     assert "antimorphism_ok=true" in out and "antimorphism_ok=false" in out
     assert "regular=false" in out
+
+
+def test_invariants_never_replays_the_columns_of_its_own_shape(
+    tmp_path, monkeypatch, capsys
+):
+    path = tmp_path / "g50.hsc"
+    write_edge_list(build_gamma(50), path)
+    replay = hypercore._colex_columns
+
+    def spy(n, k):
+        if (n, k) == (50, 3):
+            raise AssertionError("the (50, 3) colex columns were replayed")
+        return replay(n, k)
+
+    monkeypatch.setattr(hypercore, "_colex_columns", spy)
+    assert main(["invariants", "--in", str(path)]) == 0
+    k4 = ",".join(map(str, (comb(24, 3),) * 25 + (0,) * 25))
+    assert f"k4={k4}\n" in capsys.readouterr().out
 
 
 def test_antimorphism_witness_is_lex_first_not_colex_first():
@@ -623,6 +642,32 @@ def test_k4_interleaved_queries_answer_each_hypergraph():
     assert copy == first and copy is not first
     assert k4_profile(copy) == expected[id(first)]
     assert k4_profile(second) == expected[id(second)]
+
+
+def test_k4_profile_matches_the_column_kernel():
+    # The closed-mask kernel against the column kernel it replaced, and at
+    # one seeded vertex of each sample against the scan.
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = rng.randint(4, 30)
+        h = random_hypergraph(rng, n, 3, rng.random())
+        profile = _k4_profile(h)
+        assert profile == ref.k4_profile_by_columns(h)
+        v = rng.randrange(n)
+        assert profile[v] == ref.vertex_k4_by_scan(h, v)
+    for n in (50, 102):
+        sigma = random_permutation(rng, n)
+        g = ref.relabel(build_gamma(n), sigma)
+        side0 = set(sigma.images[: n // 2])
+        closed_form = tuple(comb(n // 2 - 1, 3) if v in side0 else 0 for v in range(n))
+        assert _k4_profile(g) == ref.k4_profile_by_columns(g) == closed_form
+        v = sigma.images[0]
+        assert closed_form[v] == ref.vertex_k4_by_scan(g, v)
+    for n in (4, 5, 9, 30):
+        empty, complete = ref.empty(n, 3), ref.complete(n, 3)
+        assert _k4_profile(empty) == ref.k4_profile_by_columns(empty) == (0,) * n
+        full = (comb(n - 1, 3),) * n
+        assert _k4_profile(complete) == ref.k4_profile_by_columns(complete) == full
 
 
 def assert_search_matches(h, *, want_equal, first_only):

@@ -158,7 +158,7 @@ def test_families_and_pair_cases_list_no_edges(monkeypatch):
     def refuse(self):
         raise AssertionError("an edge list was built")
 
-    monkeypatch.setattr(Hypergraph, "columns", refuse)
+    monkeypatch.setattr(Hypergraph, "edges", refuse)
     cases = pair_case_breakdown(build_gamma_families(50))
     assert cases == ref.pair_case_table(25)
 
@@ -307,6 +307,19 @@ def test_k4_invariant_closed_form_order_102():
     assert _k4_profile(g) == (comb(50, 3),) * 51 + (0,) * 51
     for v in (0, 50, 51, 101):
         assert vertex_invariant_k4(g, v) == (comb(50, 3) if v < 51 else 0)
+
+
+def test_k4_keeps_only_the_pair_masks_on_the_hypergraph():
+    # One call keeps the comb(102, 2) closed pair masks on g, about 0.3 MB;
+    # the edges' vertex columns it used to keep took about 2.1 MB.
+    g = build_gamma(102)
+    tracemalloc.start()
+    try:
+        vertex_invariant_k4(g, 0)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20, retained
 
 
 def test_k4_invariant_constant_order_6():
