@@ -107,6 +107,9 @@ def _resolve_tau(h, args):
     """Return (tau_or_None, source_label, inconclusive_flag)."""
     selector = args.tau
     if selector == "swap":
+        if h.n % 2:
+            hint = "use --tau search or --tau FILE"
+            raise ValueError(f"--tau swap needs an even order, got {h.n}; {hint}")
         return swap_antimorphism(h.n), "swap", False
     if selector == "search":
         try:

@@ -26,7 +26,7 @@ shallow; the constructors check each subset or rank in input order.
 
 import re
 from functools import lru_cache, partial
-from itertools import chain, combinations, compress, count, islice, repeat
+from itertools import accumulate, chain, combinations, compress, count, islice, repeat
 from math import comb
 from operator import add, getitem, itemgetter, mul, setitem
 
@@ -253,11 +253,11 @@ def coverage(h: Hypergraph, t: int) -> list[int]:
 
     Small shapes, t < k < n with comb(n, k) * comb(n, t) * w at most
     _TABLE_BYTES, sum the edges' rows of a cached table (`_coverage_table`)
-    in one C-level pass: at k = 3, t = 2, 3.0-3.6 us at n = 6 and 7.5-8.0 us
-    at n = 10, against 15.5-16.3 and 56-70 us on the blocks.  Other shapes
-    sum the colex blocks in one recursion (`_lane_sums`), a Python call per
-    block and t: against a Counter of every edge's t-subset ranks, 13x
-    faster at (n, k, t) = (202, 3, 2) and 0.95-4.6x for t < k - 1.  At k = n
+    in one C-level pass: at k = 3, t = 2, 2.0-2.1 us at n = 6 and 4.4-4.5 us
+    at n = 10, against 10.5-10.6 and 29-31 us on the blocks.  Other shapes
+    sum the colex blocks in one recursion (`_lane_sums`) whose pair level is
+    one loop: against a Counter of every edge's t-subset ranks, 14-16x
+    faster at (n, k, t) = (202, 3, 2) and 1.4-6.3x for t < k - 1.  At k = n
     the one block is a closed form, where the table's comb(k, t) picks of t
     columns took 1.8 s at (25, 25, 21).  More than MAX_LANES t-subsets are
     refused.
@@ -312,11 +312,12 @@ def _lane_sums(bits, n: int, k: int, t: int, lane: int, memo=None, start=0) -> i
 
     The block of k-subsets with top vertex c is indexed by their other
     vertices, a (k-1)-subset of [0, c): its (k-1, t) sums add at lane 0,
-    and its (k-1, t-1) sums, with c added, at lane comb(c, t).  For 2 <= t
-    <= k - 2 both recurse into the same sub-blocks' (k-2, t-1) sums, so a
-    dict `memo` keeps them by k, t and the block's first rank `start`;
-    other t repeat none and pass None (at k = 3, n = 466 a memo would hold
-    0.3-0.5 MB of sums never read again, for no change in time).
+    and its (k-1, t-1) sums, with c added, at lane comb(c, t); at (2, 1)
+    one loop adds each block's bytes as its own lanes and its count at lane c.
+    For 2 <= t <= k - 2 both recurse into the same sub-blocks' (k-2, t-1)
+    sums, so a dict `memo` keeps them by k, t and the block's first rank
+    `start`; other t repeat none and pass None (at k = 3, n = 466 a memo
+    would hold 0.3-0.5 MB of sums never read again, for no change in time).
     """
     if t == 0:
         return bits.count(1)
@@ -333,13 +334,21 @@ def _lane_sums(bits, n: int, k: int, t: int, lane: int, memo=None, start=0) -> i
     if memo is not None and (start, k, t) in memo:
         return memo[start, k, t]
     total = low = 0
-    for c in range(k - 1, n):
-        high = comb(c + 1, k)
-        block, at = bits[low:high], start + low
-        total += _lane_sums(block, c, k - 1, t, lane, memo, at) + (
-            _lane_sums(block, c, k - 1, t - 1, lane, memo, at) << lane * comb(c, t)
-        )
-        low = high
+    if k == 2:
+        step = lane >> 3
+        spread = bytearray(len(bits) * step)
+        spread[::step] = bits
+        for c, low in zip(range(1, n), accumulate(range(n))):
+            block = spread[low * step : (low + c) * step]
+            total += int.from_bytes(block, "little") + (block.count(1) << lane * c)
+    else:
+        for c in range(k - 1, n):
+            high = comb(c + 1, k)
+            block, at = bits[low:high], start + low
+            total += _lane_sums(block, c, k - 1, t, lane, memo, at) + (
+                _lane_sums(block, c, k - 1, t - 1, lane, memo, at) << lane * comb(c, t)
+            )
+            low = high
     if memo is not None:
         memo[start, k, t] = total
     return total

@@ -21,7 +21,7 @@ The masks are kept on the hypergraph; no profile is kept between calls.
 """
 
 from collections import namedtuple
-from itertools import compress, repeat, tee
+from itertools import accumulate, compress, repeat, tee
 from math import comb
 from operator import ne, or_, xor
 
@@ -231,17 +231,19 @@ def _link_blocks(bits, n: int, k: int):
     """The link rows (see `_link_rows`) of the (k-1)-subsets T of [0, n),
     n bytes each, one block per top vertex c of T.  Below c, they are the
     link rows on [0, c) of the block of edges with top c; byte x above c is
-    the byte of T + {x}, at rank(T) in the block of edges with top x."""
+    the byte of T + {x}, at rank(T) in the block of edges with top x, whose
+    first rank tops[x] = comb(x, k) is listed once per call."""
     if k == 1:
         # The empty subset's row is the indicator itself.
         yield bits
         return
+    tops = list(map(comb, range(n + 1), repeat(k)))
     for c in range(k - 2, n):
         low, high = comb(c, k - 1), comb(c + 1, k - 1)
-        rows = _link_rows(bits[comb(c, k) : comb(c + 1, k)], c, k - 1, n)
+        rows = _link_rows(bits[tops[c] : tops[c + 1]], c, k - 1, n)
         rows[c::n] = b"\x01" * (high - low)
-        for x in range(c + 1, n):
-            rows[x::n] = bits[comb(x, k) + low : comb(x, k) + high]
+        for x, top in enumerate(tops[c + 1 : n], c + 1):
+            rows[x::n] = bits[top + low : top + high]
         yield rows
 
 
@@ -251,13 +253,21 @@ def _link_rows(bits, n: int, k: int, width: int) -> bytearray:
 
     The block of edges with top vertex c, indexed by their other vertices,
     is column c of the rows of the (k-1)-subsets of [0, c); below c, the
-    rows of the T with top c are the block's own rows on [0, c).
+    rows of the T with top c are the block's own rows on [0, c).  At k = 2
+    one loop sets the diagonal and moves each block c to row c and column c.
     """
     if k == 1:
         row = bytearray(width)
         row[:n] = bits
         return row
     rows = bytearray(comb(n, k - 1) * width)
+    if k == 2:
+        rows[:: width + 1] = b"\x01" * n
+        for c, low in zip(range(1, n), accumulate(range(n))):
+            block = bits[low : low + c]
+            rows[c * width : c * width + c] = block
+            rows[c : c * width : width] = block
+        return rows
     # The first (k-1)-subset, {0, ..., k-2}, has no vertex below its top.
     rows[: k - 1] = b"\x01" * (k - 1)
     for c in range(k - 1, n):

@@ -617,6 +617,31 @@ def test_verify_refuses_permutation_separators(capsys, golden_dir, case):
     assert run(capsys, "verify", "--in", "g6.hsc", "--tau", "swap.perm")[0] == 0
 
 
+def test_verify_refuses_the_swap_on_an_odd_order(capsys, golden_dir):
+    # The side swap needs two equal sides; the refusal names the option and
+    # the selectors that work at any order.
+    Path("odd.hsc").write_text("p hsc 7 3\n")
+    refusal = (
+        2,
+        "",
+        "error: --tau swap needs an even order, got 7; "
+        "use --tau search or --tau FILE\n",
+    )
+    for tau in ([], ["--tau", "swap"]):
+        for form in ("kv", "text"):
+            argv = ["verify", "--in", "odd.hsc", *tau, "--format", form]
+            assert run(capsys, *argv) == refusal
+    code, stdout, stderr = run(capsys, "verify", "--in", "odd.hsc", "--tau", "search")
+    assert (code, stderr) == (1, "")
+    assert "antimorphism=search\nantimorphism_ok=none\n" in stdout
+    # search builds the swap itself and keeps its message.
+    assert run(capsys, "search", "--n", "7") == (
+        2,
+        "",
+        "error: order must be even and positive, got 7\n",
+    )
+
+
 def test_parser_is_built_once_and_survives_usage_errors(capsys, tmp_path):
     from hsc import cli
 

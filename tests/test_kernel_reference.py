@@ -15,7 +15,7 @@ import pytest
 
 import colex_reference as ref
 from colex_reference import colex_walk
-from hsc import colex, hypercore
+from hsc import colex, hypercore, verify
 from hsc.cli import main
 from hsc.construct import build_gamma, build_gamma_families, swap_antimorphism
 from hsc.hypercore import (
@@ -198,9 +198,11 @@ def spy_lane_sums(monkeypatch):
 def test_lane_sums_sum_each_block_once(monkeypatch):
     # For 2 <= t <= k - 2 the (k-1, t) and (k-1, t-1) sums of a block both
     # recurse into the (k-2, t-1) sums of the same sub-blocks.  Summed once
-    # per block, the first two shapes take 2069 and 31791 calls, not 7459
-    # and 346299 (one per path).  At k = 3, t = 2, which verify runs, no sum
-    # repeats and the recursion keeps no memo, one call per block and t.
+    # per block, the first two shapes take at most 2069 and 31791 calls, not
+    # 7459 and 346299 (one per path).  At k = 3, t = 2, which verify runs,
+    # no sum repeats and the recursion keeps no memo: one call for the
+    # whole, then one per top vertex's block and t, whose pair-level sums
+    # are one loop.
     calls = spy_lane_sums(monkeypatch)
     rng = random.Random(16)
     for n, k, t, most in ((12, 6, 3, 2069), (16, 8, 4, 31791)):
@@ -212,8 +214,32 @@ def test_lane_sums_sum_each_block_once(monkeypatch):
     calls.clear()
     built = hypercore._coverage_table.cache_info().misses
     assert coverage(build_gamma(102), 2) == [50] * comb(102, 2)
-    assert calls == ["_lane_sums"] * 10299
+    assert calls == ["_lane_sums"] * 201
     assert hypercore._coverage_table.cache_info().misses == built
+
+
+def test_pair_level_loops_match_the_recursion():
+    # The link rows and lane sums, whose pair level is one loop, against
+    # the recursion down to single vertices on seeded random indicators:
+    # every k up to 5 and t in [0, k], orders up to 30, 1- and 2-byte lanes.
+    # In the complete graphs on 257 and 258 vertices a vertex lies in 256 and
+    # 257 edges, past one byte.
+    rng = random.Random(37)
+    shapes = [(n, k) for k in range(1, 6) for n in range(k, 31, 1 + 2 * k)]
+    shapes += [(30, k) for k in range(1, 6)] + [(257, 2), (258, 2)]
+    for n, k in shapes:
+        density = 1.0 if n > 30 else rng.choice((0.1, 0.5, 0.9, 1.0))
+        bits = bytearray(rng.random() < density for _ in range(comb(n, k)))
+        rows = ref.link_rows_by_recursion(bits, n, k, n)
+        assert verify._link_rows(bits, n, k, n) == rows
+        assert b"".join(verify._link_blocks(bits, n, k)) == rows
+        wide = ref.link_rows_by_recursion(bits, n, k, n + 5)
+        assert verify._link_rows(bits, n, k, n + 5) == wide
+        for t in range(k + 1):
+            for lane in (8, 16):
+                memo = {} if 2 <= t <= k - 2 else None
+                sums = hypercore._lane_sums(bits, n, k, t, lane, memo)
+                assert sums == ref.lane_sums_by_recursion(bits, n, k, t, lane)
 
 
 def test_coverage_lane_width_edges():
