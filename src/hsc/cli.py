@@ -279,7 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="antimorphism selector: swap, search, or a permutation file path",
     )
     p.add_argument(
-        "--budget", type=int, action=_NonNegative, help="node budget for --tau search"
+        "--budget",
+        type=int,
+        action=_NonNegative,
+        help="node budget for --tau search (at k = 3 a node is one image in "
+        "the vertex's K4 class)",
     )
     p.add_argument("--format", choices=("text", "kv"), default="kv")
     p.set_defaults(func=_cmd_verify)
@@ -290,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         action=_NonNegative,
-        help="node budget for the orbit search; also opts in to orders 9 and 10",
+        help="node budget for the orbit search (at k = 3 a node is one image "
+        "in the vertex's K4 class); also opts in to orders 9 and 10",
     )
     p.add_argument("--format", choices=("text", "kv"), default="kv")
     p.set_defaults(func=_cmd_invariants)

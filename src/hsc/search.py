@@ -31,6 +31,14 @@ __all__ = [
 
 DEFAULT_CANDIDATE_CAP = 1 << 20
 
+# Refuse a search whose 2^orbits candidates times comb(n, t) coverage lanes
+# each exceed this.  With the side swap (one process, 2 vCPUs, Python 3.11)
+# a lane costs 12-31 ns once comb(n, t) passes a few thousand: (n, k, t) =
+# (20, 19, 5), 1.6e7 lanes, took 0.38 s and (30, 29, 2), 1.4e7, 0.36 s; past
+# the bound (22, 21, 5), 5.4e7, took 1.1 s, (24, 23, 5), 1.7e8, 3.1 s, and
+# (30, 29, 5), 4.7e9, about 107 s.  `search --n 6` sums 15 360.
+MAX_SEARCH_LANES = 1 << 24
+
 
 class InfeasibleAntimorphismError(ValueError):
     """The permutation has an odd-length orbit on k-subsets, so no
@@ -92,8 +100,10 @@ def _feasible_orbits(
 ) -> OrbitDecomposition:
     """Decompose tau's action on the k-subsets, then refuse, in this order:
     an odd orbit (a finding about tau, whatever t is), a t outside [1, k)
-    when t is given, and more than `cap` candidates.  A uniformity outside
-    [1, n] or past the position bound is refused before the decomposition.
+    when t is given, more than `cap` candidates, and, when t is given, more
+    than MAX_SEARCH_LANES coverage lanes over all of them.  A uniformity
+    outside [1, n] or past the position bound is refused before the
+    decomposition.
     An involution is judged without one: its odd orbits are the k-subsets
     it fixes, the colex-least first, and if it fixes none its comb(n, k) / 2
     orbits have length 2.
@@ -117,6 +127,11 @@ def _feasible_orbits(
     if 1 << orbit_count > cap:
         raise CandidateCapExceeded(
             f"2^{orbit_count} candidates exceed the cap of {cap}"
+        )
+    if t is not None and comb(n, t) << orbit_count > MAX_SEARCH_LANES:
+        raise ValueError(
+            f"2^{orbit_count} candidates x comb({n},{t})={comb(n, t)} lanes "
+            f"exceed the search bound of {MAX_SEARCH_LANES} lanes"
         )
     if dec is None:
         dec = tau_orbits_on_ksubsets(n, k, tau)

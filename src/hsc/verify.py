@@ -12,7 +12,11 @@ image of another under tau.  The exhaustive searches
 (antimorphism and automorphism enumeration) are gated by order: orders up
 to 8 run freely, 9 and 10 need an explicit opt-in, anything larger is
 refused outright; they look each image subset up by its vertex bitmask in a
-dict of indicator bytes filled from the cached colex columns.
+dict of indicator bytes filled from the cached colex columns.  At k = 3 they
+try as images of a vertex only those of its K4 class (its K4 count for an
+automorphism, its count in the complement for an antimorphism), so a node,
+one candidate tried, is counted over that class alone, and a budget that
+ran out on the whole tree may now be enough.
 
 The K4 vertex invariant is asked one vertex at a time but computed for all
 vertices at once: it intersects the closed link masks of every edge's three
@@ -56,6 +60,8 @@ MAX_SEARCH_ORDER = 10
 
 # Byte table printing 0/1 bytes as binary digits.
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# Byte table exchanging edges and non-edges of an indicator.
+_COMPLEMENT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 class SearchOrderError(ValueError):
@@ -312,11 +318,12 @@ def _require_search_order(n: int, node_budget: int | None) -> None:
     )
 
 
-def _backtrack_images(h, *, want_equal, node_budget, first_only):
+def _backtrack_images(h, *, want_equal, node_budget, first_only, classes=None):
     """Enumerate permutations mapping edges to edges (want_equal) or edges to
     non-edges (not want_equal), assigning vertices in increasing order with
-    candidate images ascending.  Prunes on every k-subset completed by the
-    newest assignment.
+    candidate images ascending: classes[v], ascending, if classes is given
+    (see `_k4_classes`), else every vertex.  A node is one candidate tried.
+    Prunes on every k-subset completed by the newest assignment.
 
     An image subset is looked up by its vertex bitmask: byte_of maps the
     bitmask of each k-subset to its indicator byte, and shifted[w] holds
@@ -338,6 +345,7 @@ def _backtrack_images(h, *, want_equal, node_budget, first_only):
     for r, e in enumerate(zip(*_subset_columns(n, k))):
         byte_of[sum(map(bit.__getitem__, e))] = bits[r]
         tails[e[-1]].append((e, bits[r] ^ flip))
+    candidates = classes or [range(n)] * n
     found = []
     nodes = 0
 
@@ -346,7 +354,7 @@ def _backtrack_images(h, *, want_equal, node_budget, first_only):
         if v == n:
             found.append(Permutation(list(images)))
             return first_only
-        for cand in range(n):
+        for cand in candidates[v]:
             if used[cand]:
                 continue
             nodes += 1
@@ -368,6 +376,22 @@ def _backtrack_images(h, *, want_equal, node_budget, first_only):
     return found
 
 
+def _k4_classes(h: Hypergraph, want_equal: bool) -> list[list[int]] | None:
+    """The candidate images of each vertex v for `_backtrack_images` when
+    k = 3, else None (every vertex).  An automorphism carries the K4s
+    through v onto those through its image w, so K4(w) = K4(v); an
+    antimorphism carries them onto the 4-subsets through w whose four
+    triples are non-edges, so w's K4 count in the complement is K4(v)."""
+    if h.k != 3:
+        return None
+    own = image = _k4_profile(h)
+    if not want_equal:
+        flipped = h._bits.translate(_COMPLEMENT)
+        edges = h.positions - h.edge_count
+        image = _k4_profile(Hypergraph._from_indicator(h.n, 3, flipped, edges))
+    return [[w for w in range(h.n) if image[w] == count] for count in own]
+
+
 def find_antimorphism(
     h: Hypergraph, node_budget: int | None = None
 ) -> Permutation | None:
@@ -376,6 +400,8 @@ def find_antimorphism(
 
     The counting obstruction 2*|E| == comb(n,k) is checked before any
     search.  A node budget opts in to the orders past FREE_SEARCH_ORDER.
+    At k = 3 a vertex's images are tried only among the vertices whose K4
+    count in the complement is its own, so a node is one such candidate.
     Raises SearchBudgetExceeded when the node budget runs out
     (inconclusive, as opposed to a definite None).
     """
@@ -383,7 +409,11 @@ def find_antimorphism(
         return None
     _require_search_order(h.n, node_budget)
     found = _backtrack_images(
-        h, want_equal=False, node_budget=node_budget, first_only=True
+        h,
+        want_equal=False,
+        node_budget=node_budget,
+        first_only=True,
+        classes=_k4_classes(h, want_equal=False),
     )
     return found[0] if found else None
 
@@ -393,14 +423,20 @@ def automorphism_vertex_orbits(
 ) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of the vertices under the full automorphism group,
     found by exhaustive backtracking; a single orbit means vertex-transitive.
-    A node budget opts in to the orders past FREE_SEARCH_ORDER.  With no
-    edges, or every k-subset an edge, every permutation is an automorphism,
-    so the one orbit is given without a search."""
+    A node budget opts in to the orders past FREE_SEARCH_ORDER.  At k = 3 a
+    vertex's images are tried only among the vertices of its K4 count, so a
+    node is one such candidate.  With no edges, or every k-subset an edge,
+    every permutation is an automorphism, so the one orbit is given without
+    a search."""
     _require_search_order(h.n, node_budget)
     if h.edge_count in (0, h.positions):
         return (tuple(range(h.n)),)
     autos = _backtrack_images(
-        h, want_equal=True, node_budget=node_budget, first_only=False
+        h,
+        want_equal=True,
+        node_budget=node_budget,
+        first_only=False,
+        classes=_k4_classes(h, want_equal=True),
     )
     # The search lists the whole group, so a vertex's orbit is the set of
     # its images, read down its column of the image tuples.

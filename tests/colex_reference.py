@@ -7,7 +7,8 @@ map and candidate enumeration in `hsc.verify` and `hsc.search` replaced.  They r
 `subset_rank`'s comb sum and unrank with `unrank_colex`, so they share no
 code with the binomial table, the colex walk, the column ranking or the
 closed link masks, and the differential tests compare the two routes on
-the same inputs.
+the same inputs.  `k4_classes_by_scan` gives the backtracking's K4 classes
+from the per-vertex K4 scan.
 
 The next group holds the whole-edge-set versions that the streamed paths
 replaced: the construction's families as tuples; the regularity proof's
@@ -448,10 +449,13 @@ def k4_count(h: Hypergraph) -> int:
     )
 
 
-def backtrack_images(h: Hypergraph, *, want_equal, node_budget, first_only):
+def backtrack_images(
+    h: Hypergraph, *, want_equal, node_budget, first_only, classes=None
+):
     """The image search of `hsc.verify._backtrack_images`, ranking every
     subset and its sorted image with `subset_rank`; returns the permutations
-    found and the number of nodes spent."""
+    found and the number of nodes spent.  Vertex v's candidate images are
+    classes[v] if classes is given, else every vertex."""
     n, k = h.n, h.k
     bits = h.indicator
     images = [0] * n
@@ -465,7 +469,7 @@ def backtrack_images(h: Hypergraph, *, want_equal, node_budget, first_only):
         if v == n:
             found.append(Permutation(list(images)))
             return first_only
-        for cand in range(n):
+        for cand in range(n) if classes is None else classes[v]:
             if used[cand]:
                 continue
             nodes += 1
@@ -488,6 +492,16 @@ def backtrack_images(h: Hypergraph, *, want_equal, node_budget, first_only):
 
     extend(0)
     return found, nodes
+
+
+def k4_classes_by_scan(h: Hypergraph, want_equal: bool) -> list[list[int]]:
+    """The candidate images of each vertex v under the K4 count: the w with
+    `vertex_k4_by_scan` of w, in h (automorphisms) or in its complement
+    (antimorphisms), equal to that of v in h."""
+    own = [vertex_k4_by_scan(h, v) for v in range(h.n)]
+    g = h if want_equal else flipped(h)
+    image = [vertex_k4_by_scan(g, w) for w in range(h.n)]
+    return [[w for w in range(h.n) if image[w] == count] for count in own]
 
 
 def gamma_families(n: int):

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -345,6 +346,19 @@ def test_search_cap_refusal(capsys):
     assert code == 2
     assert "2^60" in stderr
     assert "--cap" in stderr
+
+
+def test_search_past_the_lane_bound_is_refused_at_once(capsys):
+    # 2^15 candidates of comb(30, 5) lanes each: the search took about
+    # 107 s before the bound.
+    start = time.perf_counter()
+    code, stdout, stderr = run(capsys, "search", "--n", "30", "--k", "29", "--t", "5")
+    assert time.perf_counter() - start < 1.0
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        "error: 2^15 candidates x comb(30,5)=142506 lanes exceed the search "
+        "bound of 16777216 lanes\n"
+    )
 
 
 def test_search_odd_orbit_is_a_mathematical_failure(capsys, tmp_path):

@@ -812,6 +812,88 @@ def test_search_on_random_hypergraphs_matches_reference():
                     assert got == expected
 
 
+def k4_searched_hypergraphs():
+    """The k = 3 search samples, then relabeled constructions of orders 6
+    and 10, where the K4 classes are all the vertices and the two sides."""
+    yield from (h for h in search_samples() if h.k == 3)
+    rng = random.Random(31)
+    for n in (6, 10):
+        yield ref.relabel(build_gamma(n), random_permutation(rng, n))
+
+
+def test_pruned_search_matches_reference():
+    """On the tree cut to the K4 classes, the kernel finds what the
+    reference finds and spends exactly as many nodes, at exhaustion and at
+    each budget."""
+    for h in k4_searched_hypergraphs():
+        for want_equal in (True, False):
+            classes = ref.k4_classes_by_scan(h, want_equal)
+            assert verify._k4_classes(h, want_equal) == classes
+            for first_only in (True, False):
+                mode = dict(want_equal=want_equal, first_only=first_only)
+                found, nodes = ref.backtrack_images(
+                    h, node_budget=None, classes=classes, **mode
+                )
+                assert _backtrack_images(
+                    h, node_budget=None, classes=classes, **mode
+                ) == found
+                for budget in (0, 1, 7, 40, nodes - 1, nodes):
+                    expected = search_outcome(
+                        lambda g, **kw: ref.backtrack_images(g, **kw)[0],
+                        h,
+                        node_budget=budget,
+                        classes=classes,
+                        **mode,
+                    )
+                    got = search_outcome(
+                        _backtrack_images,
+                        h,
+                        node_budget=budget,
+                        classes=classes,
+                        **mode,
+                    )
+                    assert got == expected
+
+
+def test_k4_pruning_never_changes_a_result():
+    """The K4 classes cut only subtrees with no solution: the pruned search
+    finds the unpruned list in the same order within the unpruned nodes,
+    every permutation found maps each vertex into its class, and the public
+    searches give what the unpruned tree gives."""
+    for h in k4_searched_hypergraphs():
+        for want_equal in (True, False):
+            classes = verify._k4_classes(h, want_equal)
+            for first_only in (True, False):
+                mode = dict(want_equal=want_equal, first_only=first_only)
+                found, nodes = ref.backtrack_images(h, node_budget=None, **mode)
+                assert _backtrack_images(h, node_budget=None, **mode) == found
+                # A pruned search that needed more nodes would raise here.
+                pruned = _backtrack_images(
+                    h, node_budget=nodes, classes=classes, **mode
+                )
+                assert pruned == found
+                if h.n == 10 and first_only != want_equal:
+                    # On the two searches the library runs, listing the
+                    # automorphisms and finding one antimorphism, the two
+                    # sides' K4 counts cut the order-10 tree 4x or more.
+                    _backtrack_images(
+                        h, node_budget=nodes // 4, classes=classes, **mode
+                    )
+                for p in found:
+                    assert all(w in classes[v] for v, w in enumerate(p.images))
+            if want_equal and 0 < h.edge_count < h.positions:
+                autos, nodes = ref.backtrack_images(
+                    h, want_equal=True, node_budget=None, first_only=False
+                )
+                orbits = automorphism_vertex_orbits(h, node_budget=nodes)
+                assert orbits == ref.orbits_by_union_find(h.n, autos)
+            if not want_equal and 2 * h.edge_count == h.positions:
+                first, nodes = ref.backtrack_images(
+                    h, want_equal=False, node_budget=None, first_only=True
+                )
+                assert find_antimorphism(h, nodes) == (first[0] if first else None)
+
+
 def test_permute_matches_per_edge_reference():
     rng = random.Random(23)
     for h in block_and_sample_hypergraphs():

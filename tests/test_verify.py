@@ -269,6 +269,39 @@ def test_orbits_of_empty_and_complete_hypergraphs_need_no_search(monkeypatch):
         automorphism_vertex_orbits(ref.empty(11, 3), node_budget=10**6)
 
 
+def test_k4_classes_are_built_only_for_a_search(monkeypatch):
+    # The profiles that cut a k = 3 search are built after the order check
+    # and the empty/complete shortcut, so neither pays for one.
+    profiled = []
+
+    def spy(h):
+        profiled.append(h.n)
+        return _k4_profile(h)
+
+    monkeypatch.setattr("hsc.verify._k4_profile", spy)
+    g10, g50 = build_gamma(10), build_gamma(50)
+    for g, budget in ((g10, None), (g50, ORDER10_BUDGET)):
+        with pytest.raises(SearchOrderError):
+            find_antimorphism(g, budget)
+        with pytest.raises(SearchOrderError):
+            automorphism_vertex_orbits(g, node_budget=budget)
+    for h in (ref.empty(8, 3), ref.complete(8, 3)):
+        assert automorphism_vertex_orbits(h) == (tuple(range(8)),)
+        assert find_antimorphism(h) is None
+    # k != 3 searches every vertex.
+    assert automorphism_vertex_orbits(Hypergraph(4, 2, [(0, 1)])) == (
+        (0, 1),
+        (2, 3),
+    )
+    assert profiled == []
+    # An automorphism search profiles h; an antimorphism search h and its
+    # complement.
+    automorphism_vertex_orbits(build_gamma(6))
+    assert profiled == [6]
+    find_antimorphism(build_gamma(6))
+    assert profiled == [6, 6, 6]
+
+
 def test_orbits_budget_exhaustion():
     with pytest.raises(SearchBudgetExceeded):
         automorphism_vertex_orbits(build_gamma(6), node_budget=5)
