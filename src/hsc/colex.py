@@ -28,9 +28,9 @@ from operator import add
 
 __all__ = ["validate_ksubset"]
 
-# Subsets per block on the passes that relabel subsets or link masks: enough
-# to amortise the per-block calls, few enough that a block's image subsets
-# or mask bytes stay small next to the hypergraph.
+# Subsets per block on the passes that relabel subsets: enough to amortise
+# the per-block calls, few enough that a block's image subsets stay small
+# next to the hypergraph.
 _PARSE_BLOCK = 1024
 
 

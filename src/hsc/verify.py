@@ -7,8 +7,9 @@ triple systems.
 All checks are pure functions of their inputs.  Regularity, the pair cases
 and the antimorphism check read the indicator's colex blocks and list no
 edge: the pair cases take one coverage pass per family's indicator, and
-the antimorphism check compares every (k-1)-subset's link mask with the
-image of another under tau.  The exhaustive searches
+the antimorphism check compares the link row of every (k-1)-subset, one
+byte per vertex, with the row of its image under tau pulled back through
+tau, a chunk of rows at a time, and relabels no bit.  The exhaustive searches
 (antimorphism and automorphism enumeration) are gated by order: orders up
 to 8 run freely, 9 and 10 need an explicit opt-in, anything larger is
 refused outright; they look each image subset up by its vertex bitmask in a
@@ -20,17 +21,16 @@ ran out on the whole tree may now be enough.
 
 The K4 vertex invariant is asked one vertex at a time but computed for all
 vertices at once: it intersects the closed link masks of every edge's three
-pairs, the masks that the antimorphism check builds from the colex blocks.
+pairs, read as n-bit ints from the same link rows, one block at a time.
 The masks are kept on the hypergraph; no profile is kept between calls.
 """
 
 from collections import namedtuple
-from itertools import accumulate, compress, repeat, tee
+from itertools import accumulate, compress, islice, repeat
 from math import comb
-from operator import ne, or_, xor
+from operator import add, mul
 
 from .colex import (
-    _PARSE_BLOCK,
     _binomial_table,
     _image_ranks,
     _subset_at,
@@ -58,10 +58,17 @@ FREE_SEARCH_ORDER = 8
 # Hard ceiling for the exhaustive searches (n! roots grow too fast beyond).
 MAX_SEARCH_ORDER = 10
 
-# Byte table printing 0/1 bytes as binary digits.
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-# Byte table exchanging edges and non-edges of an indicator.
+# Byte table printing link-row bytes as binary digits, a member byte as 1.
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"011")
+# Byte table exchanging edges and non-edges of an indicator or of link rows,
+# whose member bytes it leaves alone.
 _COMPLEMENT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+# Link rows per chunk of the antimorphism check.  On the `certify` benchmark
+# (Python 3.11, 2 vCPUs) 1024 rows raised the peak to 16.90 MB against
+# 16.49 MB for 256, at no gain in speed.  At n = 466, 128, 256 and 1024 rows
+# took the same time within the machine's noise, 0.38-0.61 s for a swap
+# check, at a VmHWM of 81.3, 81.6 and 84.0 MB.
+_CHUNK_ROWS = 256
 
 
 class SearchOrderError(ValueError):
@@ -185,44 +192,58 @@ def verify_antimorphism(h: Hypergraph, tau: Permutation) -> AntimorphismCheck:
     """True iff tau exchanges edges and non-edges; witness is the first
     k-subset (lex order) violating the exchange.
 
-    closed(T) is the n-bit mask of the (k-1)-subset T's vertices and of
-    every x with T + {x} an edge.  tau passes iff, for every T, closed(tau T)
-    and tau(closed(T)) agree on tau T only: the complement of their xor has
-    just those k - 1 bits.  Any other bit y is a violation at T + {tau^-1 y},
-    and the least such vertex of each T gives its lex-first violation.
+    Byte x of the link row of a (k-1)-subset T (`_link_rows`) is 2 if x is
+    in T, else 1 or 0 as T + {x} is an edge or not.  tau passes iff, for
+    every T, the row of tau T read at tau x is byte x of T's row with 0 and
+    1 exchanged: both are 2 on T, and elsewhere they are the bytes of
+    tau(T + {x}) and T + {x}.  A chunk of rows is checked at once: their
+    image rows are gathered, pulled through tau with one strided copy per
+    vertex x, and compared with the chunk's own rows complemented.
+
+    Only a chunk that differs is read row by row, skipping the rows
+    lex-after the lex-first that differed so far.  A violation shows in the
+    row of itself less its largest vertex, the lex-first of its rows, so
+    the lex-first violation is T + {x} for the lex-first row T that
+    differs, x its lowest differing byte (above T's top vertex).
     """
     if tau.n != h.n:
         raise ValueError(f"permutation length {tau.n} != order {h.n}")
     n, k = h.n, h.k
-    closed = _closed_masks(h._bits, n, k)
+    rows = _link_rows(h._bits, n, k, n)
     # At k = 1 the only T is the empty set, its own image (rank 0).
-    heads, image = (), [0]
+    heads, image = (), iter([0])
     if k > 1:
         heads = _subset_columns(n, k - 1)
         image = _image_ranks(heads, tau.images, _binomial_table(n, k - 1))
-    moved = _relabel_masks(closed, tau.images)
-    full = (1 << n) - 1
-    agree = map(xor, map(closed.__getitem__, image), moved)
-    flips, counted = tee(map(xor, agree, repeat(full)))
-    odd = map(ne, map(int.bit_count, counted), repeat(k - 1))
-    bad = list(compress(enumerate(flips), odd))
-    if not bad:
-        return AntimorphismCheck(ok=True)
-    back = _relabel_masks([flip for _, flip in bad], tau.inverse().images)
     witness = None
-    for (r, _), mask in zip(bad, back):
-        head = tuple(column[r] for column in heads)
-        mask &= ~sum(1 << v for v in head)
-        subset = tuple(sorted(head + ((mask & -mask).bit_length() - 1,)))
-        if witness is None or subset < witness:
-            witness = subset
-    return AntimorphismCheck(ok=False, witness=witness)
+    for first in range(0, len(rows) // n, _CHUNK_ROWS):
+        ranks = list(islice(image, _CHUNK_ROWS))
+        starts = map(mul, ranks, repeat(n))
+        stops = map(mul, map(add, ranks, repeat(1)), repeat(n))
+        gathered = b"".join(map(rows.__getitem__, map(slice, starts, stops)))
+        pulled = bytearray(len(gathered))
+        for x, y in enumerate(tau.images):
+            pulled[x::n] = gathered[y::n]
+        own = rows[first * n : first * n + len(pulled)].translate(_COMPLEMENT)
+        if pulled == own:
+            continue
+        for r, at in enumerate(range(0, len(own), n), first):
+            head = tuple(column[r] for column in heads)
+            if witness is not None and head > witness[:-1]:
+                continue
+            diff = int.from_bytes(pulled[at : at + n], "little") ^ int.from_bytes(
+                own[at : at + n], "little"
+            )
+            if diff:
+                witness = head + ((diff & -diff).bit_length() - 1 >> 3,)
+    return AntimorphismCheck(ok=witness is None, witness=witness)
 
 
 def _closed_masks(bits, n: int, k: int) -> list[int]:
     """closed(T) of every (k-1)-subset T of [0, n) in colex order: the n-bit
     mask of T's vertices and of every x with T + {x} an edge, read from the
-    link rows one top vertex's block at a time."""
+    link rows one top vertex's block at a time, a member byte 2 as a set
+    bit.  The K4 profile, its one caller, keeps the pair masks (k = 3)."""
     closed = []
     for rows in _link_blocks(bits, n, k):
         # Reversed, the rows come last-first and each reads as a binary
@@ -247,7 +268,7 @@ def _link_blocks(bits, n: int, k: int):
     for c in range(k - 2, n):
         low, high = comb(c, k - 1), comb(c + 1, k - 1)
         rows = _link_rows(bits[tops[c] : tops[c + 1]], c, k - 1, n)
-        rows[c::n] = b"\x01" * (high - low)
+        rows[c::n] = b"\x02" * (high - low)
         for x, top in enumerate(tops[c + 1 : n], c + 1):
             rows[x::n] = bits[top + low : top + high]
         yield rows
@@ -255,12 +276,14 @@ def _link_blocks(bits, n: int, k: int):
 
 def _link_rows(bits, n: int, k: int, width: int) -> bytearray:
     """One row of `width` bytes per (k-1)-subset T of [0, n), in colex order:
-    byte x is 1 iff x is in T or T + {x} is an edge of what bits indicates.
+    byte x is the member byte 2 if x is in T, else 1 or 0 as T + {x} is or
+    is not an edge of what bits indicates.
 
     The block of edges with top vertex c, indexed by their other vertices,
     is column c of the rows of the (k-1)-subsets of [0, c); below c, the
     rows of the T with top c are the block's own rows on [0, c).  At k = 2
-    one loop sets the diagonal and moves each block c to row c and column c.
+    one loop writes the member diagonal and moves each block c to row c and
+    column c.
     """
     if k == 1:
         row = bytearray(width)
@@ -268,39 +291,21 @@ def _link_rows(bits, n: int, k: int, width: int) -> bytearray:
         return row
     rows = bytearray(comb(n, k - 1) * width)
     if k == 2:
-        rows[:: width + 1] = b"\x01" * n
+        rows[:: width + 1] = b"\x02" * n
         for c, low in zip(range(1, n), accumulate(range(n))):
             block = bits[low : low + c]
             rows[c * width : c * width + c] = block
             rows[c : c * width : width] = block
         return rows
     # The first (k-1)-subset, {0, ..., k-2}, has no vertex below its top.
-    rows[: k - 1] = b"\x01" * (k - 1)
+    rows[: k - 1] = b"\x02" * (k - 1)
     for c in range(k - 1, n):
         block = bits[comb(c, k) : comb(c + 1, k)]
         low, high = comb(c, k - 1) * width, comb(c + 1, k - 1) * width
         rows[low:high] = _link_rows(block, c, k - 1, width)
-        rows[low + c : high : width] = b"\x01" * ((high - low) // width)
+        rows[low + c : high : width] = b"\x02" * ((high - low) // width)
         rows[c:low:width] = block
     return rows
-
-
-def _relabel_masks(masks, images):
-    """Lazily, the image of each n-bit mask in the list `masks` under the
-    vertex map `images`: byte j of a mask picks from a table of the images
-    of the vertex sets of 8j, ..., 8j + 7, and the ceil(n / 8) picks are
-    or-ed, for one block of _PARSE_BLOCK masks' bytes at a time."""
-    width = (len(images) + 7) >> 3
-    tables = [[0] for _ in range(width)]
-    for v, w in enumerate(images):
-        tables[v >> 3] += [m | 1 << w for m in tables[v >> 3]]
-    for start in range(0, len(masks), _PARSE_BLOCK):
-        block = masks[start : start + _PARSE_BLOCK]
-        data = b"".join(map(int.to_bytes, block, repeat(width), repeat("little")))
-        moved = repeat(0)
-        for j, table in enumerate(tables):
-            moved = map(or_, moved, map(table.__getitem__, data[j::width]))
-        yield from moved
 
 
 def _require_search_order(n: int, node_budget: int | None) -> None:

@@ -31,7 +31,9 @@ blocked link rows replaced: the construction's families as three vertex
 columns each, ranked into one indicator; the serializer that prints the
 edges' vertex columns (`edge_columns`); the parse of the whole document read
 and decoded at once; and the antimorphism check over every link row at once,
-built by `link_rows_by_recursion`.  That function and
+built by `link_rows_by_recursion`, as closed int masks relabeled through
+byte tables (`_relabel_masks`), which the chunked pull of the link-row
+bytes through tau replaced.  `link_rows_by_recursion` and
 `lane_sums_by_recursion` are the link-row and lane-sum kernels as they were
 before their pair level became one loop: they recurse down to single
 vertices, one call per pair of top vertices.
@@ -52,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from math import comb
-from operator import add, eq, lt, ne, xor
+from operator import add, eq, lt, ne, or_, xor
 from pathlib import Path
 
 from hsc.colex import (
@@ -84,7 +86,6 @@ from hsc.verify import (
     AntimorphismCheck,
     RegularityReport,
     SearchBudgetExceeded,
-    _relabel_masks,
 )
 
 
@@ -759,7 +760,8 @@ def read_whole_document(path) -> Hypergraph:
 def antimorphism_by_link_rows(h: Hypergraph, tau: Permutation) -> AntimorphismCheck:
     """The link-mask antimorphism check over the link rows of every
     (k-1)-subset at once: one array of comb(n, k - 1) * n bytes, translated
-    to binary digits and reversed whole."""
+    to binary digits and reversed whole into closed masks, which
+    `_relabel_masks` carries through tau and, on a failure, back."""
     n, k = h.n, h.k
     digits = link_rows_by_recursion(h._bits, n, k, n).translate(_BINARY_DIGITS)[::-1]
     rows = map(slice, range(len(digits) - n, -1, -n), range(len(digits), 0, -n))
@@ -787,9 +789,28 @@ def antimorphism_by_link_rows(h: Hypergraph, tau: Permutation) -> AntimorphismCh
     return AntimorphismCheck(ok=False, witness=witness)
 
 
+def _relabel_masks(masks, images):
+    """Lazily, the image of each n-bit mask in the list `masks` under the
+    vertex map `images`: byte j of a mask picks from a table of the images
+    of the vertex sets of 8j, ..., 8j + 7, and the ceil(n / 8) picks are
+    or-ed, for one block of _PARSE_BLOCK masks' bytes at a time."""
+    width = (len(images) + 7) >> 3
+    tables = [[0] for _ in range(width)]
+    for v, w in enumerate(images):
+        tables[v >> 3] += [m | 1 << w for m in tables[v >> 3]]
+    for start in range(0, len(masks), _PARSE_BLOCK):
+        block = masks[start : start + _PARSE_BLOCK]
+        data = b"".join(map(int.to_bytes, block, repeat(width), repeat("little")))
+        moved = repeat(0)
+        for j, table in enumerate(tables):
+            moved = map(or_, moved, map(table.__getitem__, data[j::width]))
+        yield from moved
+
+
 def link_rows_by_recursion(bits, n: int, k: int, width: int) -> bytearray:
     """One row of `width` bytes per (k-1)-subset T of [0, n), in colex order:
-    byte x is 1 iff x is in T or T + {x} is an edge of what bits indicates.
+    byte x is the member byte 2 if x is in T, else 1 or 0 as T + {x} is or
+    is not an edge of what bits indicates.
 
     The block of edges with top vertex c, indexed by their other vertices,
     is column c of the rows of the (k-1)-subsets of [0, c); below c, the
@@ -801,12 +822,12 @@ def link_rows_by_recursion(bits, n: int, k: int, width: int) -> bytearray:
         return row
     rows = bytearray(comb(n, k - 1) * width)
     # The first (k-1)-subset, {0, ..., k-2}, has no vertex below its top.
-    rows[: k - 1] = b"\x01" * (k - 1)
+    rows[: k - 1] = b"\x02" * (k - 1)
     for c in range(k - 1, n):
         block = bits[comb(c, k) : comb(c + 1, k)]
         low, high = comb(c, k - 1) * width, comb(c + 1, k - 1) * width
         rows[low:high] = link_rows_by_recursion(block, c, k - 1, width)
-        rows[low + c : high : width] = b"\x01" * ((high - low) // width)
+        rows[low + c : high : width] = b"\x02" * ((high - low) // width)
         rows[c:low:width] = block
     return rows
 

@@ -1,8 +1,9 @@
 """Differential tests of the bounded-memory paths against the whole-edge-set
 versions in `colex_reference`: the construction built straight into the
 indicator, the writer that prints colex blocks, the reader that parses the
-open file in chunks and the antimorphism check that builds the link rows of
-one block at a time.  A spy checks that `construct` and `verify` never
+open file in chunks and the antimorphism check that pulls the link rows
+through tau one chunk at a time, against the int masks relabeled through
+byte tables.  A spy checks that `construct` and `verify` never
 replay the edges' vertex columns."""
 
 import io
@@ -16,15 +17,16 @@ from math import comb
 import pytest
 
 import colex_reference as ref
-from hsc import hypercore
+from hsc import hypercore, verify
 from hsc.cli import main
 from hsc.construct import build_gamma, swap_antimorphism
-from hsc.hypercore import Hypergraph, read_edge_list, to_edge_list_text
+from hsc.hypercore import Hypergraph, Permutation, read_edge_list, to_edge_list_text
 from hsc.verify import verify_antimorphism
 from test_kernel_reference import (  # noqa: F401
     BAD_LINES,
     exchanged_hypergraphs,
     line_reads,
+    random_hypergraph,
     random_permutation,
     sample_hypergraphs,
     taken_by_runs,
@@ -363,3 +365,73 @@ def test_blocked_link_check_matches_the_whole_array():
     bad = Hypergraph.from_ranks(50, 3, ranks)
     assert verify_antimorphism(bad, swap) == ref.antimorphism_by_link_rows(bad, swap)
 
+
+def run_permutation(rng, n, runs):
+    """A permutation of [0, n) that cuts it at random into `runs` runs of
+    consecutive vertices and maps them, in a shuffled order, onto
+    consecutive runs (1 run is the identity)."""
+    cuts = sorted(rng.sample(range(1, n), runs - 1))
+    pieces = [range(a, b) for a, b in zip([0, *cuts], [*cuts, n])]
+    rng.shuffle(pieces)
+    return Permutation(chain.from_iterable(pieces))
+
+
+def flipped_at(h, r):
+    """h with the k-subset of colex rank r flipped."""
+    bits = bytearray(h.indicator)
+    bits[r] ^= 1
+    return Hypergraph._from_indicator(h.n, h.k, bits, bits.count(1))
+
+
+def test_chunked_pull_matches_the_relabeled_masks(monkeypatch):
+    # The chunked pull of link-row bytes against the int masks relabeled
+    # through byte tables: every order up to 70, those not a multiple of 8
+    # among them, at k = 1..3 and at k = 4 up to 30 and at 45 (the reference
+    # takes 0.7 s at (70, 4)), under permutations of 1 to n runs.
+    rng = random.Random(26)
+    checked = passed = 0
+
+    def same(h, tau):
+        nonlocal checked, passed
+        check = verify_antimorphism(h, tau)
+        assert check == ref.antimorphism_by_link_rows(h, tau), (h.n, h.k, tau)
+        checked += 1
+        passed += check.ok
+
+    for n in range(1, 71):
+        most = 4 if n <= 30 or n == 45 else 3
+        for k in range(1, min(n, most) + 1):
+            h = random_hypergraph(rng, n, k)
+            same(h, run_permutation(rng, n, rng.randint(1, n)))
+            same(flipped_at(h, rng.randrange(h.positions)), random_permutation(rng, n))
+    # comb(24, 2) = 276 and comb(60, 2) = 1770 rows cross the 256-row chunk
+    # boundary.
+    for n in (24, 60):
+        h = random_hypergraph(rng, n, 3)
+        same(h, random_permutation(rng, n))
+        same(h, run_permutation(rng, n, 2))
+    for n in (26, 62, 102):
+        g = build_gamma(n)
+        swap = swap_antimorphism(n)
+        sigma = random_permutation(rng, n)
+        relabeled = ref.relabel(g, sigma)
+        conjugate = ref.compose(ref.compose(sigma, swap), sigma.inverse())
+        same(g, swap)
+        same(relabeled, conjugate)
+        for r in (0, g.positions // 2, g.positions - 1):
+            same(flipped_at(g, r), swap)
+            same(flipped_at(relabeled, r), conjugate)
+    # One transposition away from the swap at n = 102.
+    images = list(swap_antimorphism(102).images)
+    images[3], images[70] = images[70], images[3]
+    same(build_gamma(102), Permutation(images))
+    # Chunks of 1, 2 and 7 rows on the exchanged hypergraphs and their
+    # corruptions: chunks that pass come before and after those that fail.
+    for rows in (1, 2, 7):
+        monkeypatch.setattr(verify, "_CHUNK_ROWS", rows)
+        for h, tau in exchanged_hypergraphs():
+            same(h, tau)
+            same(flipped_at(h, rng.randrange(h.positions)), tau)
+        same(build_gamma(26), swap_antimorphism(26))
+        same(flipped_at(build_gamma(26), 1000), swap_antimorphism(26))
+    assert passed >= 30 and checked - passed >= 300, (checked, passed)
