@@ -294,8 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         action=_NonNegative,
-        help="node budget for the orbit search (at k = 3 a node is one image "
-        "in the vertex's K4 class); also opts in to orders 9 and 10",
+        help="node budget for the orbit search, pruned to group generators (at "
+        "k = 3 a node is one image in the vertex's K4 class); also opts in to "
+        "orders 9 and 10",
     )
     p.add_argument("--format", choices=("text", "kv"), default="kv")
     p.set_defaults(func=_cmd_invariants)

@@ -126,18 +126,18 @@ def _subset_columns(n: int, k: int) -> tuple:
 
 
 def _subset_at(r: int, n: int, k: int) -> tuple[int, ...]:
-    """The k-subset of [0, n) of colex rank r, for one witness, where
+    """The k-subset of [0, n) of colex rank r, k >= 1, for one witness, where
     `_subset_columns` would cache k * comb(n, k) entries: its top vertex c
     has the colex block [comb(c, k), comb(c + 1, k)) that holds r, and the
     rest is the (k-1)-subset of rank r - comb(c, k).  The blocks are walked
-    down from the top, so a call costs at most n + k binomials."""
+    down to level 2, at most n + k binomials; the rank left is the least vertex."""
     subset = []
-    for i in range(k, 0, -1):
+    for i in range(k, 1, -1):
         while comb(n, i) > r:
             n -= 1
         subset.append(n)
         r -= comb(n, i)
-    return tuple(reversed(subset))
+    return (r, *reversed(subset))
 
 
 def _colex_columns(n: int, k: int) -> list:

@@ -83,11 +83,13 @@ _TABLE_BYTES = 1 << 14
 MAX_LANES = 1 << 20
 
 
+@lru_cache(maxsize=64)
 def _capped_comb(n: int, k: int, cap: int) -> int | None:
     """comb(n, k), for 0 <= k <= n and cap >= 1, if it is at most cap, else
     None: with j = min(k, n - k) it grows comb(n - j + i, i), i = 1, ..., j,
     and stops at the first past cap.  Each factor at least doubles it, so a
-    huge shape costs about log2(cap) steps, not a binomial of huge size."""
+    huge shape costs about log2(cap) steps, not a binomial of huge size.
+    Cached, as every coverage call asks it for its shape's lane count."""
     j = min(k, n - k)
     positions = 1
     for i in range(1, j + 1):

@@ -14,10 +14,10 @@ tau, a chunk of rows at a time, and relabels no bit.  The exhaustive searches
 to 8 run freely, 9 and 10 need an explicit opt-in, anything larger is
 refused outright; they look each image subset up by its vertex bitmask in a
 dict of indicator bytes filled from the cached colex columns.  At k = 3 they
-try as images of a vertex only those of its K4 class (its K4 count for an
-automorphism, its count in the complement for an antimorphism), so a node,
-one candidate tried, is counted over that class alone, and a budget that
-ran out on the whole tree may now be enough.
+try as images of a vertex only those of its K4 class, and the orbit search
+seeks only generators of the automorphism group, pruned by their orbits.
+A node, one candidate tried, is counted in that pruned tree, so a budget
+that ran out on the whole tree may now be enough.
 
 The K4 vertex invariant is asked one vertex at a time but computed for all
 vertices at once: it intersects the closed link masks of every edge's three
@@ -131,20 +131,15 @@ def t_subset_regularity(h: Hypergraph, t: int) -> RegularityReport:
     off = lanes ^ first * ones
     if off:
         r = ((off & -off).bit_length() - 1) // lane
-        return RegularityReport(
-            t=t,
-            valence=None,
-            witness=_subset_at(r, h.n, t),
-            witness_count=lanes >> lane * r & mask,
-            first_count=first,
-        )
+        count = lanes >> lane * r & mask
+        return RegularityReport(t, None, _subset_at(r, h.n, t), count, first)
     # Double counting: valence * comb(n,t) == |E| * comb(k,t).
     if first * subsets != h.edge_count * comb(h.k, t):
         raise RuntimeError(
             f"double counting fails: valence {first} * comb({h.n},{t}) != "
             f"{h.edge_count} edges * comb({h.k},{t})"
         )
-    return RegularityReport(t=t, valence=first)
+    return RegularityReport(t, first)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +319,15 @@ def _require_search_order(n: int, node_budget: int | None) -> None:
 
 
 def _backtrack_images(h, *, want_equal, node_budget, first_only, classes=None):
-    """Enumerate permutations mapping edges to edges (want_equal) or edges to
-    non-edges (not want_equal), assigning vertices in increasing order with
-    candidate images ascending: classes[v], ascending, if classes is given
-    (see `_k4_classes`), else every vertex.  A node is one candidate tried.
-    Prunes on every k-subset completed by the newest assignment.
+    """Permutations mapping edges to edges (want_equal) or to non-edges: the
+    first found if first_only, else generators of the automorphism group
+    (want_equal).  Vertices are assigned in increasing order, images
+    from classes[v] (see `_k4_classes`, else every vertex) ascending; a node
+    is one candidate tried, pruned on every k-subset it completes.  Orbit
+    pruning (McKay): at depth v of the identity path (`fixed`), where every
+    generator found fixes 0..v-1, an image w != v in v's orbit under them
+    is skipped; off it, a subtree stops at its first leaf, a new generator.
+    Only subtrees are cut, so no more nodes are spent than to list the group.
 
     An image subset is looked up by its vertex bitmask: byte_of maps the
     bitmask of each k-subset to its indicator byte, and shifted[w] holds
@@ -351,16 +350,18 @@ def _backtrack_images(h, *, want_equal, node_budget, first_only, classes=None):
         byte_of[sum(map(bit.__getitem__, e))] = bits[r]
         tails[e[-1]].append((e, bits[r] ^ flip))
     candidates = classes or [range(n)] * n
+    orbit = _orbits(n, ())
     found = []
     nodes = 0
 
-    def extend(v):
+    def extend(v, fixed):
         nonlocal nodes
         if v == n:
-            found.append(Permutation(list(images)))
-            return first_only
+            found.append(Permutation(images))
+            orbit[:] = _orbits(n, found)
+            return True
         for cand in candidates[v]:
-            if used[cand]:
+            if used[cand] or fixed and cand != v and cand in orbit[v]:
                 continue
             nodes += 1
             if node_budget is not None and nodes > node_budget:
@@ -372,13 +373,27 @@ def _backtrack_images(h, *, want_equal, node_budget, first_only, classes=None):
                     break
             else:
                 used[cand] = True
-                if extend(v + 1):
-                    return True
+                leaf = extend(v + 1, fixed and cand == v)
                 used[cand] = False
+                if leaf and not fixed:
+                    return True
         return False
 
-    extend(0)
+    extend(0, not first_only)
     return found
+
+
+def _orbits(n: int, permutations) -> list[set[int]]:
+    """The orbit of each vertex under the group the permutations generate,
+    one set shared by its members, joined along their cycles."""
+    orbit = [{v} for v in range(n)]
+    for p in permutations:
+        for v, w in enumerate(p.images):
+            if orbit[v] is not orbit[w]:
+                orbit[v] |= orbit[w]
+                for x in orbit[w]:
+                    orbit[x] = orbit[v]
+    return orbit
 
 
 def _k4_classes(h: Hypergraph, want_equal: bool) -> list[list[int]] | None:
@@ -413,12 +428,9 @@ def find_antimorphism(
     if 2 * h.edge_count != comb(h.n, h.k):
         return None
     _require_search_order(h.n, node_budget)
+    classes = _k4_classes(h, want_equal=False)
     found = _backtrack_images(
-        h,
-        want_equal=False,
-        node_budget=node_budget,
-        first_only=True,
-        classes=_k4_classes(h, want_equal=False),
+        h, want_equal=False, node_budget=node_budget, first_only=True, classes=classes
     )
     return found[0] if found else None
 
@@ -427,26 +439,20 @@ def automorphism_vertex_orbits(
     h: Hypergraph, *, node_budget: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of the vertices under the full automorphism group,
-    found by exhaustive backtracking; a single orbit means vertex-transitive.
-    A node budget opts in to the orders past FREE_SEARCH_ORDER.  At k = 3 a
-    vertex's images are tried only among the vertices of its K4 count, so a
-    node is one such candidate.  With no edges, or every k-subset an edge,
-    every permutation is an automorphism, so the one orbit is given without
-    a search."""
+    joined along the cycles of the generators that the pruned backtracking
+    finds; a single orbit means vertex-transitive.  A node budget opts in to
+    the orders past FREE_SEARCH_ORDER.  A node is one image tried in that
+    search: at k = 3 only among the vertices of its K4 count, and on the
+    identity path none already in its orbit.  With no edges, or all, every
+    permutation is an automorphism, so the one orbit needs no search."""
     _require_search_order(h.n, node_budget)
     if h.edge_count in (0, h.positions):
         return (tuple(range(h.n)),)
-    autos = _backtrack_images(
-        h,
-        want_equal=True,
-        node_budget=node_budget,
-        first_only=False,
-        classes=_k4_classes(h, want_equal=True),
+    classes = _k4_classes(h, want_equal=True)
+    generators = _backtrack_images(
+        h, want_equal=True, node_budget=node_budget, first_only=False, classes=classes
     )
-    # The search lists the whole group, so a vertex's orbit is the set of
-    # its images, read down its column of the image tuples.
-    images = zip(*(p.images for p in autos))
-    return tuple(sorted({tuple(sorted(set(column))) for column in images}))
+    return tuple(sorted({tuple(sorted(o)) for o in _orbits(h.n, generators)}))
 
 
 # ---------------------------------------------------------------------------

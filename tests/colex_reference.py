@@ -218,6 +218,21 @@ def orbits_by_union_find(n: int, autos) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(g) for g in sorted(groups.values()))
 
 
+def group_closure(n: int, generators) -> set[tuple[int, ...]]:
+    """The image tuples of every element of the permutation group that the
+    generators generate, by breadth-first search from the identity."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for g in generators:
+            q = tuple(g.images[w] for w in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
 def relabel(h: Hypergraph, sigma: Permutation) -> Hypergraph:
     """h relabeled through sigma: the edges' re-sorted images, ranked
     column-wise one block of edges at a time and set straight into the new
@@ -456,7 +471,9 @@ def backtrack_images(
     """The image search of `hsc.verify._backtrack_images`, ranking every
     subset and its sorted image with `subset_rank`; returns the permutations
     found and the number of nodes spent.  Vertex v's candidate images are
-    classes[v] if classes is given, else every vertex."""
+    classes[v] if classes is given, else every vertex.  Unless first_only,
+    it lists every permutation, the whole automorphism group for want_equal,
+    where the kernel prunes by orbits and returns generators."""
     n, k = h.n, h.k
     bits = h.indicator
     images = [0] * n

@@ -153,6 +153,23 @@ def test_subset_columns_match_unranking():
                 assert subset == ref.unrank_colex(r, n, k) == colex._subset_at(r, n, k)
 
 
+def test_subset_at_matches_unranking():
+    # Every rank of every shape up to n = 12, then single ranks at the
+    # position ceiling's order: the ends, each block edge near the top and
+    # a seeded sample.
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            for r in range(comb(n, k)):
+                assert colex._subset_at(r, n, k) == ref.unrank_colex(r, n, k)
+    rng = random.Random(466)
+    for k in (2, 3):
+        total = comb(466, k)
+        edges = [comb(c, k) + d for c in range(460, 466) for d in (-1, 0, 1)]
+        samples = [rng.randrange(total) for _ in range(200)]
+        for r in [0, 1, total - 1, *edges, *samples]:
+            assert colex._subset_at(r, 466, k) == ref.unrank_colex(r, 466, k)
+
+
 def test_edges_match_unranking():
     for h in sample_hypergraphs():
         assert h.edges() == ref.edges_by_unranking(h)
@@ -301,6 +318,22 @@ def test_coverage_straddles_the_table_bound(monkeypatch):
             assert coverage(h, t) == ref.coverage_by_counter(h, t)
             assert bool(calls) != inside
             assert t_subset_regularity(h, t) == ref.regularity(h, t)
+
+
+def test_lane_bound_is_read_on_every_call(monkeypatch):
+    # The lane count is cached per shape and bound, so a bound lowered
+    # after a shape's first call still refuses it, and one raised again
+    # accepts it.
+    g = build_gamma(10)
+    assert t_subset_regularity(g, 2) == ref.regularity(g, 2)
+    monkeypatch.setattr(hypercore, "MAX_LANES", comb(10, 2) - 1)
+    message = r"comb\(10,2\) 2-subsets exceed the bound of 44"
+    with pytest.raises(ValueError, match=message):
+        t_subset_regularity(g, 2)
+    with pytest.raises(ValueError, match=message):
+        coverage(g, 2)
+    monkeypatch.setattr(hypercore, "MAX_LANES", comb(10, 2))
+    assert t_subset_regularity(g, 2) == ref.regularity(g, 2)
 
 
 def test_regularity_matches_reference_on_both_sides_of_the_bound():
@@ -696,76 +729,16 @@ def test_k4_profile_matches_the_column_kernel():
         assert _k4_profile(complete) == ref.k4_profile_by_columns(complete) == full
 
 
-def assert_search_matches(h, *, want_equal, first_only):
-    """The kernel search finds what the reference finds, in the same order,
-    and spends exactly the same number of nodes doing so."""
-    found, nodes = ref.backtrack_images(
-        h, want_equal=want_equal, node_budget=None, first_only=first_only
-    )
-    got = _backtrack_images(
-        h, want_equal=want_equal, node_budget=nodes, first_only=first_only
-    )
-    assert got == found
+def assert_search_matches(h, *, want_equal, classes=None):
+    """The kernel's first-only search finds what the reference finds and
+    spends exactly the same number of nodes doing so."""
+    mode = dict(want_equal=want_equal, first_only=True, classes=classes)
+    found, nodes = ref.backtrack_images(h, node_budget=None, **mode)
+    assert _backtrack_images(h, node_budget=nodes, **mode) == found
     with pytest.raises(SearchBudgetExceeded) as exc:
-        _backtrack_images(
-            h, want_equal=want_equal, node_budget=nodes - 1, first_only=first_only
-        )
+        _backtrack_images(h, node_budget=nodes - 1, **mode)
     assert exc.value.nodes == nodes
     return found, nodes
-
-
-def test_automorphism_search_matches_reference():
-    rng = random.Random(13)
-    for n in (6, 10):
-        sigma = random_permutation(rng, n)
-        h = ref.relabel(build_gamma(n), sigma)
-        autos, nodes = assert_search_matches(h, want_equal=True, first_only=False)
-        assert all((p == ref.identity(n)) is (i == 0) for i, p in enumerate(autos))
-        orbits = automorphism_vertex_orbits(h, node_budget=nodes)
-        sides = [range(n)] if n == 6 else [range(n // 2), range(n // 2, n)]
-        assert orbits == tuple(sorted(ref.subset_image(sigma, s) for s in sides))
-
-
-def test_automorphism_orbits_match_union_find():
-    # Sparse random hypergraphs up to order 7 have groups of every size, so
-    # their orbits range from all singletons to one orbit.
-    rng = random.Random(29)
-    sizes = set()
-    for n in range(3, 8):
-        for k in (2, 3):
-            for _ in range(12):
-                h = random_hypergraph(rng, n, k, rng.choice((0.1, 0.3, 0.5)))
-                autos = _backtrack_images(
-                    h, want_equal=True, node_budget=None, first_only=False
-                )
-                orbits = automorphism_vertex_orbits(h)
-                assert orbits == ref.orbits_by_union_find(n, autos), h
-                sizes.add(len(orbits))
-    assert {1, 2, 3}.issubset(sizes) and max(sizes) >= 5
-
-
-def test_antimorphism_search_matches_reference():
-    rng = random.Random(17)
-    for n in (6, 10):
-        h = ref.relabel(build_gamma(n), random_permutation(rng, n))
-        (tau,), nodes = assert_search_matches(h, want_equal=False, first_only=True)
-        assert find_antimorphism(h, nodes) == tau
-        assert verify_antimorphism(h, tau).ok
-    for h, _ in exchanged_hypergraphs():
-        if h.n <= 8:
-            assert_search_matches(h, want_equal=False, first_only=True)
-
-
-def test_search_budget_nodes_match_reference():
-    h = ref.relabel(build_gamma(10), random_permutation(random.Random(19), 10))
-    for budget in (0, 1, 7, 40):
-        for want_equal in (True, False):
-            kwargs = dict(want_equal=want_equal, node_budget=budget, first_only=False)
-            with pytest.raises(SearchBudgetExceeded) as expected:
-                ref.backtrack_images(h, **kwargs)
-            with pytest.raises(SearchBudgetExceeded) as got:
-                _backtrack_images(h, **kwargs)
-            assert got.value.nodes == expected.value.nodes
 
 
 def search_outcome(search, h, **kwargs):
@@ -774,6 +747,121 @@ def search_outcome(search, h, **kwargs):
         return "found", search(h, **kwargs)
     except SearchBudgetExceeded as exc:
         return "budget", exc.nodes
+
+
+def kernel_nodes(h, limit, **mode):
+    """The nodes a kernel search spends: the least budget, found by
+    bisection below limit, a budget it is known to finish within."""
+    low, high = 0, limit
+    while low < high:
+        middle = (low + high) // 2
+        outcome = search_outcome(_backtrack_images, h, node_budget=middle, **mode)
+        if outcome[0] == "found":
+            high = middle
+        else:
+            low = middle + 1
+    return low
+
+
+def assert_generators_match(h, classes=None):
+    """The kernel's generator search (orbit pruning) against the
+    reference's listing of the whole automorphism group on the same tree:
+    it finishes within the listing's nodes, its generators give the same
+    orbits and, at n <= 8, generate exactly the listed group, and budgets
+    0, 1, nodes - 1 and nodes raise or pass as its own node count says.
+    Returns the generators and the kernel's nodes."""
+    mode = dict(want_equal=True, first_only=False, classes=classes)
+    autos, limit = ref.backtrack_images(h, node_budget=None, **mode)
+    # A kernel that needed more nodes than the whole listing would raise here.
+    generators = _backtrack_images(h, node_budget=limit, **mode)
+    orbits = ref.orbits_by_union_find(h.n, autos)
+    assert ref.orbits_by_union_find(h.n, generators) == orbits
+    if h.n <= 8:
+        assert ref.group_closure(h.n, generators) == {p.images for p in autos}
+    nodes = kernel_nodes(h, limit, **mode)
+    for budget in (0, 1, nodes - 1, nodes):
+        expected = ("found", generators) if budget >= nodes else ("budget", budget + 1)
+        got = search_outcome(_backtrack_images, h, node_budget=budget, **mode)
+        assert got == expected
+    return generators, nodes
+
+
+# Kernel nodes of the orbit search on the seeded relabeled constructions of
+# `test_automorphism_search_matches_reference`, K4 classes and none.  The
+# whole listing takes 516 nodes at n = 6 with either, and 1445 and 4900 at 10.
+ORBIT_SEARCH_NODES = {(6, True): 29, (6, False): 29, (10, True): 241, (10, False): 2228}
+
+
+def test_automorphism_search_matches_reference():
+    rng = random.Random(13)
+    for n in (6, 10):
+        sigma = random_permutation(rng, n)
+        h = ref.relabel(build_gamma(n), sigma)
+        for pruned in (True, False):
+            classes = verify._k4_classes(h, True) if pruned else None
+            generators, nodes = assert_generators_match(h, classes)
+            assert nodes == ORBIT_SEARCH_NODES[n, pruned]
+            assert generators[0] == ref.identity(n)
+        nodes = ORBIT_SEARCH_NODES[n, True]
+        orbits = automorphism_vertex_orbits(h, node_budget=nodes)
+        sides = [range(n)] if n == 6 else [range(n // 2), range(n // 2, n)]
+        assert orbits == tuple(sorted(ref.subset_image(sigma, s) for s in sides))
+        with pytest.raises(SearchBudgetExceeded):
+            automorphism_vertex_orbits(h, node_budget=nodes - 1)
+
+
+def test_automorphism_orbits_match_union_find():
+    # Sparse random hypergraphs up to order 7 have groups of every size, so
+    # their orbits range from all singletons to one orbit.  At k = 3 the
+    # generators are searched with and without the K4 classes.
+    rng = random.Random(29)
+    sizes = set()
+    for n in range(3, 8):
+        for k in range(2, min(n, 5)):
+            for _ in range(12):
+                h = random_hypergraph(rng, n, k, rng.choice((0.1, 0.3, 0.5)))
+                autos, _ = ref.backtrack_images(
+                    h, want_equal=True, node_budget=None, first_only=False
+                )
+                orbits = ref.orbits_by_union_find(n, autos)
+                assert automorphism_vertex_orbits(h) == orbits, h
+                assert_generators_match(h)
+                if k == 3:
+                    assert_generators_match(h, ref.k4_classes_by_scan(h, True))
+                sizes.add(len(orbits))
+    assert {1, 2, 3}.issubset(sizes) and max(sizes) >= 5
+
+
+def test_antimorphism_search_matches_reference():
+    rng = random.Random(17)
+    for n in (6, 10):
+        h = ref.relabel(build_gamma(n), random_permutation(rng, n))
+        (tau,), nodes = assert_search_matches(h, want_equal=False)
+        assert find_antimorphism(h, nodes) == tau
+        assert verify_antimorphism(h, tau).ok
+    for h, _ in exchanged_hypergraphs():
+        if h.n <= 8:
+            assert_search_matches(h, want_equal=False)
+
+
+# The two searches the library runs: the automorphism group's generators and
+# the first antimorphism.
+LIBRARY_MODES = (
+    dict(want_equal=True, first_only=False),
+    dict(want_equal=False, first_only=True),
+)
+
+
+def test_search_budget_nodes_match_reference():
+    h = ref.relabel(build_gamma(10), random_permutation(random.Random(19), 10))
+    for budget in (0, 1, 7, 40):
+        for mode in LIBRARY_MODES:
+            kwargs = dict(node_budget=budget, **mode)
+            with pytest.raises(SearchBudgetExceeded) as expected:
+                ref.backtrack_images(h, **kwargs)
+            with pytest.raises(SearchBudgetExceeded) as got:
+                _backtrack_images(h, **kwargs)
+            assert got.value.nodes == expected.value.nodes
 
 
 def search_samples():
@@ -793,23 +881,28 @@ def search_samples():
             yield Hypergraph.from_ranks(n, k, ranks)
 
 
+def assert_first_search_matches(h, want_equal, classes=None):
+    """A first-only search: the kernel against the reference, exactly and
+    at each budget."""
+    mode = dict(want_equal=want_equal, first_only=True, classes=classes)
+    found, nodes = ref.backtrack_images(h, node_budget=None, **mode)
+    assert _backtrack_images(h, node_budget=None, **mode) == found
+    for budget in (0, 1, 7, 40, nodes - 1, nodes):
+        expected = search_outcome(
+            lambda g, **kw: ref.backtrack_images(g, **kw)[0],
+            h,
+            node_budget=budget,
+            **mode,
+        )
+        got = search_outcome(_backtrack_images, h, node_budget=budget, **mode)
+        assert got == expected
+
+
 def test_search_on_random_hypergraphs_matches_reference():
     for h in search_samples():
         for want_equal in (True, False):
-            for first_only in (True, False):
-                mode = dict(want_equal=want_equal, first_only=first_only)
-                assert_search_matches(h, **mode)
-                for budget in (0, 1, 7, 40):
-                    expected = search_outcome(
-                        lambda g, **kw: ref.backtrack_images(g, **kw)[0],
-                        h,
-                        node_budget=budget,
-                        **mode,
-                    )
-                    got = search_outcome(
-                        _backtrack_images, h, node_budget=budget, **mode
-                    )
-                    assert got == expected
+            assert_first_search_matches(h, want_equal)
+        assert_generators_match(h)
 
 
 def k4_searched_hypergraphs():
@@ -822,64 +915,50 @@ def k4_searched_hypergraphs():
 
 
 def test_pruned_search_matches_reference():
-    """On the tree cut to the K4 classes, the kernel finds what the
-    reference finds and spends exactly as many nodes, at exhaustion and at
-    each budget."""
+    """On the tree cut to the K4 classes, the kernel's first-only searches
+    find what the reference finds and spend exactly as many nodes, at
+    exhaustion and at each budget, and its generator search stays within
+    the reference's listing of the whole group."""
     for h in k4_searched_hypergraphs():
         for want_equal in (True, False):
             classes = ref.k4_classes_by_scan(h, want_equal)
             assert verify._k4_classes(h, want_equal) == classes
-            for first_only in (True, False):
-                mode = dict(want_equal=want_equal, first_only=first_only)
-                found, nodes = ref.backtrack_images(
-                    h, node_budget=None, classes=classes, **mode
-                )
-                assert _backtrack_images(
-                    h, node_budget=None, classes=classes, **mode
-                ) == found
-                for budget in (0, 1, 7, 40, nodes - 1, nodes):
-                    expected = search_outcome(
-                        lambda g, **kw: ref.backtrack_images(g, **kw)[0],
-                        h,
-                        node_budget=budget,
-                        classes=classes,
-                        **mode,
-                    )
-                    got = search_outcome(
-                        _backtrack_images,
-                        h,
-                        node_budget=budget,
-                        classes=classes,
-                        **mode,
-                    )
-                    assert got == expected
+            assert_first_search_matches(h, want_equal, classes)
+        assert_generators_match(h, classes=verify._k4_classes(h, True))
 
 
 def test_k4_pruning_never_changes_a_result():
-    """The K4 classes cut only subtrees with no solution: the pruned search
-    finds the unpruned list in the same order within the unpruned nodes,
-    every permutation found maps each vertex into its class, and the public
-    searches give what the unpruned tree gives."""
+    """The K4 classes cut only subtrees with no solution: the pruned
+    first-only search finds the unpruned permutation within the unpruned
+    nodes, the pruned generators give the unpruned orbits within the
+    unpruned listing's nodes, every permutation found maps each vertex into
+    its class, and the public searches give what the unpruned tree gives."""
     for h in k4_searched_hypergraphs():
         for want_equal in (True, False):
             classes = verify._k4_classes(h, want_equal)
             for first_only in (True, False):
+                if not (first_only or want_equal):
+                    continue  # generators are searched for automorphisms only
                 mode = dict(want_equal=want_equal, first_only=first_only)
                 found, nodes = ref.backtrack_images(h, node_budget=None, **mode)
-                assert _backtrack_images(h, node_budget=None, **mode) == found
                 # A pruned search that needed more nodes would raise here.
                 pruned = _backtrack_images(
                     h, node_budget=nodes, classes=classes, **mode
                 )
-                assert pruned == found
+                if first_only:
+                    assert _backtrack_images(h, node_budget=None, **mode) == found
+                    assert pruned == found
+                else:
+                    orbits = ref.orbits_by_union_find(h.n, found)
+                    assert ref.orbits_by_union_find(h.n, pruned) == orbits
                 if h.n == 10 and first_only != want_equal:
-                    # On the two searches the library runs, listing the
-                    # automorphisms and finding one antimorphism, the two
+                    # On the two searches the library runs, the automorphism
+                    # group's generators and one antimorphism, the two
                     # sides' K4 counts cut the order-10 tree 4x or more.
                     _backtrack_images(
                         h, node_budget=nodes // 4, classes=classes, **mode
                     )
-                for p in found:
+                for p in pruned:
                     assert all(w in classes[v] for v, w in enumerate(p.images))
             if want_equal and 0 < h.edge_count < h.positions:
                 autos, nodes = ref.backtrack_images(
