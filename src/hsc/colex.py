@@ -12,7 +12,11 @@ are replayed from those of the (k-1)-subsets, cached per (n, k), so no hot
 path unranks: the subset of colex rank r is read as entry r of each cached
 column (`_subset_columns`).  A lone witness, one subset of a shape whose
 columns can take tens of MB, is unranked instead, by walking its colex
-blocks (`_subset_at`).
+blocks down to the pairs, which it unranks in closed form (`_subset_at`).
+The images of all j-subsets under a vertex map are ranked in colex order
+(`_image_ranks`): pairs by lookup in one row of pair ranks per image of
+their top vertex, so no pair is sorted, and other sizes by sorting a block
+of image subsets at a time.
 
 Coverage, the antimorphism check and the writer list no edges at all.
 The k-subsets with top vertex c hold the colex ranks [comb(c, k),
@@ -23,7 +27,7 @@ block of an indicator over those ranks is itself an indicator over the
 
 from functools import lru_cache
 from itertools import chain, islice, repeat
-from math import comb
+from math import comb, isqrt
 from operator import add
 
 __all__ = ["validate_ksubset"]
@@ -75,24 +79,40 @@ def _column_ranks(rows, columns):
     return ranks
 
 
-def _image_ranks(columns, images, rows):
-    """Colex ranks, lazily, of the images, each re-sorted, of the k-subsets
-    whose vertex columns are given, under the vertex map `images`; rows is
-    the binomial table for n and k.
+def _image_ranks(n: int, j: int, images):
+    """Colex ranks, lazily, of the images under the vertex map `images` of
+    all j-subsets of [0, n), j >= 1, in colex order.
 
-    Works through _PARSE_BLOCK subsets at a time: it maps each column slice
-    of a block through `images`, zips the image columns into subsets, sorts
-    each, zips the sorted subsets back into columns and ranks those, so only
-    one block of image subsets exists at once.
+    Pairs rank by lookup: the pairs with top vertex b are {a, b} for a < b,
+    in order of a, and the image {images[a], w} with w = images[b] has rank
+    comb(w, 2) + x for x = images[a] below w and comb(x, 2) + w above it.
+    So one row of those ranks per w, a range below w and the pair ranks
+    shifted by w above it, is read at images[a] for each a < b, and no pair
+    is sorted.  Other sizes work through _PARSE_BLOCK subsets at a time: a
+    block's vertex columns are mapped through `images` and zipped into
+    subsets, each is sorted, and the sorted subsets are zipped back into
+    columns and ranked, so only one block of image subsets exists at once.
     """
+    if j == 2:
+        tops = list(map(comb, range(n), repeat(2)))
+
+        def pairs(b):
+            w = images[b]
+            above = map(add, tops[w + 1 :], repeat(w))
+            row = [*range(tops[w], tops[w] + w + 1), *above]
+            return map(row.__getitem__, images[:b])
+
+        return chain.from_iterable(map(pairs, range(1, n)))
+    columns = _colex_columns(n, j)
+    rows = _binomial_table(n, j)
     image = images.__getitem__
 
-    def block(start):
-        stop = start + _PARSE_BLOCK
-        mapped = zip(*[map(image, column[start:stop]) for column in columns])
+    def block(size):
+        mapped = zip(*[map(image, islice(column, size)) for column in columns])
         return _column_ranks(rows, list(zip(*map(sorted, mapped))))
 
-    return chain.from_iterable(map(block, range(0, len(columns[0]), _PARSE_BLOCK)))
+    sizes = map(min, repeat(_PARSE_BLOCK), range(comb(n, j), 0, -_PARSE_BLOCK))
+    return chain.from_iterable(map(block, sizes))
 
 
 def _replay(heads, n: int, k: int) -> list:
@@ -130,13 +150,19 @@ def _subset_at(r: int, n: int, k: int) -> tuple[int, ...]:
     `_subset_columns` would cache k * comb(n, k) entries: its top vertex c
     has the colex block [comb(c, k), comb(c + 1, k)) that holds r, and the
     rest is the (k-1)-subset of rank r - comb(c, k).  The blocks are walked
-    down to level 2, at most n + k binomials; the rank left is the least vertex."""
+    down to level 3, at most n + k binomials; at level 2 the top is the
+    largest c with comb(c, 2) <= r, (isqrt(8r + 1) + 1) // 2, and the rank
+    left is the least vertex."""
     subset = []
-    for i in range(k, 1, -1):
+    for i in range(k, 2, -1):
         while comb(n, i) > r:
             n -= 1
         subset.append(n)
         r -= comb(n, i)
+    if k > 1:
+        c = (isqrt(8 * r + 1) + 1) // 2
+        subset.append(c)
+        r -= comb(c, 2)
     return (r, *reversed(subset))
 
 

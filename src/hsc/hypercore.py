@@ -358,10 +358,27 @@ def _lane_sums(bits, n: int, k: int, t: int, lane: int, memo=None, start=0) -> i
 
 def _prefixes(m: int, j: int, size: int):
     """The edge-line prefixes, "e" and a space before each vertex, of the
-    first `size` j-subsets of [0, m) in colex order, replayed lazily.  The
-    writer joins a top c's prefixes with " c\\n"; the parser splits on it."""
-    columns = map(islice, _colex_columns(m, j), repeat(size))
-    return map(("e" + " {}" * j).format, *columns)
+    first `size` j-subsets of [0, m) in colex order, j >= 1, the last level
+    joined lazily.  The writer joins a top c's prefixes with " c\\n"; the
+    parser splits on it.
+
+    They are joined a level at a time: the i-subsets with top v are the
+    first comb(v, i - 1) (i-1)-subsets, each with v added, so level i
+    appends " v" to those prefixes of level i - 1 for each top v in turn.
+    Only the least number of vertices whose j-subsets reach `size` is used,
+    so the work follows `size`."""
+    order = 0
+    while order < m and comb(order, j) < size:
+        order += 1
+    level = ["e"]
+    for i in range(1, j + 1):
+        tops = range(i - 1, order - j + i)
+        heads = map(islice, repeat(level), map(comb, tops, repeat(i - 1)))
+        tails = map(repeat, map(" {}".format, tops))
+        level = chain.from_iterable(map(map, repeat(add), heads, tails))
+        if i < j:
+            level = list(level)
+    return islice(level, size)
 
 
 def _edge_list_blocks(h: Hypergraph):

@@ -15,7 +15,7 @@ from itertools import product
 from math import comb
 from operator import eq
 
-from .colex import _binomial_table, _colex_columns, _image_ranks
+from .colex import _image_ranks
 from .hypercore import Hypergraph, Permutation, _positions
 from .verify import t_subset_regularity
 
@@ -66,9 +66,10 @@ class OrbitDecomposition(namedtuple("OrbitDecomposition", "n k orbits")):
 def tau_orbits_on_ksubsets(n: int, k: int, tau: Permutation) -> OrbitDecomposition:
     """Decompose the action of tau on all comb(n,k) subset ranks into cycles.
 
-    The vertex columns of all k-subsets in colex order (a subset's position
-    is its rank) are relabeled and ranked column-wise through the binomial
-    table in one pass, and the cycles are read off that map of ranks.
+    The images of all k-subsets in colex order (a subset's position is its
+    rank) are ranked in one pass (`_image_ranks`: pairs by lookup, other
+    sizes column-wise through the binomial table), and the cycles are read
+    off that map of ranks.
     """
     if tau.n != n:
         raise ValueError(f"permutation length {tau.n} != order {n}")
@@ -77,8 +78,7 @@ def tau_orbits_on_ksubsets(n: int, k: int, tau: Permutation) -> OrbitDecompositi
     # are no subsets to map.
     image = [0]
     if 0 < k <= n:
-        columns = [tuple(column) for column in _colex_columns(n, k)]
-        image = list(_image_ranks(columns, tau.images, _binomial_table(n, k)))
+        image = list(_image_ranks(n, k, tau.images))
     seen = bytearray(total)
     orbits = []
     for start in range(total):

@@ -13,9 +13,10 @@ tau, a chunk of rows at a time, and relabels no bit.  The exhaustive searches
 (antimorphism and automorphism enumeration) are gated by order: orders up
 to 8 run freely, 9 and 10 need an explicit opt-in, anything larger is
 refused outright; they look each image subset up by its vertex bitmask in a
-dict of indicator bytes filled from the cached colex columns.  At k = 3 they
-try as images of a vertex only those of its K4 class, and the orbit search
-seeks only generators of the automorphism group, pruned by their orbits.
+dict of indicator bytes, zipped per call onto bitmasks cached per shape.  At
+k = 3 they try as images of a vertex only those of its K4 class, and the
+orbit search seeks only generators of the automorphism group, pruned by
+their orbits.
 A node, one candidate tried, is counted in that pruned tree, so a budget
 that ran out on the whole tree may now be enough.
 
@@ -26,16 +27,12 @@ The masks are kept on the hypergraph; no profile is kept between calls.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import accumulate, compress, islice, repeat
 from math import comb
 from operator import add, mul
 
-from .colex import (
-    _binomial_table,
-    _image_ranks,
-    _subset_at,
-    _subset_columns,
-)
+from .colex import _image_ranks, _subset_at, _subset_columns
 from .construct import EdgeFamilies
 from .hypercore import Hypergraph, Permutation, _coverage_lanes, coverage
 
@@ -195,21 +192,22 @@ def verify_antimorphism(h: Hypergraph, tau: Permutation) -> AntimorphismCheck:
     image rows are gathered, pulled through tau with one strided copy per
     vertex x, and compared with the chunk's own rows complemented.
 
-    Only a chunk that differs is read row by row, skipping the rows
-    lex-after the lex-first that differed so far.  A violation shows in the
-    row of itself less its largest vertex, the lex-first of its rows, so
-    the lex-first violation is T + {x} for the lex-first row T that
-    differs, x its lowest differing byte (above T's top vertex).
+    Only a chunk that differs is read row by row, and only its rows whose
+    bytes differ are read further: their head, skipping the rows lex-after
+    the lex-first that differed so far, then their lowest differing byte.
+    A violation shows in the row of itself less its largest vertex, the
+    lex-first of its rows, so the lex-first violation is T + {x} for the
+    lex-first row T that differs, x its lowest differing byte (above T's
+    top vertex).  The image ranks come from `_image_ranks` (pairs, at
+    k = 3, by lookup), and the heads from the cached subset columns,
+    fetched only when a chunk differs.
     """
     if tau.n != h.n:
         raise ValueError(f"permutation length {tau.n} != order {h.n}")
     n, k = h.n, h.k
     rows = _link_rows(h._bits, n, k, n)
     # At k = 1 the only T is the empty set, its own image (rank 0).
-    heads, image = (), iter([0])
-    if k > 1:
-        heads = _subset_columns(n, k - 1)
-        image = _image_ranks(heads, tau.images, _binomial_table(n, k - 1))
+    image = _image_ranks(n, k - 1, tau.images) if k > 1 else iter([0])
     witness = None
     for first in range(0, len(rows) // n, _CHUNK_ROWS):
         ranks = list(islice(image, _CHUNK_ROWS))
@@ -222,15 +220,16 @@ def verify_antimorphism(h: Hypergraph, tau: Permutation) -> AntimorphismCheck:
         own = rows[first * n : first * n + len(pulled)].translate(_COMPLEMENT)
         if pulled == own:
             continue
+        heads = _subset_columns(n, k - 1) if k > 1 else ()
         for r, at in enumerate(range(0, len(own), n), first):
+            row, image_row = own[at : at + n], pulled[at : at + n]
+            if row == image_row:
+                continue
             head = tuple(column[r] for column in heads)
             if witness is not None and head > witness[:-1]:
                 continue
-            diff = int.from_bytes(pulled[at : at + n], "little") ^ int.from_bytes(
-                own[at : at + n], "little"
-            )
-            if diff:
-                witness = head + ((diff & -diff).bit_length() - 1 >> 3,)
+            diff = int.from_bytes(row, "little") ^ int.from_bytes(image_row, "little")
+            witness = head + ((diff & -diff).bit_length() - 1 >> 3,)
     return AntimorphismCheck(ok=witness is None, witness=witness)
 
 
@@ -332,23 +331,23 @@ def _backtrack_images(h, *, want_equal, node_budget, first_only, classes=None):
     An image subset is looked up by its vertex bitmask: byte_of maps the
     bitmask of each k-subset to its indicator byte, and shifted[w] holds
     1 << images[w], so the image of e has bitmask sum(map(shift, e)), with
-    no sort and no rank.  The search order allows n <= 10, so byte_of has
-    at most comb(10, 5) = 252 entries."""
-    n, k = h.n, h.k
-    bits = h.indicator
-    flip = 0 if want_equal else 1
+    no sort and no rank.  The bitmasks and the subsets grouped by top vertex
+    depend on (n, k) alone (`_search_shape`); a call only zips in the
+    indicator bytes."""
+    n = h.n
+    masks, blocks = _search_shape(n, h.k)
+    byte_of = dict(zip(masks, h._bits))
+    wanted = iter(h._bits if want_equal else h._bits.translate(_COMPLEMENT))
+    # tails[v]: the k-subsets with largest vertex v, each with the indicator
+    # byte its image must have.  The blocks run in colex order, so each
+    # takes the next bytes; zip reads its block first, so it stops without
+    # taking a byte past it.
+    tails = [list(zip(block, wanted)) for block in blocks]
     bit = [1 << v for v in range(n)]
     images = [0] * n
     shifted = [0] * n
     shift = shifted.__getitem__
     used = [False] * n
-    # tails[v]: the k-subsets with largest vertex v, each with the indicator
-    # byte its image must have (the walk's position is the subset's rank).
-    tails = [[] for _ in range(n)]
-    byte_of = {}
-    for r, e in enumerate(zip(*_subset_columns(n, k))):
-        byte_of[sum(map(bit.__getitem__, e))] = bits[r]
-        tails[e[-1]].append((e, bits[r] ^ flip))
     candidates = classes or [range(n)] * n
     orbit = _orbits(n, ())
     found = []
@@ -381,6 +380,19 @@ def _backtrack_images(h, *, want_equal, node_budget, first_only, classes=None):
 
     extend(0, not first_only)
     return found
+
+
+@lru_cache(maxsize=16)
+def _search_shape(n: int, k: int) -> tuple:
+    """(masks, blocks) for `_backtrack_images` on k-uniform hypergraphs of
+    order n: masks[r] is the vertex bitmask of the k-subset of colex rank r,
+    and blocks[v] the k-subsets with top vertex v, rank by rank.  The search
+    order allows n <= 10, so each holds at most comb(10, 5) = 252 subsets."""
+    subsets = list(zip(*_subset_columns(n, k)))
+    masks = tuple(sum(1 << v for v in e) for e in subsets)
+    tops = [comb(v, k) for v in range(n + 1)]
+    blocks = tuple(tuple(subsets[tops[v] : tops[v + 1]]) for v in range(n))
+    return masks, blocks
 
 
 def _orbits(n: int, permutations) -> list[set[int]]:

@@ -36,7 +36,10 @@ byte tables (`_relabel_masks`), which the chunked pull of the link-row
 bytes through tau replaced.  `link_rows_by_recursion` and
 `lane_sums_by_recursion` are the link-row and lane-sum kernels as they were
 before their pair level became one loop: they recurse down to single
-vertices, one call per pair of top vertices.
+vertices, one call per pair of top vertices.  `image_ranks_by_sorting` and
+`prefixes_by_format` are the image ranking and the edge-line prefixes as
+they were before pairs were ranked by row lookup and prefixes joined a
+level at a time: they sort every image subset and format every prefix.
 
 The first group holds members that left `hsc` because only tests called
 them: the per-subset colex ranks `subset_rank` and `rank_colex`, the
@@ -62,7 +65,6 @@ from hsc.colex import (
     _binomial_table,
     _colex_columns,
     _column_ranks,
-    _image_ranks,
     validate_ksubset,
 )
 from hsc.construct import half, side_modulus
@@ -241,7 +243,7 @@ def relabel(h: Hypergraph, sigma: Permutation) -> Hypergraph:
         raise ValueError(f"permutation length {sigma.n} != order {h.n}")
     rows = _binomial_table(h.n, h.k)
     bits = bytearray(h.positions)
-    _set_ranks(bits, _image_ranks(edge_columns(h), sigma.images, rows))
+    _set_ranks(bits, image_ranks_by_sorting(edge_columns(h), sigma.images, rows))
     # A bijection maps distinct edges to distinct images.
     count = bits.count(1)
     if count != h.edge_count:
@@ -574,7 +576,7 @@ def pair_cases_by_scan(n: int) -> dict[str, set[tuple[int, int, int]]]:
 def permute_by_rank_list(h: Hypergraph, sigma: Permutation) -> Hypergraph:
     """h relabeled through sigma via the full list of image ranks."""
     rows = _binomial_table(h.n, h.k)
-    ranks = list(_image_ranks(edge_columns(h), sigma.images, rows))
+    ranks = list(image_ranks_by_sorting(edge_columns(h), sigma.images, rows))
     return Hypergraph.from_ranks(h.n, h.k, ranks)
 
 
@@ -786,7 +788,7 @@ def antimorphism_by_link_rows(h: Hypergraph, tau: Permutation) -> AntimorphismCh
     image = [0]
     if k > 1:
         heads = [tuple(column) for column in _colex_columns(n, k - 1)]
-        image = _image_ranks(heads, tau.images, _binomial_table(n, k - 1))
+        image = image_ranks_by_sorting(heads, tau.images, _binomial_table(n, k - 1))
     moved = _relabel_masks(closed, tau.images)
     full = (1 << n) - 1
     agree = map(xor, map(closed.__getitem__, image), moved)
@@ -889,3 +891,31 @@ def lane_sums_by_recursion(
     if memo is not None:
         memo[start, k, t] = total
     return total
+
+
+def image_ranks_by_sorting(columns, images, rows):
+    """Colex ranks, lazily, of the images, each re-sorted, of the k-subsets
+    whose vertex columns are given, under the vertex map `images`; rows is
+    the binomial table for n and k.
+
+    Works through _PARSE_BLOCK subsets at a time: it maps each column slice
+    of a block through `images`, zips the image columns into subsets, sorts
+    each, zips the sorted subsets back into columns and ranks those, so only
+    one block of image subsets exists at once.
+    """
+    image = images.__getitem__
+
+    def block(start):
+        stop = start + _PARSE_BLOCK
+        mapped = zip(*[map(image, column[start:stop]) for column in columns])
+        return _column_ranks(rows, list(zip(*map(sorted, mapped))))
+
+    return chain.from_iterable(map(block, range(0, len(columns[0]), _PARSE_BLOCK)))
+
+
+def prefixes_by_format(m: int, j: int, size: int):
+    """The edge-line prefixes, "e" and a space before each vertex, of the
+    first `size` j-subsets of [0, m) in colex order, replayed lazily.  The
+    writer joins a top c's prefixes with " c\\n"; the parser splits on it."""
+    columns = map(islice, _colex_columns(m, j), repeat(size))
+    return map(("e" + " {}" * j).format, *columns)

@@ -87,21 +87,25 @@ def test_writer_cost_follows_edges_at_k1():
 
 def test_writer_cost_follows_edges_at_k3():
     # At n = 466 every prefix would take about 7.2 MB.  With no edge none is
-    # formatted, and with edges only up to top vertex 20 only the 190 with
-    # a top below 20; the cached subset columns are built first, outside
-    # the trace, as a dense write shares them.
+    # joined, and with edges only up to top vertex 20 only the 190 with a
+    # top below 20.  At k = 5 the levels below the last are listed, so they
+    # too stop at top vertex 20: whole, they would peak at about 2.4 MB.
     empty = Hypergraph(466, 3, [])
     sparse = Hypergraph(466, 3, [(0, 1, 2), (3, 7, 20)])
-    to_edge_list_text(Hypergraph(466, 3, [(463, 464, 465)]))
+    sparse5 = Hypergraph(60, 5, [(0, 1, 2, 3, 4), (16, 17, 18, 19, 20)])
     texts, peaks = [], []
-    for h in (empty, sparse):
+    for h in (empty, sparse, sparse5):
         tracemalloc.start()
         try:
             texts.append(to_edge_list_text(h))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert texts == ["p hsc 466 3\n", "p hsc 466 3\ne 0 1 2\ne 3 7 20\n"]
+    assert texts == [
+        "p hsc 466 3\n",
+        "p hsc 466 3\ne 0 1 2\ne 3 7 20\n",
+        "p hsc 60 5\ne 0 1 2 3 4\ne 16 17 18 19 20\n",
+    ]
     assert max(peaks) < 1e6, peaks
 
 
@@ -425,6 +429,10 @@ def test_chunked_pull_matches_the_relabeled_masks(monkeypatch):
     images = list(swap_antimorphism(102).images)
     images[3], images[70] = images[70], images[3]
     same(build_gamma(102), Permutation(images))
+    # The identity fails on every row, so every chunk differs whole and
+    # its rows after the first are skipped as lex-after the witness.
+    for n in (62, 102):
+        same(build_gamma(n), ref.identity(n))
     # Chunks of 1, 2 and 7 rows on the exchanged hypergraphs and their
     # corruptions: chunks that pass come before and after those that fail.
     for rows in (1, 2, 7):

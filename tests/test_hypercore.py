@@ -274,7 +274,9 @@ def test_write_edge_list_streams_the_same_bytes(tmp_path):
 def test_permute_count_check_is_explicit(monkeypatch):
     g = build_gamma(6)
     # Every image ranked 0: one set byte for ten edges.
-    monkeypatch.setattr(ref, "_image_ranks", lambda columns, images, rows: [0] * 10)
+    monkeypatch.setattr(
+        ref, "image_ranks_by_sorting", lambda columns, images, rows: [0] * 10
+    )
     with pytest.raises(RuntimeError, match="gives 1 distinct edges, not 10"):
         relabel(g, ref.identity(6))
 

@@ -170,6 +170,46 @@ def test_subset_at_matches_unranking():
             assert colex._subset_at(r, 466, k) == ref.unrank_colex(r, 466, k)
 
 
+def test_image_ranks_match_the_sorted_reference():
+    # Pairs, ranked by row lookup, at every order up to 70 under a random, an
+    # involutive and the identity tau, and at the position ceiling's order
+    # under the swap; the other sizes, sorted a block at a time, up to 30.
+    rng = random.Random(29)
+
+    def same(n, j, images):
+        columns = [tuple(column) for column in colex._colex_columns(n, j)]
+        rows = colex._binomial_table(n, j)
+        expected = list(ref.image_ranks_by_sorting(columns, images, rows))
+        assert list(colex._image_ranks(n, j, images)) == expected, (n, j, images)
+
+    for n in range(1, 71):
+        involution = list(range(n))
+        moved = rng.sample(range(n), n - n % 2 - 2 * rng.randrange(n // 2 + 1))
+        for v, w in zip(moved[::2], moved[1::2]):
+            involution[v], involution[w] = w, v
+        for images in (random_permutation(rng, n).images, tuple(involution)):
+            same(n, 2, images)
+            if n <= 30:
+                for j in (1, 3, 4):
+                    same(n, j, images)
+        same(n, 2, tuple(range(n)))
+    same(466, 2, swap_antimorphism(466).images)
+
+
+def test_prefixes_match_the_formatted_reference():
+    # Every order up to 30 at j = 1..4, cut at none, one, a third, all but
+    # one and all of the prefixes, then the n = 466 writer's pairs.
+    for m in range(31):
+        for j in range(1, 5):
+            total = comb(m, j)
+            for size in {0, 1, total // 3, total - 1, total} - {-1}:
+                expected = list(ref.prefixes_by_format(m, j, size))
+                assert list(hypercore._prefixes(m, j, size)) == expected, (m, j, size)
+    for size in (0, 190, comb(465, 2)):
+        expected = list(ref.prefixes_by_format(465, 2, size))
+        assert list(hypercore._prefixes(465, 2, size)) == expected
+
+
 def test_edges_match_unranking():
     for h in sample_hypergraphs():
         assert h.edges() == ref.edges_by_unranking(h)
