@@ -58,8 +58,8 @@ _PARSE_CHUNK = _WRITE_SPAN = 1 << 14
 
 # Refuse more subset positions.  At n = 466, the largest order under it (one
 # fresh process, 2 vCPUs, Python 3.11, peak = VmHWM), `construct --out` takes
-# 0.6-0.9 s at 40 MB and `verify` 4.8-6.9 s at 47 MB: the 16.7 MB indicator,
-# a bounded block, and the writer's 7.2 MB of prefixes or the parser's map.
+# 0.5-0.7 s at 40 MB and `verify` 2.4-3.4 s at 83 MB: the 16.7 MB indicator,
+# the writer's 7.2 MB of prefixes or the parser's map, and 50 MB link rows.
 MAX_POSITIONS = 1 << 24
 
 # Refuse a larger uniformity k, 2.5x below the first failure of a kernel that

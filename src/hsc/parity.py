@@ -82,6 +82,8 @@ def residue_classes(k: int, t: int, modulus: int) -> set[int]:
         raise ValueError(f"modulus must be a power of two, got {modulus}")
     if modulus > MAX_MODULUS:
         raise ValueError(f"modulus {modulus} exceeds the bound of {MAX_MODULUS}")
+    if not 0 < t < k:
+        raise ValueError(f"need 0 < t < k, got t={t}, k={k}")
     start = k + 1
     blocks = []
     for j in range(8):

@@ -22,7 +22,7 @@ that ran out on the whole tree may now be enough.
 
 The K4 vertex invariant is asked one vertex at a time but computed for all
 vertices at once: it intersects the closed link masks of every edge's three
-pairs, read as n-bit ints from the same link rows, one block at a time.
+pairs, read as n-bit ints from the pairs' link rows, one top vertex at a time.
 The masks are kept on the hypergraph; no profile is kept between calls.
 """
 
@@ -233,39 +233,28 @@ def verify_antimorphism(h: Hypergraph, tau: Permutation) -> AntimorphismCheck:
     return AntimorphismCheck(ok=witness is None, witness=witness)
 
 
-def _closed_masks(bits, n: int, k: int) -> list[int]:
-    """closed(T) of every (k-1)-subset T of [0, n) in colex order: the n-bit
-    mask of T's vertices and of every x with T + {x} an edge, read from the
-    link rows one top vertex's block at a time, a member byte 2 as a set
-    bit.  The K4 profile, its one caller, keeps the pair masks (k = 3)."""
+def _closed_masks(bits, n: int) -> list[int]:
+    """closed(ab) of every pair {a, b} of [0, n) in colex order: the n-bit
+    mask of a, b and every x with {a, b, x} an edge of the triples that bits
+    indicates, read from the pairs' link rows (see `_link_rows`) one top
+    vertex c at a time, a member byte 2 as a set bit.  Below c, the rows of
+    the pairs {a, c} are the link rows on [0, c) of the block of triples
+    with top c; byte x above c is that of {a, c, x}, at rank a + comb(c, 2)
+    in the block of triples with top x, which starts at comb(x, 3)."""
     closed = []
-    for rows in _link_blocks(bits, n, k):
+    tops = list(map(comb, range(n + 1), repeat(3)))
+    for c in range(1, n):
+        low, high = comb(c, 2), comb(c + 1, 2)
+        rows = _link_rows(bits[tops[c] : tops[c + 1]], c, 2, n)
+        rows[c::n] = b"\x02" * c
+        for x, top in enumerate(tops[c + 1 : n], c + 1):
+            rows[x::n] = bits[top + low : top + high]
         # Reversed, the rows come last-first and each reads as a binary
         # numeral with bit x = byte x.
         digits = rows.translate(_BINARY_DIGITS)[::-1]
         cuts = map(slice, range(len(digits) - n, -1, -n), range(len(digits), 0, -n))
         closed += map(int, map(digits.__getitem__, cuts), repeat(2))
     return closed
-
-
-def _link_blocks(bits, n: int, k: int):
-    """The link rows (see `_link_rows`) of the (k-1)-subsets T of [0, n),
-    n bytes each, one block per top vertex c of T.  Below c, they are the
-    link rows on [0, c) of the block of edges with top c; byte x above c is
-    the byte of T + {x}, at rank(T) in the block of edges with top x, whose
-    first rank tops[x] = comb(x, k) is listed once per call."""
-    if k == 1:
-        # The empty subset's row is the indicator itself.
-        yield bits
-        return
-    tops = list(map(comb, range(n + 1), repeat(k)))
-    for c in range(k - 2, n):
-        low, high = comb(c, k - 1), comb(c + 1, k - 1)
-        rows = _link_rows(bits[tops[c] : tops[c + 1]], c, k - 1, n)
-        rows[c::n] = b"\x02" * (high - low)
-        for x, top in enumerate(tops[c + 1 : n], c + 1):
-            rows[x::n] = bits[top + low : top + high]
-        yield rows
 
 
 def _link_rows(bits, n: int, k: int, width: int) -> bytearray:
@@ -483,7 +472,7 @@ def _k4_profile(h: Hypergraph) -> tuple[int, ...]:
     """
     n, bits = h.n, h._bits
     if h._pair_masks is None:
-        h._pair_masks = _closed_masks(bits, n, 3)
+        h._pair_masks = _closed_masks(bits, n)
     masks = h._pair_masks
     firsts, seconds = _subset_columns(n, 2)
     totals = [0] * n

@@ -335,6 +335,16 @@ def test_residues_refuses_a_modulus_past_the_bound(capsys):
     )
 
 
+def test_residues_refuses_t_outside_0_and_k_naming_only_k_and_t(capsys):
+    # The scan's first order, k + 1, is no input, so no order is named.
+    for k, t in ((1, 1), (3, 3), (3, 0)):
+        assert run(capsys, "residues", "--k", str(k), "--t", str(t)) == (
+            2,
+            "",
+            f"error: need 0 < t < k, got t={t}, k={k}\n",
+        )
+
+
 def test_search_summary(capsys):
     code, stdout, _ = run(capsys, "search", "--n", "6")
     assert code == 0

@@ -276,9 +276,10 @@ def test_lane_sums_sum_each_block_once(monkeypatch):
 
 
 def test_pair_level_loops_match_the_recursion():
-    # The link rows and lane sums, whose pair level is one loop, against
-    # the recursion down to single vertices on seeded random indicators:
-    # every k up to 5 and t in [0, k], orders up to 30, 1- and 2-byte lanes.
+    # The link rows and lane sums, whose pair level is one loop, and the
+    # pair masks at k = 3, against the recursion down to single vertices on
+    # seeded random indicators: every k up to 5 and t in [0, k], orders up to
+    # 30, 1- and 2-byte lanes.
     # In the complete graphs on 257 and 258 vertices a vertex lies in 256 and
     # 257 edges, past one byte.
     rng = random.Random(37)
@@ -289,7 +290,13 @@ def test_pair_level_loops_match_the_recursion():
         bits = bytearray(rng.random() < density for _ in range(comb(n, k)))
         rows = ref.link_rows_by_recursion(bits, n, k, n)
         assert verify._link_rows(bits, n, k, n) == rows
-        assert b"".join(verify._link_blocks(bits, n, k)) == rows
+        if k == 3:
+            # The K4 profile's pair masks: bit x set where byte x is not 0.
+            closed = [
+                sum(1 << x for x, byte in enumerate(rows[at : at + n]) if byte)
+                for at in range(0, len(rows), n)
+            ]
+            assert verify._closed_masks(bits, n) == closed
         wide = ref.link_rows_by_recursion(bits, n, k, n + 5)
         assert verify._link_rows(bits, n, k, n + 5) == wide
         for t in range(k + 1):
